@@ -32,7 +32,7 @@ from .expansion import (check_reasonable, degree_sum_bound, fibers,
                         forget_order, restrict_along)
 from .transport import (LexLift, WeakCoalgebra, check_PA, hat_E, hat_E_map,
                         hat_delta, mset_as_weak_coalgebra, phi,
-                        transport_witness, universal_embed)
+                        transport_witness)
 from .bigramsey import (ReductionRecord, ReductionResult, big_ramsey_reduce,
                         equivariance_of_pi, pi_star, random_coloring,
                         subchains_containing_min, unordered_degree_bound)

@@ -15,6 +15,7 @@ monochromatic; each run certifies its own instance and fails loudly
 (TruncationTooSmall) when the truncation cannot sustain the tower.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -276,9 +277,5 @@ def unordered_degree_bound(a, per_ordering):
             raise MissingOrdering(f"no certified bound for ordering {key}")
         used[key] = per_ordering[key]
         total += per_ordering[key]
-    n = a.size
-    formula = 1
-    for i in range(2, n + 1):
-        formula *= i
-    formula *= 2 ** (n - 1)
+    formula = math.factorial(a.size) * 2 ** (a.size - 1)
     return AggregateBound(total, formula, total <= formula, used)

@@ -1,10 +1,11 @@
 """Command-line entry point orchestrating the workbench experiments.
 
 Every run emits a JSON report (stdout, or --out) containing the command,
-input paths with content hashes, all parameters including seeds, and the
-verdicts. Reports are byte-identical across runs with the same inputs
-and parameters; wall-clock timing is only included when --timing is
-passed, since it would break that guarantee.
+input paths with content hashes, every parameter that shapes the
+verdicts (seeds included), and the verdicts. Reports are byte-identical
+across runs with the same inputs and parameters; wall-clock timing is
+only included when --timing is passed, since it would break that
+guarantee.
 
 Exit codes: 0 for a completed run (even when the mathematical verdict is
 "refuted"), 1 for input errors, 2 for cap overflows.
@@ -17,6 +18,7 @@ import time
 
 from . import io
 from .bigramsey import big_ramsey_reduce, unordered_degree_bound
+from .chains import Chain
 from .comonad import (Coalgebra, DistinctListFunctor, ListFunctor,
                       MonoidActionFunctor, check_comonad_laws)
 from .errors import CapExceeded, InputError
@@ -35,7 +37,7 @@ def _input_entry(path):
 def _report(args, inputs, parameters, verdicts, started):
     report = {"command": args.command,
               "inputs": inputs,
-              "parameters": dict(parameters, threads=args.threads),
+              "parameters": parameters,
               "verdicts": verdicts}
     if args.timing:
         report["timing_seconds"] = round(time.monotonic() - started, 3)
@@ -61,8 +63,8 @@ def cmd_validate(args, started):
         path = getattr(args, kind)
         inputs[kind] = _input_entry(path)
         obj = _load_object(kind, path)
-        verdicts[kind] = {"valid": True,
-                          "size": getattr(obj, "size", None) or len(obj)}
+        size = len(obj) if isinstance(obj, Chain) else obj.size
+        verdicts[kind] = {"valid": True, "size": size}
     return _report(args, inputs, {}, verdicts, started)
 
 
@@ -236,9 +238,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None,
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker bound (recorded; verdicts are "
-                             "thread-count-invariant)")
     common.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -106,28 +106,6 @@ class ListFunctor:
         return seq[0]
 
 
-def delta_action(m, h):
-    """delta for the monoid-action functor, on one function table."""
-    return MonoidActionFunctor(m).delta(tuple(h))
-
-
-def epsilon_action(m, h):
-    return tuple(h)[m.identity]
-
-
-def delta_list(seq):
-    """Suffix list of a nonempty sequence."""
-    if not seq:
-        raise EmptySequence("delta of the empty sequence")
-    return tuple(tuple(seq[i:]) for i in range(len(seq)))
-
-
-def epsilon_list(seq):
-    if not seq:
-        raise EmptySequence("epsilon of the empty sequence")
-    return seq[0]
-
-
 @dataclass
 class LawReport:
     laws: list = field(default_factory=list)  # (name, ok, counterexample)

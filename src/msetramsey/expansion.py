@@ -8,7 +8,7 @@ not merged), matching the sum the degree bounds are stated over.
 from itertools import permutations
 
 from .errors import IncompleteFiber, NotAnEmbedding
-from .mset import OrderedMSet, check_equivariant
+from .mset import OrderedMSet, check_equivariant, order_violation
 
 
 def forget_order(a_star):
@@ -25,15 +25,6 @@ def order_key(a_star):
     return a_star.order
 
 
-def _is_order_embedding(e_map, a_star, b_star):
-    spos, tpos = a_star.positions, b_star.positions
-    for x in range(len(e_map)):
-        for y in range(len(e_map)):
-            if (spos[x] < spos[y]) != (tpos[e_map[x]] < tpos[e_map[y]]):
-                return False
-    return True
-
-
 def restrict_along(b_star, e_map, a):
     """The unique ordering of A making e an order-embedding into B*.
 
@@ -45,9 +36,10 @@ def restrict_along(b_star, e_map, a):
     tpos = b_star.positions
     order = tuple(sorted(range(a.size), key=lambda x: tpos[e_map[x]]))
     a_star = OrderedMSet(a, order)
-    if not _is_order_embedding(e_map, a_star, b_star):
+    if order_violation(e_map, a_star, b_star) is not None:
         raise NotAnEmbedding("pulled-back order does not embed")
-    admitting = [f for f in fibers(a) if _is_order_embedding(e_map, f, b_star)]
+    admitting = [f for f in fibers(a)
+                 if order_violation(e_map, f, b_star) is None]
     assert len(admitting) == 1 and admitting[0].order == order
     return a_star
 
@@ -72,9 +64,9 @@ def check_reasonable(instances):
                 nxt += 1
         b_star = OrderedMSet(b, tuple(sorted(range(b.size),
                                              key=lambda y: rank[y])))
-        if _is_order_embedding(e_map, a_star, b_star):
+        if order_violation(e_map, a_star, b_star) is None:
             continue
-        found = any(_is_order_embedding(e_map, a_star, f)
+        found = any(order_violation(e_map, a_star, f) is None
                     for f in fibers(b))
         if not found:
             return False, (e_map, a_star, b)

@@ -12,6 +12,7 @@ from itertools import product
 
 from .comonad import Coalgebra, DistinctListFunctor
 from .errors import InputError, NotAForest, NotPathShaped
+from .mset import MSet, OrderedMSet
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,25 @@ def root_path(forest, i):
     while forest.parent[path[-1]] != path[-1]:
         path.append(forest.parent[path[-1]])
     return tuple(path)
+
+
+def height(forest):
+    """The most parent steps any vertex takes to reach its root."""
+    return max((len(root_path(forest, i)) - 1 for i in range(forest.size)),
+               default=0)
+
+
+def forest_as_mset(forest, monoid, ordered):
+    """The forest as an M-set over truncated_powers(d), d >= its height.
+
+    p^i acts as the parent map iterated i times; ordered=True attaches
+    the forest's vertex order.
+    """
+    rows = [tuple(range(forest.size))]
+    for _ in range(1, monoid.size):
+        rows.append(tuple(forest.parent[x] for x in rows[-1]))
+    ms = MSet(monoid, forest.carrier, tuple(rows))
+    return OrderedMSet(ms, forest.order) if ordered else ms
 
 
 def encode_forest(forest):

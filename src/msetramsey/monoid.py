@@ -5,6 +5,7 @@ lexicographic lift machinery depends on that and nothing else.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from .errors import BadIdentity, DepthOverflow, InputError, NotAssociative
@@ -80,6 +81,17 @@ def chain_semilattice(n):
     return validate_monoid(n, table, 0)
 
 
+@lru_cache(maxsize=None)  # validation outweighs a small forest hom-set
+def truncated_powers(d):
+    """The monogenic monoid {1, p, ..., p^d} with p^i * p^j = p^min(i+j, d).
+
+    Index i stands for p^i. A rooted forest of height at most d is an
+    M-set over it, with p^i acting as the parent map iterated i times.
+    """
+    table = [[min(i + j, d) for j in range(d + 1)] for i in range(d + 1)]
+    return validate_monoid(d + 1, table, 0)
+
+
 def left_zero_monoid(n):
     """Identity adjoined to the left-zero semigroup on n elements.
 
@@ -142,10 +154,3 @@ class WordTruncation:
         if len(u) + len(v) > self.depth:
             raise DepthOverflow(u, v, self.depth)
         return self.words.index(u + v)
-
-
-def multiply_word(m, u, v):
-    """Product in a FiniteMonoid (table lookup) or WordTruncation (concat)."""
-    if isinstance(m, WordTruncation):
-        return m.words[m.mul(m.word_index(u), m.word_index(v))]
-    return m.mul(u, v)

@@ -141,6 +141,19 @@ def check_equivariant(f_map, a, b):
     return None
 
 
+def order_violation(f_map, source, target):
+    """First adjacent (x, y) in source order with f(x) not below f(y), or None.
+
+    None exactly when f is strictly increasing, i.e. an order-embedding
+    of the carriers.
+    """
+    tpos = target.positions
+    for x, y in zip(source.order, source.order[1:]):
+        if tpos[f_map[x]] >= tpos[f_map[y]]:
+            return (x, y)
+    return None
+
+
 def validate_morphism(source, target, f_map, kind="morphism"):
     if _base(source).monoid is not _base(target).monoid and \
             _base(source).monoid != _base(target).monoid:
@@ -152,12 +165,9 @@ def validate_morphism(source, target, f_map, kind="morphism"):
         if len(set(f_map)) != len(f_map):
             raise InputError("map is not injective")
     if kind == "order-embedding":
-        spos, tpos = source.positions, target.positions
-        for x in range(len(f_map)):
-            for y in range(len(f_map)):
-                if (spos[x] < spos[y]) != (tpos[f_map[x]] < tpos[f_map[y]]):
-                    raise InputError(
-                        f"map is not order-preserving at pair ({x},{y})")
+        bad = order_violation(f_map, source, target)
+        if bad is not None:
+            raise InputError(f"map is not order-preserving at pair {bad}")
     return MSetMorphism(source, target, tuple(f_map), kind)
 
 
@@ -232,6 +242,10 @@ class UnaryAlgebra:
     alphabet: tuple
     carrier: tuple
     actions: dict    # symbol -> tuple (self-map on carrier positions)
+
+    @property
+    def size(self):
+        return len(self.carrier)
 
     def __post_init__(self):
         for s in self.alphabet:

@@ -8,12 +8,15 @@ t colors by any completion; first occurrences of colors are forced into
 increasing order, which cuts a k! symmetry factor.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import product
 
 from .chains import enumerate_chain_embeddings, omega
 from .errors import SizeOverflow
+from .forests import forest_as_mset, height
+from .monoid import truncated_powers
 from .mset import enumerate_embeddings, validate_mset, with_order
 
 DEFAULT_EXHAUSTIVE_CAP = 64
@@ -51,10 +54,7 @@ class MSetContext:
         if self.ordered:
             # ordered finite M-sets form a Ramsey category
             return 1, "ordered_msets_ramsey"
-        bound = 1
-        for i in range(2, a.size + 1):
-            bound *= i
-        return bound, "order_expansion_sum"
+        return math.factorial(a.size), "order_expansion_sum"
 
     def objects(self, max_size, like=None):
         """All M-sets (with all orders, in the ordered case) up to a size."""
@@ -106,45 +106,15 @@ class ForestContext:
         self.name = "forests"
 
     def hom(self, a, c):
-        n, m = a.size, c.size
-        results = []
-        assign = [-1] * n
-
-        def ok(i, y):
-            if y in assign:
-                return False
-            for j in range(n):
-                if assign[j] == -1 or j == i:
-                    continue
-                if self.ordered and (a.order.index(j) < a.order.index(i)) != \
-                        (c.order.index(assign[j]) < c.order.index(y)):
-                    return False
-            return True
-
-        def extend(i):
-            if i == n:
-                for j in range(n):
-                    if assign[a.parent[j]] != c.parent[assign[j]]:
-                        return
-                results.append(tuple(assign))
-                return
-            for y in range(m):
-                if ok(i, y):
-                    assign[i] = y
-                    extend(i + 1)
-                    assign[i] = -1
-
-        extend(0)
-        results.sort()
-        return results
+        m = truncated_powers(max(height(a), height(c)))
+        return [e.map for e in enumerate_embeddings(
+            forest_as_mset(a, m, self.ordered),
+            forest_as_mset(c, m, self.ordered))]
 
     def theory_degree_upper(self, a):
         if self.ordered:
             return 1, "ordered_forests_ramsey"
-        bound = 1
-        for i in range(2, a.size + 1):
-            bound *= i
-        return bound, "order_expansion_sum"
+        return math.factorial(a.size), "order_expansion_sum"
 
 
 def compose_map(w, f):

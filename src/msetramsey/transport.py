@@ -8,12 +8,12 @@ hat_delta(h)(v)(w) = h(v * w); see the composition-order note in
 trusting the construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .chains import Chain, ChainEmbedding, omega
 from .errors import InputError, NoChainWitnessInBudget, SizeOverflow
-from .mset import (MSet, OrderedMSet, enumerate_embeddings,
+from .mset import (OrderedMSet, cofree_mset, enumerate_embeddings,
                    validate_morphism)
 from .ramsey import ChainContext, MSetContext, find_witness, holds_arrow
 
@@ -26,29 +26,21 @@ class LexLift:
     base: Chain
     lifted: OrderedMSet
     functions: tuple   # functions[i] = h as a tuple of base positions
+    index: dict = field(init=False, repr=False, compare=False)
 
-    @property
-    def index(self):
-        return {h: i for i, h in enumerate(self.functions)}
+    def __post_init__(self):
+        object.__setattr__(
+            self, "index", {h: i for i, h in enumerate(self.functions)})
 
 
 def hat_E(base, m, cap=DEFAULT_LIFT_CAP):
     """The lex lift of a chain: ordered M-set on base^M."""
-    n = len(base)
-    size = n ** m.size
+    size = len(base) ** m.size
     if size > cap:
         raise SizeOverflow("hat_E carrier", size, cap)
-    functions = [tuple(h) for h in product(range(n), repeat=m.size)]
-    index = {h: i for i, h in enumerate(functions)}
-    action = tuple(
-        tuple(index[tuple(h[m.mul(g, mp)] for mp in range(m.size))]
-              for h in functions)
-        for g in range(m.size))
-    carrier = tuple(tuple(base.labels[v] for v in h) for h in functions)
-    order = sorted(range(size),
-                   key=lambda i: tuple(functions[i][w] for w in m.well_order))
-    lifted = OrderedMSet(MSet(m, carrier, action), tuple(order))
-    return LexLift(m, base, lifted, tuple(functions))
+    # cofree_mset lists the carrier in this same order
+    functions = tuple(product(range(len(base)), repeat=m.size))
+    return LexLift(m, base, cofree_mset(base, m, ordered=True), functions)
 
 
 def hat_E_map(h_emb, lift_src, lift_dst):
@@ -222,14 +214,3 @@ def transport_witness(u_star, v_star, k, chain_witness_budget=8,
         return TransportedWitness(w, lift, verdict.status, verdict)
     verdict = holds_arrow(u_star, v_star, lift.lifted, k, 1, ctx, cap=0)
     return TransportedWitness(w, lift, verdict.status, verdict)
-
-
-def universal_embed(b_coalg, f, cap=DEFAULT_LIFT_CAP):
-    """hat_E(f) . beta : B -> hat_E(omega_N) for a chain embedding f.
-
-    Validated as an order-embedding and as a coalgebra homomorphism.
-    """
-    if f.source != b_coalg.carrier_chain:
-        raise InputError("f must start at the coalgebra's carrier chain")
-    mor, lift = phi(f, b_coalg, cap=cap)   # same formula, same checks
-    return mor, lift

@@ -66,6 +66,22 @@ def test_validate_good_monoid(capsys, files):
     assert "sha256" in report["inputs"]["monoid"]
 
 
+@pytest.mark.parametrize("kind, obj, size", [
+    ("unary", {"alphabet": ["f"], "carrier": ["x", "y"],
+               "generator_actions": {"f": [1, 1]}}, 2),
+    ("mset", {"monoid": {"size": 2, "identity": 0,
+                         "table": [[0, 1], [1, 0]]},
+              "carrier": [], "action": [[], []]}, 0),
+    ("forest", {"carrier": [], "parent": {}}, 0),
+])
+def test_validate_reports_size(capsys, tmp_path, kind, obj, size):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj))
+    code, report, _ = run(capsys, ["validate", f"--{kind}", str(path)])
+    assert code == 0
+    assert report["verdicts"][kind] == {"valid": True, "size": size}
+
+
 def test_validate_bad_mset_exits_1_with_witness(capsys, files):
     code, report, err = run(capsys, ["validate", "--mset", files["bad_mset"]])
     assert code == 1

@@ -7,8 +7,7 @@ import pytest
 from msetramsey.comonad import (Coalgebra, DistinctListFunctor, ListFunctor,
                                 MonoidActionFunctor, check_comonad_laws,
                                 classify_coalgebra, coalgebra_to_mset,
-                                cofree_coalgebra, delta_action, delta_list,
-                                epsilon_action, epsilon_list, mset_to_coalgebra,
+                                cofree_coalgebra, mset_to_coalgebra,
                                 sharp_lift, validate_coalgebra_hom)
 from msetramsey.errors import (EmptySequence, InputError, NotEMCoalgebra,
                                SizeOverflow)
@@ -21,17 +20,19 @@ def test_delta_epsilon_action_pointwise():
     m = z2()
     h = ("x", "y")
     # delta(h)(m1)(m2) = h(m1 * m2)
-    assert delta_action(m, h) == (("x", "y"), ("y", "x"))
-    assert epsilon_action(m, h) == "x"
+    functor = MonoidActionFunctor(m)
+    assert functor.delta(h) == (("x", "y"), ("y", "x"))
+    assert functor.epsilon(h) == "x"
 
 
 def test_delta_epsilon_list():
-    assert delta_list((1, 2, 3)) == ((1, 2, 3), (2, 3), (3,))
-    assert epsilon_list((1, 2, 3)) == 1
+    functor = ListFunctor()
+    assert functor.delta((1, 2, 3)) == ((1, 2, 3), (2, 3), (3,))
+    assert functor.epsilon((1, 2, 3)) == 1
     with pytest.raises(EmptySequence):
-        delta_list(())
+        functor.delta(())
     with pytest.raises(EmptySequence):
-        epsilon_list(())
+        functor.epsilon(())
 
 
 @pytest.mark.parametrize("monoid", [trivial_monoid(), z2(),

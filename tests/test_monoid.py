@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from msetramsey.errors import (BadIdentity, DepthOverflow, InputError,
                                NotAssociative)
 from msetramsey.monoid import (WordTruncation, chain_semilattice, cyclic_group,
-                               left_zero_monoid, multiply_word, trivial_monoid,
-                               validate_monoid, z2)
+                               left_zero_monoid, trivial_monoid,
+                               validate_monoid)
 
 
 def _is_monoid(size, table, identity):
@@ -107,13 +107,6 @@ def test_word_truncation_multiplication_and_overflow():
         t.mul(t.word_index(("f", "g")), fi)
     with pytest.raises(InputError):
         t.word_index(("h",))
-
-
-def test_multiply_word_dispatch():
-    t = WordTruncation(("f",), 3)
-    assert multiply_word(t, ("f",), ("f", "f")) == ("f", "f", "f")
-    m = z2()
-    assert multiply_word(m, 1, 1) == 0
 
 
 def test_trivial_monoid():

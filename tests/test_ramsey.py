@@ -137,6 +137,34 @@ def test_forest_context_hom():
     assert homs == [(0,)]
 
 
+def _brute_forest_homs(a, c, ordered):
+    """Injective parent-preserving maps (order-preserving if asked)."""
+    out = []
+    for f in product(range(c.size), repeat=a.size):
+        if len(set(f)) != a.size or any(
+                f[a.parent[x]] != c.parent[f[x]] for x in range(a.size)):
+            continue
+        if ordered and any(
+                c.order.index(f[x]) > c.order.index(f[y])
+                for x in range(a.size) for y in range(a.size)
+                if a.order.index(x) < a.order.index(y)):
+            continue
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_forest_context_hom_matches_bruteforce(ordered):
+    from msetramsey.forests import enumerate_forests, fig1_forest
+    ctx = ForestContext(ordered=ordered)
+    targets = [c for n in range(5) for c in enumerate_forests(n)]
+    targets.append(fig1_forest())
+    for n in range(4):
+        for a in enumerate_forests(n):
+            for c in targets:
+                assert ctx.hom(a, c) == _brute_forest_homs(a, c, ordered)
+
+
 def test_probe_small_degree_point_mset():
     m = trivial_monoid()
     one = validate_mset(m, (0,), [(0,)])

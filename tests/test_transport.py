@@ -11,7 +11,7 @@ from msetramsey.mset import (enumerate_embeddings, validate_morphism,
 from msetramsey.ramsey import MSetContext
 from msetramsey.transport import (check_PA, hat_E, hat_E_map, hat_delta,
                                   lift_chain, mset_as_weak_coalgebra, phi,
-                                  transport_witness, universal_embed)
+                                  transport_witness)
 
 
 def _fixed_point(labels=("u",)):
@@ -108,7 +108,7 @@ def test_mset_as_weak_coalgebra_structure():
     assert coalg.structure == ((0, 1), (1, 0))
 
 
-def test_phi_and_universal_embed():
+def test_phi():
     swap = validate_mset(z2(), ("a1", "a2"), [[0, 1], [1, 0]],
                          order=("a1", "a2"))
     coalg = mset_as_weak_coalgebra(swap)
@@ -116,8 +116,6 @@ def test_phi_and_universal_embed():
     mor, lift_c = phi(u, coalg)
     assert mor.kind == "order-embedding"
     assert [lift_c.functions[i] for i in mor.map] == [(1, 3), (3, 1)]
-    mor2, _ = universal_embed(coalg, u)
-    assert mor2.map == mor.map
 
 
 def test_phi_rejects_wrong_source_chain():
