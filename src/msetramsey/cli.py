@@ -8,7 +8,8 @@ only included when --timing is passed, since it would break that
 guarantee.
 
 Exit codes: 0 for a completed run (even when the mathematical verdict is
-"refuted"), 1 for input errors, 2 for cap overflows.
+"refuted"), 1 for input errors (usage errors and out-of-range parameters
+included), 2 for cap overflows.
 """
 
 import argparse
@@ -231,6 +232,20 @@ def cmd_forest(args, started):
     return _report(args, inputs, {}, verdicts, started)
 
 
+def _int_at_least(low):
+    """An argparse type: an int no smaller than `low`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="msetramsey",
@@ -253,7 +268,7 @@ def build_parser():
     p.add_argument("--functor", required=True,
                    choices=["monoid_action", "duplicate_free_list", "list"])
     p.add_argument("--monoid")
-    p.add_argument("--size", type=int, required=True,
+    p.add_argument("--size", type=_int_at_least(0), required=True,
                    help="carrier size for the exhaustive check")
     p.add_argument("--max-length", type=int, default=3)
     p.set_defaults(func=cmd_laws)
@@ -265,8 +280,8 @@ def build_parser():
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-t", type=int, default=1)
+    p.add_argument("-k", type=_int_at_least(1), required=True)
+    p.add_argument("-t", type=_int_at_least(0), default=1)
     p.add_argument("--ctx", choices=ctx_choices, default="chains")
     p.add_argument("--cap", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -284,7 +299,7 @@ def build_parser():
                        help="transport a chain witness through the lex lift")
     p.add_argument("--U", required=True)
     p.add_argument("--V", required=True)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_int_at_least(1), required=True)
     p.add_argument("--budget", type=int, default=8,
                    help="largest chain size searched for a witness")
     p.add_argument("--certify-cap", type=int, default=20)
@@ -294,9 +309,9 @@ def build_parser():
     p = sub.add_parser("bigramsey", parents=[common],
                        help="run the truncated big-Ramsey experiment")
     p.add_argument("--A", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--N", type=_int_at_least(0), required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
+    p.add_argument("--trials", type=_int_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coloring", default=None,
                    help="JSON coloring file (overrides random trials)")
@@ -323,7 +338,11 @@ def build_parser():
 def main(argv=None):
     started = time.monotonic()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means cap overflow here
+        return 1 if exc.code else 0
     try:
         return args.func(args, started)
     except CapExceeded as exc:

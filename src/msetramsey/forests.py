@@ -87,6 +87,8 @@ def forest_as_mset(forest, monoid, ordered):
     p^i acts as the parent map iterated i times; ordered=True attaches
     the forest's vertex order.
     """
+    if ordered and forest.order is None:
+        raise InputError("the forest has no order; use an unordered context")
     rows = [tuple(range(forest.size))]
     for _ in range(1, monoid.size):
         rows.append(tuple(forest.parent[x] for x in rows[-1]))

@@ -11,7 +11,7 @@ increasing order, which cuts a k! symmetry factor.
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations
 
 from .chains import enumerate_chain_embeddings, omega
 from .errors import SizeOverflow
@@ -63,7 +63,6 @@ class MSetContext:
             for action in _all_actions(self.monoid, n):
                 ms = validate_mset(self.monoid, tuple(range(n)), action)
                 if self.ordered:
-                    from itertools import permutations
                     out.extend(with_order(ms, p)
                                for p in permutations(range(n)))
                 else:
@@ -72,29 +71,60 @@ class MSetContext:
 
 
 def _all_actions(monoid, n):
-    """Every valid action table of M on an n-element carrier."""
-    rows = {}
-    e = monoid.identity
-    candidates = list(product(range(n), repeat=n))
-    out = []
+    """Every valid action table of M on an n-element carrier, in lex order.
 
-    def table_ok(table):
-        for m1 in range(monoid.size):
-            for m2 in range(monoid.size):
-                m21 = monoid.mul(m2, m1)
-                for a in range(n):
-                    if table[m1][table[m2][a]] != table[m21][a]:
-                        return False
+    The rows of the non-identity elements are filled cell by cell, in
+    index order, trying values in ascending order. After each assignment
+    only the instances of table[m1][table[m2][a]] == table[m2*m1][a]
+    that pass through the new cell and have all three cells known are
+    checked, so a partial table is dropped at its first clash. Every
+    instance is checked when the last of its cells is assigned.
+    """
+    size, e = monoid.size, monoid.identity
+    mul = [[monoid.mul(m2, m1) for m1 in range(size)] for m2 in range(size)]
+    factors = [[] for _ in range(size)]   # factors[m]: (m2, m1), m2*m1 = m
+    for m2 in range(size):
+        for m1 in range(size):
+            factors[mul[m2][m1]].append((m2, m1))
+    table = [[None] * n for _ in range(size)]
+    table[e] = list(range(n))
+    cells = [(m, x) for m in range(size) if m != e for x in range(n)]
+
+    def consistent(m, x, v):
+        for m1 in range(size):              # (m2, a) = (m, x)
+            lhs = table[m1][v]
+            if lhs is not None and table[mul[m][m1]][x] not in (None, lhs):
+                return False
+        for m2 in range(size):              # m1 = m, table[m2][a] = x
+            row, rhs = table[m2], table[mul[m2][m]]
+            for a in range(n):
+                if row[a] == x and rhs[a] not in (None, v):
+                    return False
+        for m2, m1 in factors[m]:           # m2*m1 = m, a = x
+            y = table[m2][x]
+            if y is not None and table[m1][y] not in (None, v):
+                return False
         return True
 
-    free = [m for m in range(monoid.size) if m != e]
-    for choice in product(candidates, repeat=len(free)):
-        table = [None] * monoid.size
-        table[e] = tuple(range(n))
-        for m, row in zip(free, choice):
-            table[m] = row
-        if table_ok(table):
-            out.append(tuple(table))
+    out = []
+    depth = 0
+    while depth >= 0:
+        if depth == len(cells):
+            out.append(tuple(tuple(row) for row in table))
+            depth -= 1
+            continue
+        m, x = cells[depth]
+        v = 0 if table[m][x] is None else table[m][x] + 1
+        while v < n:
+            table[m][x] = v
+            if consistent(m, x, v):
+                break
+            v += 1
+        if v < n:
+            depth += 1
+        else:
+            table[m][x] = None
+            depth -= 1
     return out
 
 
@@ -298,13 +328,13 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET,
     bs = [b for b in ctx.objects(budget.max_b_size, like=a)
           if ctx.hom(a, b)]
     lower = 1
-    while upper is None or lower < upper:
+    while (upper is None or lower < upper) and lower < budget.max_k:
         defeated = False
         for b in bs:
             if len(ctx.hom(a, b)) <= lower:
                 continue  # w-images can never exceed `lower` colors
+            cs = [c for c in candidates if ctx.hom(b, c)]
             for k in range(lower + 1, budget.max_k + 1):
-                cs = [c for c in candidates if ctx.hom(b, c)]
                 if cs and all(
                         holds_arrow(a, b, c, k, lower, ctx, cap=cap).status
                         == "refuted" for c in cs):

@@ -94,6 +94,42 @@ def test_validate_requires_an_input(capsys, files):
     assert code == 1 and "give one of" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["bigramsey", "--A", "swap", "--N", "4", "--k", "2", "--trials", "0"],
+     "--trials"),
+    (["bigramsey", "--A", "swap", "--N", "4", "--k", "0"], "--k"),
+    (["bigramsey", "--A", "swap", "--N", "-1", "--k", "2"], "--N"),
+    (["arrow-check", "--A", "chain2", "--B", "chain3", "--C", "chain5",
+      "-k", "0"], "-k"),
+    (["arrow-check", "--A", "chain2", "--B", "chain3", "--C", "chain5",
+      "-k", "-3"], "-k"),
+    (["arrow-check", "--A", "chain2", "--B", "chain3", "--C", "chain5",
+      "-k", "2", "-t", "-1"], "-t"),
+    (["transport", "--U", "fixed1", "--V", "fixed2", "-k", "0"], "-k"),
+    (["laws", "--functor", "list", "--size", "-1"], "--size"),
+])
+def test_out_of_range_parameters_exit_1(capsys, files, argv, name):
+    argv = [files.get(arg, arg) for arg in argv]
+    code, report, err = run(capsys, argv)
+    assert code == 1 and report is None
+    assert f"argument {name}: must be >=" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--chain", "chain3", "--threads", "2"],
+    ["arrow-check", "--A", "chain2", "--B", "chain3", "-k", "2"],
+])
+def test_usage_errors_exit_1(capsys, files, argv):
+    code, report, err = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == 1 and report is None
+    assert "usage:" in err and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_laws_monoid_action(capsys, files):
     code, report, _ = run(capsys, ["laws", "--functor", "monoid_action",
                                    "--monoid", files["z2"], "--size", "2"])

@@ -5,13 +5,17 @@ from itertools import product
 import pytest
 
 from msetramsey.chains import omega
+from msetramsey.errors import InputError
 from msetramsey.mset import validate_mset, with_order
-from msetramsey.monoid import trivial_monoid, z2
+from msetramsey.monoid import (chain_semilattice, cyclic_group,
+                               left_zero_monoid, trivial_monoid,
+                               truncated_powers, z2)
 from msetramsey.ramsey import (ChainContext, Coloring, ForestContext,
                                MSetContext, SMALL_BUDGET, TINY_BUDGET,
-                               _search_bad_coloring, coloring_is_bad,
-                               composite_images, compose_map, find_witness,
-                               holds_arrow, probe_small_degree)
+                               _all_actions, _search_bad_coloring,
+                               coloring_is_bad, composite_images,
+                               compose_map, find_witness, holds_arrow,
+                               probe_small_degree)
 
 
 def test_compose_map_is_pointwise():
@@ -117,6 +121,38 @@ def test_mset_context_objects_counts():
     assert sizes.count(1) == 1 and sizes.count(2) == 2
 
 
+def _brute_all_actions(monoid, n):
+    """Reference: every table of n^(n(|M|-1)) checked in full, lex order."""
+    e = monoid.identity
+    free = [m for m in range(monoid.size) if m != e]
+    out = []
+    for choice in product(product(range(n), repeat=n), repeat=len(free)):
+        table = [tuple(range(n))] * monoid.size
+        for m, row in zip(free, choice):
+            table[m] = row
+        if all(table[m1][table[m2][a]] == table[monoid.mul(m2, m1)][a]
+               for m1 in range(monoid.size) for m2 in range(monoid.size)
+               for a in range(n)):
+            out.append(tuple(table))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    trivial_monoid, z2, lambda: cyclic_group(3), lambda: chain_semilattice(3),
+    lambda: left_zero_monoid(2), lambda: truncated_powers(2)],
+    ids=["trivial", "z2", "cyclic3", "chain3", "left_zero2", "powers2"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_all_actions_matches_bruteforce(make, n):
+    monoid = make()
+    assert _all_actions(monoid, n) == _brute_all_actions(monoid, n)
+
+
+@pytest.mark.parametrize("k, n, count", [(3, 4, 9), (3, 5, 21), (4, 4, 16)])
+def test_all_actions_of_cyclic_group_count_permutations(k, n, count):
+    # a Z_k action is a permutation s of the carrier with s^k = id
+    assert len(_all_actions(cyclic_group(k), n)) == count
+
+
 def test_mset_context_hom_and_arrow():
     m = trivial_monoid()
     one = with_order(validate_mset(m, (0,), [(0,)]))
@@ -135,6 +171,13 @@ def test_forest_context_hom():
     homs = ctx.hom(single, path2)
     # a root must land on a root
     assert homs == [(0,)]
+
+
+def test_ordered_forest_context_rejects_unordered_forest():
+    from msetramsey.forests import enumerate_forests
+    forest = enumerate_forests(2, ordered=False)[0]
+    with pytest.raises(InputError, match="no order"):
+        ForestContext(ordered=True).hom(forest, forest)
 
 
 def _brute_forest_homs(a, c, ordered):
@@ -178,3 +221,13 @@ def test_probe_small_degree_two_point_mset():
     probe = probe_small_degree(two, MSetContext(m), budget=SMALL_BUDGET)
     assert probe.lower == 2 and probe.upper == 2
     assert probe.evidence["defeats"]
+
+
+def test_probe_small_degree_lower_stops_at_max_k():
+    m = trivial_monoid()
+    three = validate_mset(m, (0, 1, 2), [(0, 1, 2)])
+    probe = probe_small_degree(three, MSetContext(m), budget=SMALL_BUDGET)
+    assert (probe.lower, probe.upper) == (3, 6)
+    assert probe.evidence["defeats"] == [
+        {"t": 1, "k": 2, "B_size": 3, "candidates": 2},
+        {"t": 2, "k": 3, "B_size": 3, "candidates": 2}]
