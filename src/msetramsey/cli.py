@@ -9,7 +9,8 @@ guarantee.
 
 Exit codes: 0 for a completed run (even when the mathematical verdict is
 "refuted"), 1 for input errors (usage errors and out-of-range parameters
-included), 2 for cap overflows.
+included), 2 for cap overflows and for a truncation or witness budget
+that is too small.
 """
 
 import argparse
@@ -22,7 +23,8 @@ from .bigramsey import big_ramsey_reduce, unordered_degree_bound
 from .chains import Chain
 from .comonad import (Coalgebra, DistinctListFunctor, ListFunctor,
                       MonoidActionFunctor, check_comonad_laws)
-from .errors import CapExceeded, InputError
+from .errors import (CapExceeded, InputError, NoChainWitnessInBudget,
+                     TruncationTooSmall)
 from .expansion import degree_sum_bound, fibers
 from .forests import decode_coalgebra, encode_forest
 from .mset import OrderedMSet
@@ -270,7 +272,7 @@ def build_parser():
     p.add_argument("--monoid")
     p.add_argument("--size", type=_int_at_least(0), required=True,
                    help="carrier size for the exhaustive check")
-    p.add_argument("--max-length", type=int, default=3)
+    p.add_argument("--max-length", type=_int_at_least(0), default=3)
     p.set_defaults(func=cmd_laws)
 
     ctx_choices = ["chains", "msets", "ordered-msets"]
@@ -283,7 +285,7 @@ def build_parser():
     p.add_argument("-k", type=_int_at_least(1), required=True)
     p.add_argument("-t", type=_int_at_least(0), default=1)
     p.add_argument("--ctx", choices=ctx_choices, default="chains")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_int_at_least(0), default=64)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_arrow_check)
 
@@ -292,7 +294,7 @@ def build_parser():
     p.add_argument("--A", required=True)
     p.add_argument("--ctx", choices=ctx_choices, default="msets")
     p.add_argument("--budget", choices=["small", "tiny"], default="small")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_int_at_least(0), default=64)
     p.set_defaults(func=cmd_degree_probe)
 
     p = sub.add_parser("transport", parents=[common],
@@ -300,10 +302,10 @@ def build_parser():
     p.add_argument("--U", required=True)
     p.add_argument("--V", required=True)
     p.add_argument("-k", type=_int_at_least(1), required=True)
-    p.add_argument("--budget", type=int, default=8,
+    p.add_argument("--budget", type=_int_at_least(0), default=8,
                    help="largest chain size searched for a witness")
-    p.add_argument("--certify-cap", type=int, default=20)
-    p.add_argument("--lift-cap", type=int, default=10 ** 5)
+    p.add_argument("--certify-cap", type=_int_at_least(0), default=20)
+    p.add_argument("--lift-cap", type=_int_at_least(0), default=10 ** 5)
     p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("bigramsey", parents=[common],
@@ -315,7 +317,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coloring", default=None,
                    help="JSON coloring file (overrides random trials)")
-    p.add_argument("--r-cap", type=int, default=10 ** 5)
+    p.add_argument("--r-cap", type=_int_at_least(0), default=10 ** 5)
     p.set_defaults(func=cmd_bigramsey)
 
     p = sub.add_parser("degree-bound", parents=[common],
@@ -347,6 +349,9 @@ def main(argv=None):
         return args.func(args, started)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 2
+    except (TruncationTooSmall, NoChainWitnessInBudget) as exc:
+        print(f"budget too small: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

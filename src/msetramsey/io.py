@@ -106,7 +106,13 @@ def load_chain(path):
 def forest_from_json(data, where="forest"):
     carrier = tuple(_require(data, "carrier", where))
     parent_map = _require(data, "parent", where)
-    index = {str(x): i for i, x in enumerate(carrier)}
+    index = {}   # JSON object keys are strings, so labels are keyed by str()
+    for i, x in enumerate(carrier):
+        if str(x) in index:
+            raise InputError(
+                f"{where}: carrier labels {carrier[index[str(x)]]!r} and "
+                f"{x!r} have the same JSON key {str(x)!r}")
+        index[str(x)] = i
     parent = []
     for x in carrier:
         key = str(x)

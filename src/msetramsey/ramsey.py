@@ -3,9 +3,15 @@
 A coloring of hom(A, C) is "bad" when every w in hom(B, C) sees more
 than t colors on w . hom(A, B). The arrow holds iff no bad coloring
 exists. The search below assigns colors to hom(A, C) positions one at a
-time and prunes a branch as soon as some w can no longer be pushed above
-t colors by any completion; first occurrences of colors are forced into
-increasing order, which cuts a k! symmetry factor.
+time, in index order, on an explicit stack with an undo trail, so its
+depth is not bounded by Python's recursion limit. After each assignment
+it propagates forced colors: once some w needs a new color on each of
+its uncolored positions, colors w has already seen are removed from
+their domains, and a position left with one color is colored at once.
+First occurrences of colors are forced into increasing order, which
+cuts a k! symmetry factor. Propagation prunes only subtrees without a
+bad coloring, so the search reports the lex-least bad coloring in that
+canonical order.
 """
 
 import math
@@ -198,53 +204,114 @@ def coloring_is_bad(colors, images, t):
 def _search_bad_coloring(n, k, t, images):
     """Least bad coloring in canonical color order, or None.
 
-    Prunes when some w's composite image can no longer exceed t colors,
-    and forces first occurrences of colors into increasing order.
+    Positions 0..n-1 are colored in index order and colors are tried in
+    ascending order; a position may take a color only up to one past the
+    largest color used before it, so first occurrences of colors come in
+    increasing order. Branching uses an explicit stack, and every change
+    goes on a trail that is undone back to a mark on backtracking.
+
+    Each position keeps a domain of allowed colors. After each
+    assignment the colors it forces are propagated: when some w through
+    the assigned position needs as many more colors (to exceed t) as it
+    has unassigned positions, each of those may only take a color w has
+    not seen yet. An empty domain fails the branch, and a position left
+    with a single color is assigned at once and propagated in turn; the
+    branching then passes over it. Propagation cuts only subtrees
+    without a bad coloring, so the first coloring found is the lex-least
+    canonical bad coloring. None is returned straight away when some w
+    has fewer than t + 1 composites.
     """
-    if not images:
+    need = t + 1
+    images = [set(image) for image in images]
+    if not images or need > k or min(map(len, images)) < need:
         return None
     pos_to_ws = [[] for _ in range(n)]
     for wi, image in enumerate(images):
         for p in image:
             pos_to_ws[p].append(wi)
     free = [len(image) for image in images]
-    seen = [dict() for _ in images]   # color -> multiplicity
-    colors = [0] * n
-
-    def viable(wi):
-        return len(seen[wi]) + min(free[wi], k - len(seen[wi])) > t
+    counts = [[0] * k for _ in images]   # per-color multiplicity
+    seen = [0] * len(images)             # bitmask of the colors w sees
+    full = (1 << k) - 1
+    colors = [-1] * n
+    domain = [full] * n                  # bitmask of the allowed colors
+    assigned, narrowed = [], []          # trails: p, and (p, old domain)
 
     def assign(p, c):
-        touched = []
-        for wi in pos_to_ws[p]:
-            free[wi] -= 1
-            seen[wi][c] = seen[wi].get(c, 0) + 1
-            touched.append(wi)
-        return touched
+        """Give p an allowed color c and propagate; False on a conflict.
 
-    def unassign(p, c):
-        for wi in pos_to_ws[p]:
-            free[wi] += 1
-            if seen[wi][c] == 1:
-                del seen[wi][c]
-            else:
-                seen[wi][c] -= 1
-
-    def extend(p, used):
-        if p == n:
-            return all(len(s) > t for s in seen)
-        for c in range(min(used + 1, k)):
+        Once w needs as many new colors as it has free positions, those
+        positions may take only colors w has not seen, so w never needs
+        more new colors than it has free positions; a conflict shows as
+        an empty domain. A position whose domain shrinks to one color is
+        queued exactly once, and its domain stays that one color until
+        it is assigned or a conflict is found.
+        """
+        queue = [(p, c)]
+        while queue:
+            p, c = queue.pop()
             colors[p] = c
-            assign(p, c)
-            if all(viable(wi) for wi in pos_to_ws[p]) and \
-                    extend(p + 1, max(used, c + 1)):
-                return True
-            unassign(p, c)
-        return False
+            assigned.append(p)
+            for wi in pos_to_ws[p]:
+                free[wi] -= 1
+                counts[wi][c] += 1
+                seen[wi] |= 1 << c
+            for wi in pos_to_ws[p]:
+                if not free[wi] or need - seen[wi].bit_count() != free[wi]:
+                    continue
+                allowed = full & ~seen[wi]
+                for q in images[wi]:
+                    if colors[q] >= 0:
+                        continue
+                    old = domain[q]
+                    new = old & allowed
+                    if new == old:
+                        continue
+                    if not new:
+                        return False
+                    narrowed.append((q, old))
+                    domain[q] = new
+                    if not new & (new - 1):
+                        queue.append((q, new.bit_length() - 1))
+        return True
 
-    if extend(0, 0):
-        return tuple(colors)
-    return None
+    def undo(assigned_mark, narrowed_mark):
+        while len(assigned) > assigned_mark:
+            p = assigned.pop()
+            c, colors[p] = colors[p], -1
+            for wi in pos_to_ws[p]:
+                free[wi] += 1
+                counts[wi][c] -= 1
+                if not counts[wi][c]:
+                    seen[wi] ^= 1 << c
+        while len(narrowed) > narrowed_mark:
+            q, old = narrowed.pop()
+            domain[q] = old
+
+    stack = []   # branch points: (p, color, used, trail marks)
+    p = used = c = 0
+    while True:
+        # No domain shrinks to one color before k - 1 colors are used, so
+        # forced colors never break the canonical order.
+        while p < n and colors[p] >= 0:
+            used = max(used, colors[p] + 1)
+            p += 1
+        if p == n:
+            return tuple(colors)
+        top = min(used + 1, k)
+        marks = len(assigned), len(narrowed)
+        while c < top and not (domain[p] >> c & 1 and assign(p, c)):
+            undo(*marks)
+            c += 1
+        if c < top:
+            stack.append((p, c, used, marks))
+            c = 0
+            continue
+        if not stack:
+            return None
+        p, c, used, marks = stack.pop()
+        undo(*marks)
+        c += 1
 
 
 def holds_arrow(a, b, c, k, t, ctx, cap=DEFAULT_EXHAUSTIVE_CAP,

@@ -107,6 +107,19 @@ def test_validate_requires_an_input(capsys, files):
       "-k", "2", "-t", "-1"], "-t"),
     (["transport", "--U", "fixed1", "--V", "fixed2", "-k", "0"], "-k"),
     (["laws", "--functor", "list", "--size", "-1"], "--size"),
+    (["laws", "--functor", "list", "--size", "2", "--max-length", "-1"],
+     "--max-length"),
+    (["arrow-check", "--A", "chain2", "--B", "chain3", "--C", "chain5",
+      "-k", "2", "--cap", "-1"], "--cap"),
+    (["degree-probe", "--A", "pair_unordered", "--cap", "-1"], "--cap"),
+    (["transport", "--U", "fixed1", "--V", "fixed2", "-k", "2",
+      "--budget", "-1"], "--budget"),
+    (["transport", "--U", "fixed1", "--V", "fixed2", "-k", "2",
+      "--certify-cap", "-1"], "--certify-cap"),
+    (["transport", "--U", "fixed1", "--V", "fixed2", "-k", "2",
+      "--lift-cap", "-1"], "--lift-cap"),
+    (["bigramsey", "--A", "swap", "--N", "4", "--k", "2", "--r-cap", "-1"],
+     "--r-cap"),
 ])
 def test_out_of_range_parameters_exit_1(capsys, files, argv, name):
     argv = [files.get(arg, arg) for arg in argv]
@@ -190,6 +203,38 @@ def test_bigramsey_trials(capsys, files):
     assert report["verdicts"]["all_within_bound"] is True
     assert len(report["verdicts"]["trials"]) == 3
     assert report["verdicts"]["trials"][0]["seed"] == 5
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bigramsey", "--A", "swap", "--N", "0", "--k", "2"],
+     "raise the truncation"),
+    (["transport", "--U", "swap", "--V", "swap", "-k", "2", "--budget", "0"],
+     "no chain witness found up to size 0"),
+])
+def test_budget_too_small_exits_2(capsys, files, argv, message):
+    code, report, err = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == 2 and report is None
+    assert message in err and "Traceback" not in err
+
+
+def test_arrow_check_beyond_recursion_depth(capsys, files, tmp_path):
+    # 1081 positions, more than the default recursion limit
+    chain47 = tmp_path / "chain47.json"
+    chain47.write_text(json.dumps(list(range(47))))
+    code, report, _ = run(capsys, [
+        "arrow-check", "--A", files["chain2"], "--B", files["chain3"],
+        "--C", str(chain47), "-k", "2", "-t", "1", "--cap", "5000"])
+    assert code == 0
+    assert report["verdicts"]["status"] == "holds"
+    assert report["verdicts"]["witness_stats"]["hom_AC"] == 1081
+
+
+def test_forest_label_collision_exits_1(capsys, tmp_path):
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps({"carrier": [1, "1"], "parent": {"1": "1"}}))
+    code, report, err = run(capsys, ["validate", "--forest", str(path)])
+    assert code == 1 and report is None
+    assert "carrier labels 1 and '1'" in err
 
 
 def test_bigramsey_cap_exits_2(capsys, files):

@@ -1,5 +1,7 @@
 """The arrow decision engine and degree probes."""
 
+import random
+import sys
 from itertools import product
 
 import pytest
@@ -67,6 +69,141 @@ def test_search_returns_least_canonical_bad_coloring():
     assert found == min(canonical)
 
 
+def _recursive_search_bad_coloring(n, k, t, images):
+    """Reference: the recursive search with viability pruning only."""
+    if not images:
+        return None
+    pos_to_ws = [[] for _ in range(n)]
+    for wi, image in enumerate(images):
+        for p in image:
+            pos_to_ws[p].append(wi)
+    free = [len(image) for image in images]
+    seen = [dict() for _ in images]   # color -> multiplicity
+    colors = [0] * n
+
+    def viable(wi):
+        return len(seen[wi]) + min(free[wi], k - len(seen[wi])) > t
+
+    def assign(p, c):
+        for wi in pos_to_ws[p]:
+            free[wi] -= 1
+            seen[wi][c] = seen[wi].get(c, 0) + 1
+
+    def unassign(p, c):
+        for wi in pos_to_ws[p]:
+            free[wi] += 1
+            if seen[wi][c] == 1:
+                del seen[wi][c]
+            else:
+                seen[wi][c] -= 1
+
+    def extend(p, used):
+        if p == n:
+            return all(len(s) > t for s in seen)
+        for c in range(min(used + 1, k)):
+            colors[p] = c
+            assign(p, c)
+            if all(viable(wi) for wi in pos_to_ws[p]) and \
+                    extend(p + 1, max(used, c + 1)):
+                return True
+            unassign(p, c)
+        return False
+
+    if extend(0, 0):
+        return tuple(colors)
+    return None
+
+
+def _random_instance(rng, max_n, max_k):
+    """n, k and images of random sizes; empty and short images included."""
+    n, k = rng.randint(0, max_n), rng.randint(1, max_k)
+    images = [tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 6)))))
+              for _ in range(rng.randint(1, 6))]
+    return n, k, images
+
+
+def test_search_matches_recursive_reference():
+    rng = random.Random(2021)
+    found = 0
+    for _ in range(1500):
+        n, k, images = _random_instance(rng, 9, 4)
+        for t in range(k):
+            expected = _recursive_search_bad_coloring(n, k, t, images)
+            assert _search_bad_coloring(n, k, t, images) == expected, \
+                (n, k, t, images)
+            found += expected is not None
+    assert found > 300   # the instances are not all trivially refuted
+    assert _search_bad_coloring(3, 2, 1, []) is None
+
+
+def _is_canonical(colors):
+    used = 0
+    for c in colors:
+        if c > used:
+            return False
+        used = max(used, c + 1)
+    return True
+
+
+def test_search_returns_first_canonical_bad_coloring():
+    rng = random.Random(7)
+    for _ in range(300):
+        n, k, images = _random_instance(rng, 7, 3)
+        for t in range(k):
+            expected = next(
+                (c for c in product(range(k), repeat=n)
+                 if _is_canonical(c) and coloring_is_bad(c, images, t)),
+                None)
+            assert _search_bad_coloring(n, k, t, images) == expected, \
+                (n, k, t, images)
+
+
+@pytest.mark.parametrize("images", [[(0, 1, 2), ()], [(0, 1, 2), (1,)]])
+def test_search_none_when_an_image_is_too_short(images):
+    # w needs t + 1 = 2 colors on its composites, but has fewer than two
+    assert _search_bad_coloring(3, 2, 1, images) is None
+
+
+@pytest.mark.parametrize("n, k, t, images, expected", [
+    (3, 3, 2, [(0, 1, 2)], (0, 1, 2)),
+    (3, 2, 1, [(0, 1), (1, 2)], (0, 1, 0)),
+    (3, 2, 1, [(0, 1), (1, 2), (0, 2)], None),   # an odd cycle
+    (5, 3, 2, [(0, 1, 4), (2, 3, 4), (1, 3, 4)], (0, 1, 1, 0, 2)),
+])
+def test_search_restricts_tight_images_to_unseen_colors(n, k, t, images,
+                                                        expected):
+    assert _search_bad_coloring(n, k, t, images) == expected
+
+
+def _search_with_branch_count(n, k, t, images):
+    """The search's result and how often it branched on a color."""
+    calls, previous = 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "assign":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        found = _search_bad_coloring(n, k, t, images)
+    finally:
+        sys.setprofile(previous)
+    return found, calls
+
+
+def test_search_propagates_forced_colors_in_turn():
+    # position 0 lies on an odd cycle of 2-color constraints through
+    # positions 11..20; positions 1..10 are unconstrained. Only forcing
+    # the cycle's colors one after another, before any of 1..10 is
+    # branched on, refutes the only color position 0 may take at once.
+    ring = [0, *range(11, 21), 0]
+    images = [tuple(sorted(ring[i:i + 2])) for i in range(len(ring) - 1)]
+    found, calls = _search_with_branch_count(21, 2, 1, images)
+    assert found is None
+    assert calls == 1
+
+
 def test_pigeonhole_arrows_on_points():
     ctx = ChainContext()
     # a mono pair among c points with k colors exists iff c > k
@@ -76,6 +213,24 @@ def test_pigeonhole_arrows_on_points():
     assert coloring_is_bad(v.bad_coloring.colors,
                            composite_images(omega(1), omega(2), omega(2),
                                             ctx)[3], 1)
+
+
+def test_arrow_beyond_recursion_depth_holds():
+    # 1081 positions, more than the default recursion limit
+    v = holds_arrow(omega(2), omega(3), omega(47), 2, 1, ChainContext(),
+                    cap=5000)
+    assert v.status == "holds"
+    assert v.witness_stats["hom_AC"] == 1081
+
+
+def test_arrow_refuted_by_forced_colors():
+    # 8 -> (4)^3_2 fails since R(4,4;3) = 13; the first bad coloring
+    # lies deep in the tree unless forced colors prune it
+    ctx = ChainContext()
+    v = holds_arrow(omega(3), omega(4), omega(8), 2, 1, ctx)
+    assert v.status == "refuted"
+    images = composite_images(omega(3), omega(4), omega(8), ctx)[3]
+    assert coloring_is_bad(v.bad_coloring.colors, images, 1)
 
 
 def test_vacuous_cases_and_priority():
