@@ -94,8 +94,8 @@ def pi_star(f, lift):
     reps = [b[0] for b in blocks]
     labels = a_star.carrier_chain().labels
     subchain = Chain(tuple(labels[i] for i in reps))
-    subs = subchains_containing_min(a_star.carrier_chain())
-    ell = subs.index(subchain)
+    # the subset bitmask over ranks 1..s-1: subchains_containing_min's index
+    ell = sum(1 << (i - 1) for i in reps[1:])
     f_star = ChainEmbedding(subchain, lift.base,
                             tuple(eps[i] for i in reps))
     return ReductionRecord(f, tuple(tuple(b) for b in blocks), ell,

@@ -27,7 +27,7 @@ from .errors import (CapExceeded, InputError, NoChainWitnessInBudget,
                      TruncationTooSmall)
 from .expansion import degree_sum_bound, fibers
 from .forests import decode_coalgebra, encode_forest
-from .mset import OrderedMSet
+from .mset import OrderedMSet, order_positions
 from .ramsey import (ChainContext, MSetContext, SMALL_BUDGET, TINY_BUDGET,
                      holds_arrow, probe_small_degree)
 from .transport import transport_witness
@@ -198,6 +198,12 @@ def cmd_degree_bound(args, started):
                          '{"order": [...], "degree": n} objects')
     degrees = {}
     for entry in entries:
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("order"), list)
+                and "degree" in entry
+                and isinstance(entry["degree"], (int, type(None)))):
+            raise InputError(f"degree-bound: entry {entry!r} is not an "
+                             '{"order": [...], "degree": n} object')
         degrees[tuple(entry["order"])] = entry["degree"]
     if args.big:
         agg = unordered_degree_bound(a, degrees)
@@ -222,14 +228,22 @@ def cmd_forest(args, started):
     if args.decode is not None:
         inputs["coalgebra"] = _input_entry(args.decode)
         data = io.load_json(args.decode)
+        if not isinstance(data, dict):
+            raise InputError(f"{args.decode}: a coalgebra file is a JSON "
+                             "object")
         carrier = tuple(data.get("carrier", ()))
-        structure = tuple(tuple(v) for v in data.get("structure", ()))
+        structure = data.get("structure", [])
+        if not isinstance(structure, list) or \
+                any(not isinstance(v, list) for v in structure):
+            raise InputError(f"{args.decode}: the structure is a JSON array "
+                             "of root paths")
+        structure = tuple(tuple(v) for v in structure)
         if len(carrier) != len(structure):
             raise InputError("forest: carrier and structure sizes differ")
         coalg = Coalgebra(DistinctListFunctor(), carrier, structure)
         order = data.get("order")
         if order is not None:
-            order = tuple(carrier.index(lab) for lab in order)
+            order = order_positions(carrier, order)
         verdicts["forest"] = decode_coalgebra(coalg, order).to_json()
     return _report(args, inputs, {}, verdicts, started)
 

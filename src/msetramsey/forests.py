@@ -126,7 +126,8 @@ def decode_coalgebra(coalg, order=None):
     index = {x: i for i, x in enumerate(labels)}
     parent = []
     for x, path in zip(labels, coalg.structure):
-        if not path or path[0] != x:
+        if not path or path[0] != x or \
+                (len(path) > 1 and path[1] not in index):
             raise NotPathShaped(x)
         parent.append(index[path[1]] if len(path) > 1 else index[x])
     for x, path in zip(labels, coalg.structure):

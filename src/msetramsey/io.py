@@ -23,7 +23,7 @@ from .chains import Chain
 from .errors import InputError
 from .forests import make_forest
 from .monoid import validate_monoid
-from .mset import UnaryAlgebra, validate_mset
+from .mset import UnaryAlgebra, order_positions, validate_mset
 
 
 def file_sha256(path):
@@ -67,9 +67,7 @@ def mset_from_json(data, where="mset", base_dir="."):
     monoid = monoid_from_json(monoid, where=f"{where}.monoid")
     carrier = tuple(_require(data, "carrier", where))
     action = _require(data, "action", where)
-    order = data.get("order")
-    return validate_mset(monoid, carrier, action,
-                         tuple(order) if order is not None else None)
+    return validate_mset(monoid, carrier, action, data.get("order"))
 
 
 def load_mset(path):
@@ -106,6 +104,8 @@ def load_chain(path):
 def forest_from_json(data, where="forest"):
     carrier = tuple(_require(data, "carrier", where))
     parent_map = _require(data, "parent", where)
+    if not isinstance(parent_map, dict):
+        raise InputError(f"{where}: parent is a JSON object")
     index = {}   # JSON object keys are strings, so labels are keyed by str()
     for i, x in enumerate(carrier):
         if str(x) in index:
@@ -118,10 +118,13 @@ def forest_from_json(data, where="forest"):
         key = str(x)
         if key not in parent_map:
             raise InputError(f"{where}: no parent for element {x!r}")
+        if str(parent_map[key]) not in index:
+            raise InputError(f"{where}: parent {parent_map[key]!r} of "
+                             f"{x!r} is not in the carrier")
         parent.append(index[str(parent_map[key])])
     order = data.get("order")
     if order is not None:
-        order = tuple(carrier.index(lab) for lab in order)
+        order = order_positions(carrier, order)
     return make_forest(carrier, parent, order)
 
 

@@ -100,9 +100,17 @@ def validate_mset(monoid, carrier, action, order=None):
     ms = MSet(monoid, carrier, action)
     if order is None:
         return ms
-    if sorted(order) != sorted(carrier):
-        raise InputError("order does not list the carrier labels")
-    return OrderedMSet(ms, tuple(carrier.index(lab) for lab in order))
+    return OrderedMSet(ms, order_positions(carrier, order))
+
+
+def order_positions(carrier, order):
+    """Carrier positions of the labels that `order` lists."""
+    if not isinstance(order, (list, tuple)):
+        raise InputError("order is an array of carrier labels")
+    for lab in order:
+        if lab not in carrier:
+            raise InputError(f"order label {lab!r} is not in the carrier")
+    return tuple(carrier.index(lab) for lab in order)
 
 
 def with_order(ms, order_indices=None):
@@ -174,8 +182,10 @@ def validate_morphism(source, target, f_map, kind="morphism"):
 def enumerate_embeddings(a, b):
     """All embeddings a -> b (order-embeddings when both are ordered).
 
-    Backtracking over the carrier with equivariance propagation; the
-    result is in canonical order (lexicographic in the map table).
+    Sending x to y forces exactly m.x -> m.y for m in M, since the orbit
+    of m.x lies inside the orbit of x; one pass over M places it. The
+    least unmapped element is branched on with ascending targets, so the
+    maps come out in lexicographic order.
     """
     ordered = isinstance(a, OrderedMSet)
     if ordered != isinstance(b, OrderedMSet):
@@ -189,45 +199,42 @@ def enumerate_embeddings(a, b):
     kind = "order-embedding" if ordered else "embedding"
     results = []
     assign = [-1] * n
+    used = [False] * bb.size
 
-    def propagate(pairs, trail):
-        """Close tentative assignments under the action; False on clash."""
-        queue = list(pairs)
-        while queue:
-            x, y = queue.pop()
-            if assign[x] == y:
+    def place(x, y, trail):
+        """Send m.x to m.y for every m in M; False on a clash."""
+        for m in range(msize):
+            xm, ym = ab.action[m][x], bb.action[m][y]
+            if assign[xm] == ym:
                 continue
-            if assign[x] != -1:
+            if assign[xm] != -1 or used[ym]:
                 return False
-            if y in assign:
-                return False  # injectivity
             if ordered:
                 for z in range(n):
-                    if assign[z] == -1 or z == x:
+                    if assign[z] == -1:
                         continue
-                    if (spos[z] < spos[x]) != (tpos[assign[z]] < tpos[y]):
+                    if (spos[z] < spos[xm]) != (tpos[assign[z]] < tpos[ym]):
                         return False
-            assign[x] = y
-            trail.append(x)
-            for m in range(msize):
-                queue.append((ab.act(m, x), bb.act(m, y)))
+            assign[xm] = ym
+            used[ym] = True
+            trail.append(xm)
         return True
 
-    def extend():
-        try:
-            x = assign.index(-1)
-        except ValueError:
+    def extend(x):
+        while x < n and assign[x] != -1:
+            x += 1
+        if x == n:
             results.append(MSetMorphism(a, b, tuple(assign), kind))
             return
         for y in range(bb.size):
             trail = []
-            if propagate([(x, y)], trail):
-                extend()
+            if place(x, y, trail):
+                extend(x + 1)
             for z in trail:
+                used[assign[z]] = False
                 assign[z] = -1
 
-    extend()
-    results.sort(key=lambda mor: mor.map)
+    extend(0)
     return results
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .chains import Chain, ChainEmbedding, omega
+from .comonad import MonoidActionFunctor
 from .errors import InputError, NoChainWitnessInBudget, SizeOverflow
-from .mset import (OrderedMSet, cofree_mset, enumerate_embeddings,
-                   validate_morphism)
+from .mset import MSetMorphism, OrderedMSet, cofree_mset, validate_morphism
 from .ramsey import ChainContext, MSetContext, find_witness, holds_arrow
 
 DEFAULT_LIFT_CAP = 10 ** 5
@@ -54,42 +54,27 @@ def hat_E_map(h_emb, lift_src, lift_dst):
                              "order-embedding")
 
 
-def lift_chain(lift):
-    """The carrier of a lex lift, as a chain in lex order."""
-    return Chain(tuple(lift.lifted.carrier[i] for i in lift.lifted.order))
-
-
 def hat_delta(lift, cap=DEFAULT_LIFT_CAP):
     """hat_delta(h)(v)(w) = h(v*w), as a morphism lift -> hat_E(chain(lift)).
 
-    Asserts that it is an order-embedding and that the comultiplication
-    square for (hat_E(C), hat_delta) commutes.
+    h(v * .) is the action gamma(v, h), so this is the lift's own
+    weak-coalgebra structure, validated with its square there.
     """
-    m = lift.monoid
-    outer = hat_E(lift_chain(lift), m, cap=cap)
-    rank_of = lift.lifted.positions
-    src_index = lift.index
+    coalg = mset_as_weak_coalgebra(lift.lifted, cap=cap)
+    return coalg.embedding, coalg.lift
 
-    def delta_of(i):
-        # delta(h) as a function M -> carrier(lift), via order ranks so
-        # it names elements of the lifted chain
-        h = lift.functions[i]
-        return tuple(
-            rank_of[src_index[tuple(h[m.mul(v, w)] for w in range(m.size))]]
-            for v in range(m.size))
 
-    table = tuple(outer.index[delta_of(i)] for i in range(len(lift.functions)))
-    mor = validate_morphism(lift.lifted, outer.lifted, table, "order-embedding")
+def _square_violation(m, structure, values, order):
+    """First a with delta(values[a]) != values[order[r]] for r in structure[a].
 
-    # weak-EM square: hat_delta(delta(h)) == hat_E(delta)(delta(h))
-    for i in range(len(lift.functions)):
-        d = delta_of(i)
-        lhs = tuple(tuple(d[m.mul(v, w)] for w in range(m.size))
-                    for v in range(m.size))
-        rhs = tuple(delta_of(lift.lifted.order[d[v]]) for v in range(m.size))
-        if lhs != rhs:
-            raise InputError(f"comultiplication square fails at function {i}")
-    return mor, outer
+    With values = structure this is the weak-EM square; with
+    values = u . structure, the hom square of Phi(u). None if it commutes.
+    """
+    delta = MonoidActionFunctor(m).delta
+    for a, h in enumerate(structure):
+        if delta(values[a]) != tuple(values[order[r]] for r in h):
+            return a
+    return None
 
 
 @dataclass(frozen=True)
@@ -99,6 +84,7 @@ class WeakCoalgebra:
     ordered_mset: OrderedMSet
     lift: LexLift               # hat_E of the carrier chain
     structure: tuple            # structure[a] = h as tuple of order ranks
+    embedding: MSetMorphism     # the structure map as an order-embedding
 
     @property
     def carrier_chain(self):
@@ -117,20 +103,14 @@ def mset_as_weak_coalgebra(a_star, cap=DEFAULT_LIFT_CAP):
     structure = tuple(
         tuple(pos[a_star.act(g, a)] for g in range(m.size))
         for a in range(a_star.size))
-    # embedding into the lifted ordered M-set
     table = tuple(lift.index[h] for h in structure)
-    validate_morphism(a_star, lift.lifted, table, "order-embedding")
+    embedding = validate_morphism(a_star, lift.lifted, table,
+                                  "order-embedding")
     # weak-EM square: hat_delta(alpha(a)) == hat_E(alpha)(alpha(a))
-    order = a_star.order
-    for a in range(a_star.size):
-        h = structure[a]
-        lhs = tuple(tuple(h[m.mul(v, w)] for w in range(m.size))
-                    for v in range(m.size))
-        rhs = tuple(structure[order[h[v]]] for v in range(m.size))
-        if lhs != rhs:
-            raise InputError(
-                f"weak-EM square fails at carrier element {a}")
-    return WeakCoalgebra(a_star, lift, structure)
+    bad = _square_violation(m, structure, structure, a_star.order)
+    if bad is not None:
+        raise InputError(f"weak-EM square fails at carrier element {bad}")
+    return WeakCoalgebra(a_star, lift, structure, embedding)
 
 
 def phi(u, b_coalg, cap=DEFAULT_LIFT_CAP):
@@ -147,17 +127,11 @@ def phi(u, b_coalg, cap=DEFAULT_LIFT_CAP):
     table = tuple(lift_c.index[v] for v in values)
     mor = validate_morphism(b_coalg.ordered_mset, lift_c.lifted, table,
                             "order-embedding")
-    # hom square: hat_delta_C(Phi(a)) == hat_E(Phi)(beta(a)), pointwise:
-    # Phi(a)(v*w) == Phi(order[beta(a)(v)])(w)
-    order = b_coalg.ordered_mset.order
-    for a in range(b_coalg.ordered_mset.size):
-        for v in range(m.size):
-            for w in range(m.size):
-                lhs = values[a][m.mul(v, w)]
-                rhs = values[order[b_coalg.structure[a][v]]][w]
-                if lhs != rhs:
-                    raise InputError(
-                        f"Phi hom square fails at (a,v,w)=({a},{v},{w})")
+    # hom square: hat_delta_C(Phi(a)) == hat_E(Phi)(beta(a))
+    bad = _square_violation(m, b_coalg.structure, values,
+                            b_coalg.ordered_mset.order)
+    if bad is not None:
+        raise InputError(f"Phi hom square fails at carrier element {bad}")
     return mor, lift_c
 
 
@@ -168,9 +142,7 @@ def check_PA(u, f_map, a_coalg, b_coalg, cap=DEFAULT_LIFT_CAP):
     read as a chain embedding between carrier chains.
     """
     phi_b, _ = phi(u, b_coalg, cap=cap)
-    apos = a_coalg.ordered_mset.positions
     bpos = b_coalg.ordered_mset.positions
-    border = b_coalg.ordered_mset.order
     # f as a chain embedding between the carrier chains
     chain_f = ChainEmbedding(
         a_coalg.carrier_chain, b_coalg.carrier_chain,
@@ -207,10 +179,6 @@ def transport_witness(u_star, v_star, k, chain_witness_budget=8,
         raise NoChainWitnessInBudget(chain_witness_budget)
     lift = hat_E(w, u_star.monoid, cap=lift_cap)
     ctx = MSetContext(u_star.monoid, ordered=True)
-    hom_u = enumerate_embeddings(u_star, lift.lifted)
-    if len(hom_u) <= certify_cap:
-        verdict = holds_arrow(u_star, v_star, lift.lifted, k, 1, ctx,
-                              cap=certify_cap)
-        return TransportedWitness(w, lift, verdict.status, verdict)
-    verdict = holds_arrow(u_star, v_star, lift.lifted, k, 1, ctx, cap=0)
+    verdict = holds_arrow(u_star, v_star, lift.lifted, k, 1, ctx,
+                          cap=certify_cap)
     return TransportedWitness(w, lift, verdict.status, verdict)

@@ -195,6 +195,16 @@ def test_transport(capsys, files):
     assert report["verdicts"]["certified"] == "holds"
 
 
+def test_transport_inconclusive_reason_names_certify_cap(capsys, files):
+    code, report, _ = run(capsys, [
+        "transport", "--U", files["fixed1"], "--V", files["fixed2"],
+        "-k", "4", "--certify-cap", "2"])
+    assert code == 0
+    assert report["verdicts"]["certified"] == "inconclusive"
+    assert report["verdicts"]["verdict"]["reason"] == \
+        "hom_set_size_5_exceeds_cap_2"
+
+
 def test_bigramsey_trials(capsys, files):
     code, report, _ = run(capsys, [
         "bigramsey", "--A", files["swap"], "--N", "4", "--k", "2",
@@ -237,6 +247,38 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
     assert "carrier labels 1 and '1'" in err
 
 
+@pytest.mark.parametrize("command, obj, message", [
+    pytest.param("validate --forest",
+                 {"carrier": ["x"], "parent": {"x": "q"}},
+                 "parent 'q' of 'x' is not in the carrier",
+                 id="parent-outside-carrier"),
+    pytest.param("validate --forest",
+                 {"carrier": ["x"], "parent": {"x": "x"}, "order": ["q"]},
+                 "order label 'q' is not in the carrier",
+                 id="order-outside-carrier"),
+    pytest.param("forest --decode",
+                 {"carrier": ["x"], "structure": [["x"]], "order": ["q"]},
+                 "order label 'q' is not in the carrier",
+                 id="decode-order-outside-carrier"),
+    pytest.param("forest --decode", [], "a coalgebra file is a JSON object",
+                 id="decode-array"),
+    pytest.param("forest --decode",
+                 {"carrier": ["x"], "structure": [["x", "q"]]},
+                 "structure value at 'x' is not a root path",
+                 id="decode-path-outside-carrier"),
+    pytest.param("forest --decode", {"carrier": ["x"], "structure": [5]},
+                 "the structure is a JSON array of root paths",
+                 id="decode-structure-not-paths"),
+])
+def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
+                                       message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, report, err = run(capsys, command.split() + [str(path)])
+    assert code == 1 and report is None
+    assert message in err
+
+
 def test_bigramsey_cap_exits_2(capsys, files):
     code, _, err = run(capsys, [
         "bigramsey", "--A", files["pair"], "--N", "30", "--k", "2",
@@ -253,6 +295,22 @@ def test_degree_bound(capsys, files):
         "degree-bound", "--A", files["pair_unordered"],
         "--ordered-degrees", files["degrees"], "--big"])
     assert code == 0 and report["verdicts"]["within_formula"] is True
+
+
+@pytest.mark.parametrize("entries", [
+    [{"order": [0, 1]}, {"order": [1, 0], "degree": 1}],
+    [[0, 1]],
+    [{"order": 0, "degree": 1}],
+    [{"order": [0, 1], "degree": "x"}, {"order": [1, 0], "degree": 1}],
+], ids=["no-degree", "not-an-object", "order-not-array", "degree-not-int"])
+def test_degree_bound_malformed_entry_exits_1(capsys, files, entries):
+    path = files["tmp"] / "bad_degrees.json"
+    path.write_text(json.dumps(entries))
+    code, report, err = run(capsys, [
+        "degree-bound", "--A", files["pair_unordered"],
+        "--ordered-degrees", str(path)])
+    assert code == 1 and report is None
+    assert "is not an" in err
 
 
 def test_forest_encode_decode_roundtrip(capsys, files):

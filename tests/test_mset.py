@@ -6,7 +6,8 @@ import pytest
 
 from msetramsey.errors import (CompositionFails, IdentityAxiomFails,
                                InputError, MonoidMismatch, UnknownSymbol)
-from msetramsey.monoid import (left_zero_monoid, trivial_monoid, z2)
+from msetramsey.monoid import (left_zero_monoid, trivial_monoid,
+                               truncated_powers, z2)
 from msetramsey.mset import (MSet, OrderedMSet, UnaryAlgebra,
                              check_equivariant, cofree_mset,
                              enumerate_embeddings, evaluate_word,
@@ -47,6 +48,14 @@ def test_ordered_mset_positions_and_chain():
     assert a.carrier_chain().labels == ("z", "x", "y")
     with pytest.raises(InputError):
         OrderedMSet(a.base, (0, 0, 1))
+
+
+def test_validate_mset_orders_mixed_labels():
+    a = validate_mset(trivial_monoid(), (1, "a"), [[0, 1]], order=("a", 1))
+    assert a.order == (1, 0)
+    for order in (("a", 2), ("a",), ("a", "a")):
+        with pytest.raises(InputError):
+            validate_mset(trivial_monoid(), (1, "a"), [[0, 1]], order=order)
 
 
 def test_check_equivariant_finds_first_violation():
@@ -109,7 +118,9 @@ def _all_small_msets(monoid, max_size, ordered):
 
 @pytest.mark.parametrize("monoid,ordered", [
     (trivial_monoid(), False), (trivial_monoid(), True),
-    (z2(), False), (z2(), True)])
+    (z2(), False), (z2(), True),
+    (left_zero_monoid(2), False), (left_zero_monoid(2), True),
+    (truncated_powers(2), False), (truncated_powers(2), True)])
 def test_enumerate_embeddings_matches_bruteforce(monoid, ordered):
     objs = _all_small_msets(monoid, 3, ordered)
     checked = 0

@@ -5,12 +5,15 @@ import pytest
 from msetramsey.chains import ChainEmbedding, omega
 from msetramsey.errors import (InputError, NoChainWitnessInBudget,
                                SizeOverflow)
-from msetramsey.monoid import left_zero_monoid, trivial_monoid, z2
+from msetramsey.monoid import (chain_semilattice, cyclic_group,
+                               left_zero_monoid, trivial_monoid,
+                               truncated_powers, z2)
 from msetramsey.mset import (enumerate_embeddings, validate_morphism,
                              validate_mset)
 from msetramsey.ramsey import MSetContext
-from msetramsey.transport import (check_PA, hat_E, hat_E_map, hat_delta,
-                                  lift_chain, mset_as_weak_coalgebra, phi,
+from msetramsey.transport import (_square_violation, check_PA, hat_E,
+                                  hat_E_map, hat_delta,
+                                  mset_as_weak_coalgebra, phi,
                                   transport_witness)
 
 
@@ -23,7 +26,8 @@ def _fixed_point(labels=("u",)):
 def test_hat_e_of_trivial_monoid_is_the_base_chain():
     lift = hat_E(omega(4), trivial_monoid())
     assert lift.lifted.size == 4
-    assert lift_chain(lift).labels == tuple((x,) for x in range(4))
+    assert lift.lifted.carrier_chain().labels == \
+        tuple((x,) for x in range(4))
 
 
 def test_hat_e_lex_order_matches_sorted_tuples():
@@ -76,6 +80,62 @@ def test_hat_delta_is_a_validated_order_embedding(monoid):
     assert outer.lifted.size == lift.lifted.size ** monoid.size
 
 
+def _reference_hat_delta(lift):
+    """hat_delta built from its formula: delta(h)(v) = rank of h(v * .)."""
+    m = lift.monoid
+    outer = hat_E(lift.lifted.carrier_chain(), m)
+    rank_of = lift.lifted.positions
+
+    def delta_of(i):
+        h = lift.functions[i]
+        return tuple(
+            rank_of[lift.index[tuple(h[m.mul(v, w)] for w in range(m.size))]]
+            for v in range(m.size))
+
+    table = tuple(outer.index[delta_of(i)] for i in range(len(lift.functions)))
+    return table, outer
+
+
+@pytest.mark.parametrize("monoid", [
+    trivial_monoid(), z2(), cyclic_group(3), chain_semilattice(3),
+    left_zero_monoid(2), truncated_powers(2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hat_delta_matches_its_formula(monoid, n):
+    lift = hat_E(omega(n), monoid)
+    mor, outer = hat_delta(lift)
+    table, ref_outer = _reference_hat_delta(lift)
+    assert mor.map == table
+    assert outer == ref_outer
+    assert mor.source == lift.lifted and mor.target == outer.lifted
+
+
+def test_square_violation_flags_reversed_composition():
+    """h(w * v) in place of h(v * w) breaks the square over left zeros."""
+    m = left_zero_monoid(2)
+    lift = hat_E(omega(2), m)
+    order = lift.lifted.order
+    rank_of = lift.lifted.positions
+
+    def structure(mul):
+        return tuple(
+            tuple(rank_of[lift.index[tuple(h[mul(v, w)]
+                                           for w in range(m.size))]]
+                  for v in range(m.size))
+            for h in lift.functions)
+
+    right = structure(m.mul)
+    reversed_ = structure(lambda v, w: m.mul(w, v))
+    assert right != reversed_
+    assert _square_violation(m, right, right, order) is None
+    assert _square_violation(m, reversed_, reversed_, order) is not None
+    # the hom square of Phi(u) is the same check with values = u . beta
+    u = tuple(range(1, 2 * lift.lifted.size, 2))   # increasing
+    values = tuple(tuple(u[r] for r in h) for h in right)
+    assert _square_violation(m, right, values, order) is None
+    values = tuple(tuple(u[r] for r in h) for h in reversed_)
+    assert _square_violation(m, reversed_, values, order) is not None
+
+
 def test_composition_convention_pinned_by_noncommutative_monoid():
     """The reversed composition order breaks the comultiplication square."""
     m = left_zero_monoid(2)
@@ -86,7 +146,7 @@ def test_composition_convention_pinned_by_noncommutative_monoid():
     # delta'(h)(v)(w) = h(w * v) is not even equivariant into hat_E(chain)
     rank_of = lift.lifted.positions
     src_index = lift.index
-    outer = hat_E(lift_chain(lift), m)
+    outer = hat_E(lift.lifted.carrier_chain(), m)
 
     def delta_rev(i):
         h = lift.functions[i]
