@@ -17,13 +17,13 @@ monochromatic; each run certifies its own instance and fails loudly
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .chains import Chain, ChainEmbedding, omega
-from .errors import (InputError, MissingOrdering, NotAnEmbedding,
-                     SizeOverflow, TruncationTooSmall)
-from .expansion import fibers, order_key
+from .errors import (InputError, NotAnEmbedding, SizeOverflow,
+                     TruncationTooSmall)
+from .expansion import degree_sum_bound
 from .mset import MSetMorphism, enumerate_embeddings
 from .transport import hat_E, hat_E_map
 
@@ -253,13 +253,10 @@ class AggregateBound:
     aggregate: int
     formula: int          # n! * 2^(n-1)
     within_formula: bool
-    per_ordering: dict = field(default_factory=dict)
 
     def to_json(self):
         return {"aggregate": self.aggregate, "formula": self.formula,
-                "within_formula": self.within_formula,
-                "per_ordering": {str(kk): v
-                                 for kk, v in self.per_ordering.items()}}
+                "within_formula": self.within_formula}
 
 
 def unordered_degree_bound(a, per_ordering):
@@ -267,15 +264,8 @@ def unordered_degree_bound(a, per_ordering):
 
     `per_ordering` maps order_key(A*) -> the certified bound for that
     ordering (from big_ramsey_reduce runs); the whole fiber of A must be
-    covered.
+    covered (degree_sum_bound raises IncompleteFiber otherwise).
     """
-    total = 0
-    used = {}
-    for a_star in fibers(a):
-        key = order_key(a_star)
-        if key not in per_ordering or per_ordering[key] is None:
-            raise MissingOrdering(f"no certified bound for ordering {key}")
-        used[key] = per_ordering[key]
-        total += per_ordering[key]
+    total = degree_sum_bound(a, per_ordering)
     formula = math.factorial(a.size) * 2 ** (a.size - 1)
-    return AggregateBound(total, formula, total <= formula, used)
+    return AggregateBound(total, formula, total <= formula)

@@ -14,6 +14,7 @@ that is too small.
 """
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -28,8 +29,9 @@ from .errors import (CapExceeded, InputError, NoChainWitnessInBudget,
 from .expansion import degree_sum_bound, fibers
 from .forests import decode_coalgebra, encode_forest
 from .mset import OrderedMSet, order_positions
-from .ramsey import (ChainContext, MSetContext, SMALL_BUDGET, TINY_BUDGET,
-                     holds_arrow, probe_small_degree)
+from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
+                     SMALL_BUDGET, TINY_BUDGET, holds_arrow,
+                     probe_small_degree)
 from .transport import transport_witness
 
 
@@ -119,10 +121,8 @@ def _load_arrow_objects(args, names):
 def cmd_arrow_check(args, started):
     inputs, (a, b, c) = _load_arrow_objects(args, ("A", "B", "C"))
     ctx = _arrow_context(args, (a, b, c))
-    verdict = holds_arrow(a, b, c, args.k, args.t, ctx, cap=args.cap,
-                          seed=args.seed)
-    params = {"k": args.k, "t": args.t, "ctx": args.ctx, "cap": args.cap,
-              "seed": args.seed}
+    verdict = holds_arrow(a, b, c, args.k, args.t, ctx, cap=args.cap)
+    params = {"k": args.k, "t": args.t, "ctx": args.ctx, "cap": args.cap}
     return _report(args, inputs, params, verdict.to_json(), started)
 
 
@@ -192,23 +192,23 @@ def cmd_degree_bound(args, started):
     a = io.load_mset(args.A)
     if isinstance(a, OrderedMSet):
         a = a.base
-    entries = io.load_json(args.ordered_degrees)
+    path = args.ordered_degrees
+    entries = io.load_json(path)
     if not isinstance(entries, list):
-        raise InputError("degree-bound: the degrees file is a JSON array of "
-                         '{"order": [...], "degree": n} objects')
+        raise InputError(f"{path}: the degrees file is a JSON array of "
+                         '{"order": [int, ...], "degree": n} objects')
     degrees = {}
     for entry in entries:
         if not (isinstance(entry, dict)
                 and isinstance(entry.get("order"), list)
+                and all(isinstance(x, int) for x in entry["order"])
                 and "degree" in entry
                 and isinstance(entry["degree"], (int, type(None)))):
-            raise InputError(f"degree-bound: entry {entry!r} is not an "
-                             '{"order": [...], "degree": n} object')
+            raise InputError(f"{path}: entry {entry!r} is not an "
+                             '{"order": [int, ...], "degree": n} object')
         degrees[tuple(entry["order"])] = entry["degree"]
     if args.big:
-        agg = unordered_degree_bound(a, degrees)
-        verdicts = agg.to_json()
-        verdicts.pop("per_ordering")
+        verdicts = unordered_degree_bound(a, degrees).to_json()
     else:
         verdicts = {"bound": degree_sum_bound(a, degrees),
                     "fiber_size": len(fibers(a))}
@@ -231,12 +231,13 @@ def cmd_forest(args, started):
         if not isinstance(data, dict):
             raise InputError(f"{args.decode}: a coalgebra file is a JSON "
                              "object")
-        carrier = tuple(data.get("carrier", ()))
+        carrier = data.get("carrier", [])
         structure = data.get("structure", [])
-        if not isinstance(structure, list) or \
-                any(not isinstance(v, list) for v in structure):
-            raise InputError(f"{args.decode}: the structure is a JSON array "
-                             "of root paths")
+        if not isinstance(carrier, list) or not isinstance(structure, list) \
+                or any(not isinstance(v, list) for v in structure):
+            raise InputError(f"{args.decode}: the carrier is a JSON array and "
+                             "the structure is a JSON array of root paths")
+        carrier = tuple(carrier)
         structure = tuple(tuple(v) for v in structure)
         if len(carrier) != len(structure):
             raise InputError("forest: carrier and structure sizes differ")
@@ -262,6 +263,7 @@ def _int_at_least(low):
     return parse
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="msetramsey",
@@ -299,8 +301,7 @@ def build_parser():
     p.add_argument("-k", type=_int_at_least(1), required=True)
     p.add_argument("-t", type=_int_at_least(0), default=1)
     p.add_argument("--ctx", choices=ctx_choices, default="chains")
-    p.add_argument("--cap", type=_int_at_least(0), default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_SEARCH_CAP)
     p.set_defaults(func=cmd_arrow_check)
 
     p = sub.add_parser("degree-probe", parents=[common],
@@ -308,7 +309,7 @@ def build_parser():
     p.add_argument("--A", required=True)
     p.add_argument("--ctx", choices=ctx_choices, default="msets")
     p.add_argument("--budget", choices=["small", "tiny"], default="small")
-    p.add_argument("--cap", type=_int_at_least(0), default=64)
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_SEARCH_CAP)
     p.set_defaults(func=cmd_degree_probe)
 
     p = sub.add_parser("transport", parents=[common],
@@ -318,7 +319,8 @@ def build_parser():
     p.add_argument("-k", type=_int_at_least(1), required=True)
     p.add_argument("--budget", type=_int_at_least(0), default=8,
                    help="largest chain size searched for a witness")
-    p.add_argument("--certify-cap", type=_int_at_least(0), default=20)
+    p.add_argument("--certify-cap", type=_int_at_least(0),
+                   default=DEFAULT_SEARCH_CAP)
     p.add_argument("--lift-cap", type=_int_at_least(0), default=10 ** 5)
     p.set_defaults(func=cmd_transport)
 

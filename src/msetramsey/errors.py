@@ -109,9 +109,8 @@ class NoChainWitnessInBudget(WorkbenchError):
         super().__init__(f"no chain witness found up to size {bound}")
 
 
-class MissingOrdering(InputError):
-    pass
-
-
 class IncompleteFiber(InputError):
     pass
+
+
+MissingOrdering = IncompleteFiber

@@ -41,9 +41,11 @@ def load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _require(data, field, where):
+def _require(data, field, where, array=False):
     if not isinstance(data, dict) or field not in data:
         raise InputError(f"{where}: missing field {field!r}")
+    if array and not isinstance(data[field], list):
+        raise InputError(f"{where}: field {field!r} is not a JSON array")
     return data[field]
 
 
@@ -65,7 +67,7 @@ def mset_from_json(data, where="mset", base_dir="."):
     if isinstance(monoid, str):
         monoid = os.path.join(base_dir, monoid)
     monoid = monoid_from_json(monoid, where=f"{where}.monoid")
-    carrier = tuple(_require(data, "carrier", where))
+    carrier = tuple(_require(data, "carrier", where, array=True))
     action = _require(data, "action", where)
     return validate_mset(monoid, carrier, action, data.get("order"))
 
@@ -76,7 +78,7 @@ def load_mset(path):
 
 
 def unary_algebra_from_json(data, where="unary algebra"):
-    alphabet = tuple(_require(data, "alphabet", where))
+    alphabet = tuple(_require(data, "alphabet", where, array=True))
     actions = {s: tuple(row) for s, row in
                _require(data, "generator_actions", where).items()}
     if not actions:
@@ -102,7 +104,7 @@ def load_chain(path):
 
 
 def forest_from_json(data, where="forest"):
-    carrier = tuple(_require(data, "carrier", where))
+    carrier = tuple(_require(data, "carrier", where, array=True))
     parent_map = _require(data, "parent", where)
     if not isinstance(parent_map, dict):
         raise InputError(f"{where}: parent is a JSON object")

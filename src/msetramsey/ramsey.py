@@ -11,22 +11,20 @@ their domains, and a position left with one color is colored at once.
 First occurrences of colors are forced into increasing order, which
 cuts a k! symmetry factor. Propagation prunes only subtrees without a
 bad coloring, so the search reports the lex-least bad coloring in that
-canonical order.
+canonical order. A cap on the branching assignments (search nodes)
+bounds the work; a search that runs out is "inconclusive".
 """
 
 import math
-import random
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import count, permutations
 
 from .chains import enumerate_chain_embeddings, omega
-from .errors import SizeOverflow
 from .forests import forest_as_mset, height
 from .monoid import truncated_powers
 from .mset import enumerate_embeddings, validate_mset, with_order
 
-DEFAULT_EXHAUSTIVE_CAP = 64
-DEFAULT_SAMPLE_TRIALS = 2000
+DEFAULT_SEARCH_CAP = 10 ** 6
 
 
 class ChainContext:
@@ -201,7 +199,11 @@ def coloring_is_bad(colors, images, t):
     return all(len({colors[i] for i in image}) > t for image in images)
 
 
-def _search_bad_coloring(n, k, t, images):
+class _SearchCapReached(Exception):
+    """The bad-coloring search would need more nodes than its cap."""
+
+
+def _search_bad_coloring(n, k, t, images, cap=None):
     """Least bad coloring in canonical color order, or None.
 
     Positions 0..n-1 are colored in index order and colors are tried in
@@ -220,6 +222,9 @@ def _search_bad_coloring(n, k, t, images):
     without a bad coloring, so the first coloring found is the lex-least
     canonical bad coloring. None is returned straight away when some w
     has fewer than t + 1 composites.
+
+    A node is one call of `assign`, a color tried at a branch point;
+    with a `cap`, _SearchCapReached is raised in place of node cap + 1.
     """
     need = t + 1
     images = [set(image) for image in images]
@@ -236,6 +241,7 @@ def _search_bad_coloring(n, k, t, images):
     colors = [-1] * n
     domain = [full] * n                  # bitmask of the allowed colors
     assigned, narrowed = [], []          # trails: p, and (p, old domain)
+    nodes = count()                      # next() is the node's index
 
     def assign(p, c):
         """Give p an allowed color c and propagate; False on a conflict.
@@ -247,6 +253,8 @@ def _search_bad_coloring(n, k, t, images):
         queued exactly once, and its domain stays that one color until
         it is assigned or a conflict is found.
         """
+        if next(nodes) == cap:
+            raise _SearchCapReached
         queue = [(p, c)]
         while queue:
             p, c = queue.pop()
@@ -314,9 +322,13 @@ def _search_bad_coloring(n, k, t, images):
         c += 1
 
 
-def holds_arrow(a, b, c, k, t, ctx, cap=DEFAULT_EXHAUSTIVE_CAP,
-                sample_trials=DEFAULT_SAMPLE_TRIALS, seed=0):
-    """Decide C -> (B)^A_{k,t}; see the module docstring for the search."""
+def holds_arrow(a, b, c, k, t, ctx, cap=DEFAULT_SEARCH_CAP):
+    """Decide C -> (B)^A_{k,t} with a search of at most `cap` nodes.
+
+    A search (module docstring) that would need more nodes gives
+    "inconclusive", with reason search_nodes_exceed_cap_<cap> and the
+    nodes used in witness_stats.
+    """
     hom_ac, hom_ab, hom_bc, images = composite_images(a, b, c, ctx)
     n = len(hom_ac)
     if n == 0:
@@ -327,35 +339,26 @@ def holds_arrow(a, b, c, k, t, ctx, cap=DEFAULT_EXHAUSTIVE_CAP,
                             reason="empty_hom_B_C")
     if t >= k:
         return ArrowVerdict("holds", reason="t_not_below_k")
-    if n <= cap:
-        found = _search_bad_coloring(n, k, t, images)
-        if found is None:
-            return ArrowVerdict("holds", reason="exhausted_with_pruning",
-                                witness_stats={"hom_AC": n,
-                                               "hom_BC": len(hom_bc),
-                                               "hom_AB": len(hom_ab)})
-        return ArrowVerdict("refuted", bad_coloring=Coloring(found, k),
-                            reason="bad_coloring_found")
-    rng = random.Random(seed)
-    for _ in range(sample_trials):
-        colors = tuple(rng.randrange(k) for _ in range(n))
-        if coloring_is_bad(colors, images, t):
-            return ArrowVerdict("refuted", bad_coloring=Coloring(colors, k),
-                                reason="bad_coloring_sampled")
-    return ArrowVerdict("inconclusive",
-                        reason=f"hom_set_size_{n}_exceeds_cap_{cap}",
-                        witness_stats={"sampled": sample_trials})
+    stats = {"hom_AC": n, "hom_BC": len(hom_bc), "hom_AB": len(hom_ab)}
+    try:
+        found = _search_bad_coloring(n, k, t, images, cap)
+    except _SearchCapReached:
+        return ArrowVerdict("inconclusive",
+                            reason=f"search_nodes_exceed_cap_{cap}",
+                            witness_stats=dict(stats, nodes=cap))
+    if found is None:
+        return ArrowVerdict("holds", reason="exhausted_with_pruning",
+                            witness_stats=stats)
+    return ArrowVerdict("refuted", bad_coloring=Coloring(found, k),
+                        reason="bad_coloring_found")
 
 
-def find_witness(a, b, k, t, ctx, candidates, cap=DEFAULT_EXHAUSTIVE_CAP):
+def find_witness(a, b, k, t, ctx, candidates, cap=DEFAULT_SEARCH_CAP):
     """First candidate C with a holding arrow, else (None, bound)."""
     bound = 0
     for c in candidates:
         bound += 1
-        try:
-            verdict = holds_arrow(a, b, c, k, t, ctx, cap=cap)
-        except SizeOverflow:
-            break
+        verdict = holds_arrow(a, b, c, k, t, ctx, cap=cap)
         if verdict.status == "holds":
             return c, verdict
     return None, bound
@@ -379,8 +382,7 @@ SMALL_BUDGET = ProbeBudget()
 TINY_BUDGET = ProbeBudget(2, 3, 2)
 
 
-def probe_small_degree(a, ctx, budget=SMALL_BUDGET,
-                       cap=DEFAULT_EXHAUSTIVE_CAP):
+def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     """Bracket the small Ramsey degree of `a` inside a finite budget.
 
     lower: t is bumped past any value defeated within the budget, where

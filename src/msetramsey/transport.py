@@ -15,7 +15,8 @@ from .chains import Chain, ChainEmbedding, omega
 from .comonad import MonoidActionFunctor
 from .errors import InputError, NoChainWitnessInBudget, SizeOverflow
 from .mset import MSetMorphism, OrderedMSet, cofree_mset, validate_morphism
-from .ramsey import ChainContext, MSetContext, find_witness, holds_arrow
+from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
+                     find_witness, holds_arrow)
 
 DEFAULT_LIFT_CAP = 10 ** 5
 
@@ -164,12 +165,13 @@ class TransportedWitness:
 
 
 def transport_witness(u_star, v_star, k, chain_witness_budget=8,
-                      certify_cap=20, lift_cap=DEFAULT_LIFT_CAP):
+                      certify_cap=DEFAULT_SEARCH_CAP,
+                      lift_cap=DEFAULT_LIFT_CAP):
     """Find a chain witness W for the underlying chains, lift it, certify.
 
     Searches W with W -> (chain(V))^(chain(U))_k among n-chains, builds
-    hat_E(W), and certifies hat_E(W) -> (V)^U_k by exhausting colorings
-    when hom(U, hat_E(W)) is small enough.
+    hat_E(W), and certifies hat_E(W) -> (V)^U_k with one arrow search of
+    at most `certify_cap` nodes.
     """
     fu, fv = len(u_star.carrier_chain()), len(v_star.carrier_chain())
     chain_ctx = ChainContext()

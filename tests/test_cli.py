@@ -131,6 +131,8 @@ def test_out_of_range_parameters_exit_1(capsys, files, argv, name):
 @pytest.mark.parametrize("argv", [
     ["validate", "--chain", "chain3", "--threads", "2"],
     ["arrow-check", "--A", "chain2", "--B", "chain3", "-k", "2"],
+    ["arrow-check", "--A", "chain2", "--B", "chain3", "--C", "chain5",
+     "-k", "2", "--seed", "3"],
 ])
 def test_usage_errors_exit_1(capsys, files, argv):
     code, report, err = run(capsys, [files.get(arg, arg) for arg in argv])
@@ -202,7 +204,7 @@ def test_transport_inconclusive_reason_names_certify_cap(capsys, files):
     assert code == 0
     assert report["verdicts"]["certified"] == "inconclusive"
     assert report["verdicts"]["verdict"]["reason"] == \
-        "hom_set_size_5_exceeds_cap_2"
+        "search_nodes_exceed_cap_2"
 
 
 def test_bigramsey_trials(capsys, files):
@@ -269,6 +271,21 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
     pytest.param("forest --decode", {"carrier": ["x"], "structure": [5]},
                  "the structure is a JSON array of root paths",
                  id="decode-structure-not-paths"),
+    pytest.param("validate --forest", {"carrier": 5, "parent": {}},
+                 "input.json: field 'carrier' is not a JSON array",
+                 id="carrier-not-array"),
+    pytest.param("forest --decode", {"carrier": 5, "structure": []},
+                 "input.json: the carrier is a JSON array",
+                 id="decode-carrier-not-array"),
+    pytest.param("validate --mset",
+                 {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                  "carrier": 5, "action": [[0]]},
+                 "input.json: field 'carrier' is not a JSON array",
+                 id="mset-carrier-not-array"),
+    pytest.param("validate --unary",
+                 {"alphabet": 5, "generator_actions": {"f": [0]}},
+                 "input.json: field 'alphabet' is not a JSON array",
+                 id="unary-alphabet-not-array"),
 ])
 def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
                                        message):
@@ -302,7 +319,9 @@ def test_degree_bound(capsys, files):
     [[0, 1]],
     [{"order": 0, "degree": 1}],
     [{"order": [0, 1], "degree": "x"}, {"order": [1, 0], "degree": 1}],
-], ids=["no-degree", "not-an-object", "order-not-array", "degree-not-int"])
+    [{"order": [[0], 1], "degree": 1}],
+], ids=["no-degree", "not-an-object", "order-not-array", "degree-not-int",
+        "order-not-ints"])
 def test_degree_bound_malformed_entry_exits_1(capsys, files, entries):
     path = files["tmp"] / "bad_degrees.json"
     path.write_text(json.dumps(entries))
@@ -310,7 +329,7 @@ def test_degree_bound_malformed_entry_exits_1(capsys, files, entries):
         "degree-bound", "--A", files["pair_unordered"],
         "--ordered-degrees", str(path)])
     assert code == 1 and report is None
-    assert "is not an" in err
+    assert "bad_degrees.json" in err and "is not an" in err
 
 
 def test_forest_encode_decode_roundtrip(capsys, files):

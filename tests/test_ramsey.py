@@ -246,15 +246,44 @@ def test_vacuous_cases_and_priority():
     assert v.status == "holds" and v.reason == "t_not_below_k"
 
 
-def test_sampling_path_is_deterministic_and_marked():
+def test_search_cap_zero_is_inconclusive():
     ctx = ChainContext()
-    v1 = holds_arrow(omega(1), omega(2), omega(2), 2, 1, ctx, cap=0, seed=5)
-    v2 = holds_arrow(omega(1), omega(2), omega(2), 2, 1, ctx, cap=0, seed=5)
-    assert v1.status == v2.status == "refuted"
-    assert v1.bad_coloring.colors == v2.bad_coloring.colors
-    v3 = holds_arrow(omega(1), omega(2), omega(3), 2, 1, ctx, cap=0,
-                     sample_trials=10)
-    assert v3.status == "inconclusive"
+    for c, hom_bc in ((omega(2), 1), (omega(3), 3)):
+        v = holds_arrow(omega(1), omega(2), c, 2, 1, ctx, cap=0)
+        assert v.status == "inconclusive" and v.bad_coloring is None
+        assert v.reason == "search_nodes_exceed_cap_0"
+        assert v.witness_stats == {"hom_AC": len(c), "hom_BC": hom_bc,
+                                   "hom_AB": 2, "nodes": 0}
+
+
+def test_search_cap_pins_nine_to_four():
+    # 9 -> (4)^2_2 is refuted (R(4,4) = 18) after exactly 39 nodes
+    ctx = ChainContext()
+    v = holds_arrow(omega(2), omega(4), omega(9), 2, 1, ctx, cap=38)
+    assert v.status == "inconclusive"
+    assert v.reason == "search_nodes_exceed_cap_38"
+    assert v.witness_stats["nodes"] == 38
+    v = holds_arrow(omega(2), omega(4), omega(9), 2, 1, ctx, cap=39)
+    assert v.status == "refuted" and v.reason == "bad_coloring_found"
+
+
+@pytest.mark.parametrize("sizes,k", [
+    ((2, 4, 9), 2), ((2, 3, 6), 2), ((2, 3, 5), 2), ((3, 4, 8), 2),
+    ((1, 3, 7), 3)])
+def test_search_cap_counts_branching_assignments(sizes, k):
+    # a node is one call of `assign`; a search of exactly `cap` nodes
+    # finishes, one node fewer runs out
+    a, b, c = (omega(n) for n in sizes)
+    ctx = ChainContext()
+    hom_ac, _, _, images = composite_images(a, b, c, ctx)
+    n = len(hom_ac)
+    found, nodes = _search_with_branch_count(n, k, 1, images)
+    assert _search_bad_coloring(n, k, 1, images, cap=nodes) == found
+    v = holds_arrow(a, b, c, k, 1, ctx, cap=nodes)
+    assert v.status == ("holds" if found is None else "refuted")
+    v = holds_arrow(a, b, c, k, 1, ctx, cap=nodes - 1)
+    assert v.status == "inconclusive"
+    assert v.witness_stats["nodes"] == nodes - 1
 
 
 def test_find_witness_first_success():
