@@ -65,6 +65,30 @@ class ReductionRecord:
     f_star: ChainEmbedding
 
 
+def _reduction_key(f_map, order, functions, e):
+    """The key (ell, f*.map) of an embedding into a lex lift, from raw tables.
+
+    `order` lists the source carrier in increasing order, `functions`
+    reads a lift element as its function on the monoid and `e` is the
+    identity. Equal epsilon-values are consecutive, so the rho-block
+    representatives are the ranks where the value changes; ell sets bit
+    i - 1 for each representative i > 0 (subchains_containing_min's
+    index) and the image lists the block values.
+    """
+    eps = [functions[f_map[a]][e] for a in order]
+    if any(eps[i] > eps[i + 1] for i in range(len(eps) - 1)):
+        raise NotAnEmbedding(
+            f"epsilon-values are not monotone along the order: {eps}")
+    if len(set(f_map)) != len(f_map):
+        raise NotAnEmbedding("map is not injective")
+    ell, image = 0, eps[:1]
+    for i in range(1, len(eps)):
+        if eps[i] != eps[i - 1]:
+            ell |= 1 << (i - 1)
+            image.append(eps[i])
+    return ell, tuple(image)
+
+
 def pi_star(f, lift):
     """Reduce an embedding f : A -> hat_E(base) to its chain shadow f*.
 
@@ -76,30 +100,15 @@ def pi_star(f, lift):
     """
     a_star = f.source
     s = a_star.size
-    e = lift.monoid.identity
-    hs = [lift.functions[f.map[a]] for a in a_star.order]
-    eps = [h[e] for h in hs]
-    if any(eps[i] > eps[i + 1] for i in range(s - 1)):
-        raise NotAnEmbedding(
-            f"epsilon-values are not monotone along the order: {eps}")
-    if len(set(f.map)) != len(f.map):
-        raise NotAnEmbedding("map is not injective")
-
-    blocks = []
-    for i in range(s):
-        if blocks and eps[i] == eps[blocks[-1][0]]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    reps = [b[0] for b in blocks]
+    ell, image = _reduction_key(f.map, a_star.order, lift.functions,
+                                lift.monoid.identity)
+    reps = [i for i in range(s) if i == 0 or ell >> (i - 1) & 1]
+    blocks = tuple(tuple(range(r, stop))
+                   for r, stop in zip(reps, reps[1:] + [s]))
     labels = a_star.carrier_chain().labels
     subchain = Chain(tuple(labels[i] for i in reps))
-    # the subset bitmask over ranks 1..s-1: subchains_containing_min's index
-    ell = sum(1 << (i - 1) for i in reps[1:])
-    f_star = ChainEmbedding(subchain, lift.base,
-                            tuple(eps[i] for i in reps))
-    return ReductionRecord(f, tuple(tuple(b) for b in blocks), ell,
-                           subchain, f_star)
+    f_star = ChainEmbedding(subchain, lift.base, image)
+    return ReductionRecord(f, blocks, ell, subchain, f_star)
 
 
 def equivariance_of_pi(u, a_star, lift_src, lift_dst, r=None):
@@ -124,9 +133,18 @@ def equivariance_of_pi(u, a_star, lift_src, lift_dst, r=None):
 def _max_mono_subset(points, arity, color_of):
     """Largest T within `points` whose arity-subsets share one color.
 
-    Deterministic: colors are tried in increasing order and only strict
-    size improvements replace the incumbent. Vacuous when there are
-    fewer than `arity` points.
+    The rule that picks among the candidates: the largest size first,
+    then the least color, then the lex-least sorted set. Vacuous when
+    there are fewer than `arity` points.
+
+    For arity >= 2 this is a branch and bound over candidate bitsets, as
+    in max-clique solvers (Carraghan & Pardalos 1990; San Segundo et al.
+    2011), with only the size bound. Bit y of masks[P] is set when
+    color(P + (y,)) == c, for each (arity-1)-subset P of point positions
+    and y > P[-1]. The search branches on the least candidate, including
+    it before excluding it, so the first set of the largest size it
+    meets is the lex-least; it tries the colors in increasing order and
+    only strict size improvements replace the incumbent.
     """
     points = sorted(points)
     if len(points) < arity:
@@ -138,28 +156,34 @@ def _max_mono_subset(points, arity, color_of):
         best_color = max(classes, key=lambda c: (len(classes[c]), -c))
         return classes[best_color]
 
-    table = {sub: color_of(sub) for sub in combinations(points, arity)}
-    colors = sorted(set(table.values()))
-    best = []
-
-    def grow(c, chosen, rest):
-        nonlocal best
-        if len(chosen) + len(rest) <= len(best):
-            return
-        if not rest:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        x, rest = rest[0], rest[1:]
-        if len(chosen) < arity - 1 or all(
-                table[sub + (x,)] == c
-                for sub in combinations(chosen, arity - 1)):
-            grow(c, chosen + (x,), rest)
-        grow(c, chosen, rest)
-
-    for c in colors:
-        grow(c, (), tuple(points))
-    return best
+    n = len(points)
+    masks = {}   # color -> {(arity-1)-subset of positions: bitmask}
+    for pos, sub in zip(combinations(range(n), arity),
+                        combinations(points, arity)):
+        by_prefix = masks.setdefault(color_of(sub), {})
+        prefix = pos[:-1]
+        by_prefix[prefix] = by_prefix.get(prefix, 0) | 1 << pos[-1]
+    best = ()
+    for c in sorted(masks):
+        mask_of = masks[c]
+        stack = [((), (1 << n) - 1)]
+        while stack:
+            chosen, cand = stack.pop()
+            if len(chosen) + cand.bit_count() <= len(best):
+                continue
+            if not cand:
+                best = chosen
+                continue
+            low = cand & -cand
+            x = low.bit_length() - 1
+            rest = cand ^ low
+            stack.append((chosen, rest))
+            for sub in combinations(chosen, arity - 2):
+                rest &= mask_of.get(sub + (x,), 0)
+                if not rest:
+                    break
+            stack.append((chosen + (x,), rest))
+    return [points[i] for i in best]
 
 
 @dataclass
@@ -200,12 +224,13 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     if any(not (0 <= c < k) for c in colors):
         raise InputError("coloring value out of range")
 
-    subs = subchains_containing_min(a_star.carrier_chain())
-    n = len(subs)
+    if not s:
+        raise InputError("the empty chain has no least element")
+    n = 1 << (s - 1)   # subchains containing the least element
+    order, functions, e = a_star.order, lift.functions, m.identity
     gamma = {}
     for f, c in zip(r, colors):
-        rec = pi_star(f, lift)
-        key = (rec.ell, rec.f_star.map)
+        key = _reduction_key(f.map, order, functions, e)
         if key in gamma:
             raise InputError(f"reduction is not injective at {key}")
         gamma[key] = c
@@ -215,7 +240,7 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     tower = [big_n]
     step_colors = []
     for i in range(n - 1, -1, -1):
-        arity = len(subs[i])
+        arity = i.bit_count() + 1   # subchain i in subchains_containing_min
 
         def color_of(subset, i=i):
             return gamma.get((i, tuple(outer[x] for x in subset)), 0)

@@ -49,11 +49,25 @@ def _require(data, field, where, array=False):
     return data[field]
 
 
+def _int_rows(rows):
+    return all(isinstance(row, list) and all(isinstance(x, int) for x in row)
+               for row in rows)
+
+
+def _require_table(data, field, where):
+    """A field that holds a JSON array of arrays of ints."""
+    table = _require(data, field, where, array=True)
+    if not _int_rows(table):
+        raise InputError(
+            f"{where}: field {field!r} is not a JSON array of int arrays")
+    return table
+
+
 def monoid_from_json(data, where="monoid"):
     if isinstance(data, str):
         return monoid_from_json(load_json(data), where=data)
     size = _require(data, "size", where)
-    table = _require(data, "table", where)
+    table = _require_table(data, "table", where)
     identity = _require(data, "identity", where)
     return validate_monoid(size, table, identity, data.get("well_order"))
 
@@ -68,7 +82,7 @@ def mset_from_json(data, where="mset", base_dir="."):
         monoid = os.path.join(base_dir, monoid)
     monoid = monoid_from_json(monoid, where=f"{where}.monoid")
     carrier = tuple(_require(data, "carrier", where, array=True))
-    action = _require(data, "action", where)
+    action = _require_table(data, "action", where)
     return validate_mset(monoid, carrier, action, data.get("order"))
 
 
@@ -79,8 +93,11 @@ def load_mset(path):
 
 def unary_algebra_from_json(data, where="unary algebra"):
     alphabet = tuple(_require(data, "alphabet", where, array=True))
-    actions = {s: tuple(row) for s, row in
-               _require(data, "generator_actions", where).items()}
+    rows = _require(data, "generator_actions", where)
+    if not isinstance(rows, dict) or not _int_rows(rows.values()):
+        raise InputError(f"{where}: field 'generator_actions' is not a "
+                         "JSON object of int arrays")
+    actions = {s: tuple(row) for s, row in rows.items()}
     if not actions:
         raise InputError(f"{where}: no generator actions")
     carrier = data.get("carrier")

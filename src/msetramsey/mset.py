@@ -185,7 +185,8 @@ def enumerate_embeddings(a, b):
     Sending x to y forces exactly m.x -> m.y for m in M, since the orbit
     of m.x lies inside the orbit of x; one pass over M places it. The
     least unmapped element is branched on with ascending targets, so the
-    maps come out in lexicographic order.
+    maps come out in lexicographic order. When ordered, only the targets
+    between the images of its nearest assigned neighbours are tried.
     """
     ordered = isinstance(a, OrderedMSet)
     if ordered != isinstance(b, OrderedMSet):
@@ -226,7 +227,21 @@ def enumerate_embeddings(a, b):
         if x == n:
             results.append(MSetMorphism(a, b, tuple(assign), kind))
             return
-        for y in range(bb.size):
+        targets = range(bb.size)
+        if ordered:
+            # x's image lies strictly between those of its nearest
+            # assigned neighbours in source order
+            lo, hi = -1, bb.size
+            for z in range(n):
+                if assign[z] != -1:
+                    t = tpos[assign[z]]
+                    if spos[z] < spos[x]:
+                        lo = max(lo, t)
+                    else:
+                        hi = min(hi, t)
+            if hi - lo - 1 < bb.size:
+                targets = sorted(b.order[lo + 1:hi])
+        for y in targets:
             trail = []
             if place(x, y, trail):
                 extend(x + 1)

@@ -1,19 +1,27 @@
 """The reduction f -> f* and the truncated big-Ramsey experiment."""
 
+import json
 import random
+from itertools import combinations, permutations
 
 import pytest
 
-from msetramsey.bigramsey import (_max_mono_subset, big_ramsey_reduce,
-                                  equivariance_of_pi, pi_star,
-                                  random_coloring, subchains_containing_min,
+from msetramsey.bigramsey import (_max_mono_subset, _reduction_key,
+                                  big_ramsey_reduce, equivariance_of_pi,
+                                  pi_star, random_coloring,
+                                  subchains_containing_min,
                                   unordered_degree_bound)
 from msetramsey.chains import Chain, ChainEmbedding, omega
+from msetramsey.cli import main
 from msetramsey.errors import (InputError, MissingOrdering, NotAnEmbedding,
                                SizeOverflow, TruncationTooSmall)
 from msetramsey.expansion import fibers, order_key
-from msetramsey.monoid import trivial_monoid, z2
-from msetramsey.mset import MSetMorphism, enumerate_embeddings, validate_mset
+from msetramsey.monoid import (chain_semilattice, cyclic_group,
+                               left_zero_monoid, trivial_monoid,
+                               truncated_powers, z2)
+from msetramsey.mset import (MSet, MSetMorphism, OrderedMSet,
+                             enumerate_embeddings, validate_mset)
+from msetramsey.ramsey import _all_actions
 from msetramsey.transport import hat_E
 
 
@@ -76,6 +84,60 @@ def test_pi_star_rejects_nonmonotone_and_noninjective():
                      (lift.index[(1, 2)], lift.index[(1, 2)]), "morphism")
     with pytest.raises(NotAnEmbedding):
         pi_star(g, lift)
+
+
+def _shadow(f, lift):
+    """Oracle for the reduction: rho blocks grown one rank at a time."""
+    a = f.source
+    e = lift.monoid.identity
+    eps = [lift.functions[f.map[x]][e] for x in a.order]
+    blocks = []
+    for i, v in enumerate(eps):
+        if blocks and v == eps[blocks[-1][0]]:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    ell = sum(1 << (b[0] - 1) for b in blocks[1:])
+    return (tuple(tuple(b) for b in blocks), ell,
+            tuple(eps[b[0]] for b in blocks))
+
+
+def _small_ordered_msets(monoid, max_size):
+    for n in range(1, max_size + 1):
+        for action in _all_actions(monoid, n):
+            ms = MSet(monoid, tuple(range(n)), tuple(map(tuple, action)))
+            for order in permutations(range(n)):
+                yield OrderedMSet(ms, order)
+
+
+def test_reduction_key_matches_pi_star_on_small_lifts():
+    checked = 0
+    for m in (z2(), cyclic_group(3), chain_semilattice(2),
+              left_zero_monoid(2), truncated_powers(2)):
+        lifts = [hat_E(omega(n), m) for n in range(1, 5)]
+        for a in _small_ordered_msets(m, 3):
+            for lift in lifts:
+                for f in enumerate_embeddings(a, lift.lifted):
+                    key = _reduction_key(f.map, a.order, lift.functions,
+                                         m.identity)
+                    rec = pi_star(f, lift)
+                    blocks, ell, image = _shadow(f, lift)
+                    assert key == (rec.ell, rec.f_star.map) == (ell, image)
+                    assert rec.rho_blocks == blocks
+                    assert rec.subchain.labels == tuple(
+                        a.carrier[a.order[b[0]]] for b in blocks)
+                    checked += 1
+    assert checked > 2000
+
+
+def test_reduction_key_rejects_nonmonotone_and_noninjective():
+    a = _swap_pair()
+    lift = hat_E(omega(6), z2())
+    args = (a.order, lift.functions, z2().identity)
+    with pytest.raises(NotAnEmbedding, match="not monotone"):
+        _reduction_key((lift.index[(4, 0)], lift.index[(1, 2)]), *args)
+    with pytest.raises(NotAnEmbedding, match="not injective"):
+        _reduction_key((lift.index[(1, 2)], lift.index[(1, 2)]), *args)
 
 
 def test_pi_star_epsilon_values_are_monotone_on_every_embedding():
@@ -141,6 +203,85 @@ def test_max_mono_subset_vacuous_below_arity():
     assert _max_mono_subset([3], 2, lambda s: 0) == [3]
 
 
+def _recursive_max_mono_subset(points, arity, color_of):
+    """The depth-first search the bitset search replaced, kept as a judge."""
+    points = sorted(points)
+    if len(points) < arity:
+        return points
+    if arity == 1:
+        classes = {}
+        for x in points:
+            classes.setdefault(color_of((x,)), []).append(x)
+        best_color = max(classes, key=lambda c: (len(classes[c]), -c))
+        return classes[best_color]
+
+    table = {sub: color_of(sub) for sub in combinations(points, arity)}
+    colors = sorted(set(table.values()))
+    best = []
+
+    def grow(c, chosen, rest):
+        nonlocal best
+        if len(chosen) + len(rest) <= len(best):
+            return
+        if not rest:
+            if len(chosen) > len(best):
+                best = list(chosen)
+            return
+        x, rest = rest[0], rest[1:]
+        if len(chosen) < arity - 1 or all(
+                table[sub + (x,)] == c
+                for sub in combinations(chosen, arity - 1)):
+            grow(c, chosen + (x,), rest)
+        grow(c, chosen, rest)
+
+    for c in colors:
+        grow(c, (), tuple(points))
+    return best
+
+
+def _bruteforce_max_mono_subset(points, arity, color_of):
+    """Oracle: the rule itself, applied to every subset of the points."""
+    points = sorted(points)
+    if len(points) < arity:
+        return points
+    keys = []
+    for size in range(arity, len(points) + 1):
+        for t in combinations(points, size):
+            colors = {color_of(sub) for sub in combinations(t, arity)}
+            if len(colors) == 1:
+                keys.append((-size, colors.pop(), t))
+    return list(min(keys)[2])
+
+
+def _random_instances(seed, count, max_points):
+    """Seeded (points, arity, table): dense colourings spread the colours
+    evenly, sparse ones give colour 0 to about nine subsets in ten."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        points = rng.sample(range(3 * max_points), rng.randint(0, max_points))
+        arity, k = rng.randint(1, 4), rng.randint(1, 3)
+        dense = rng.random() < 0.5
+        table = {sub: rng.randrange(k) if dense or rng.random() < 0.1 else 0
+                 for sub in combinations(sorted(points), arity)}
+        yield points, arity, table
+
+
+def test_max_mono_subset_matches_recursive_search():
+    for points, arity, table in _random_instances(1, 1600, 14):
+        assert _max_mono_subset(points, arity, table.__getitem__) == \
+            _recursive_max_mono_subset(points, arity, table.__getitem__)
+
+
+def test_max_mono_subset_matches_bruteforce_rule():
+    for points, arity, table in _random_instances(2, 400, 8):
+        assert _max_mono_subset(points, arity, table.__getitem__) == \
+            _bruteforce_max_mono_subset(points, arity, table.__getitem__)
+
+
+def test_max_mono_subset_beyond_recursion_depth():
+    assert _max_mono_subset(range(1100), 2, lambda s: 0) == list(range(1100))
+
+
 def test_big_ramsey_reduce_single_point():
     a = validate_mset(trivial_monoid(), ("a1",), [[0]], order=("a1",))
     lift = hat_E(omega(4), trivial_monoid())
@@ -179,6 +320,12 @@ def test_big_ramsey_reduce_validates_coloring():
     n = len(enumerate_embeddings(a, lift.lifted))
     with pytest.raises(InputError):
         big_ramsey_reduce(a, (9,) * n, 2, 4)  # color out of range
+
+
+def test_big_ramsey_reduce_rejects_empty_source():
+    a = validate_mset(trivial_monoid(), (), [[]], order=())
+    with pytest.raises(InputError, match="no least element"):
+        big_ramsey_reduce(a, (0,), 2, 4)
 
 
 def test_big_ramsey_reduce_r_cap():
@@ -221,3 +368,94 @@ def test_unordered_degree_bound():
 def test_random_coloring_deterministic():
     assert random_coloring(10, 3, 7) == random_coloring(10, 3, 7)
     assert all(0 <= c < 3 for c in random_coloring(10, 3, 7))
+
+
+# The six configurations of the benchmark's bigramsey workload at smaller
+# N: (monoid table, action, order, N). Each runs `bigramsey --k 2
+# --trials 3 --seed 11` on its carrier as given and reversed.
+GOLDEN_CONFIGS = {
+    "trivial-2-chain": ([[0]], [[0, 1]], [0, 1], 20),
+    "trivial-3-chain": ([[0]], [[0, 1, 2]], [0, 1, 2], 14),
+    "trivial-4-chain": ([[0]], [[0, 1, 2, 3]], [0, 1, 2, 3], 11),
+    "z2-swap-pair": ([[0, 1], [1, 0]], [[0, 1], [1, 0]], [0, 1], 16),
+    "z2-swap-pair+fixed": ([[0, 1], [1, 0]], [[0, 1, 2], [1, 0, 2]],
+                           [0, 2, 1], 11),
+    "semilattice2-pair": ([[0, 1], [1, 1]], [[0, 1], [1, 1]], [0, 1], 20),
+}
+# Recorded before the bitset search, the reduction key and the target
+# intervals replaced the old code: per listing, per trial,
+# [u, tower, step_colors, colors_used, R_size].
+GOLDEN_TRIALS = {
+    "trivial-2-chain": [
+        [[[0, 4, 5, 13, 16, 19], [20, 6, 6], [0, 0], 1, 190],
+         [[1, 6, 8, 10, 13, 17], [20, 6, 6], [0, 0], 1, 190],
+         [[1, 2, 8, 12, 15, 19], [20, 6, 6], [0, 1], 1, 190]],
+        [[[2, 5, 9, 12, 16, 17], [20, 6, 6], [0, 0], 1, 190],
+         [[2, 3, 6, 7, 11, 14], [20, 6, 6], [0, 0], 1, 190],
+         [[0, 3, 7, 13, 19], [20, 5, 5], [0, 0], 1, 190]]],
+    "trivial-3-chain": [
+        [[[0, 2, 3, 7, 8], [14, 5, 5, 5, 5], [0, 0, 0, 0], 1, 364],
+         [[3, 8, 9, 11, 13], [14, 5, 5, 5, 5], [0, 0, 0, 1], 1, 364],
+         [[0, 1, 7, 10, 13], [14, 5, 5, 5, 5], [0, 0, 0, 0], 1, 364]],
+        [[[0, 3, 4, 7, 13], [14, 5, 5, 5, 5], [0, 0, 0, 0], 1, 364],
+         [[0, 1, 2, 12, 13], [14, 5, 5, 5, 5], [0, 0, 0, 1], 1, 364],
+         [[1, 5, 8, 10, 13], [14, 5, 5, 5, 5], [0, 0, 0, 0], 1, 364]]],
+    "trivial-4-chain": [
+        [[[0, 1, 3, 6, 7], [11, 5, 5, 5, 5, 5, 5, 5, 5],
+          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330],
+         [[0, 1, 4, 5, 9], [11, 5, 5, 5, 5, 5, 5, 5, 5],
+          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330],
+         [[0, 1, 2, 5, 9], [11, 5, 5, 5, 5, 5, 5, 5, 5],
+          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330]],
+        [[[0, 1, 2, 7, 8], [11, 5, 5, 5, 5, 5, 5, 5, 5],
+          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330],
+         [[0, 1, 2, 5, 6], [11, 5, 5, 5, 5, 5, 5, 5, 5],
+          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330],
+         [[0, 1, 3, 4, 8], [11, 5, 5, 5, 5, 5, 5, 5, 5],
+          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330]]],
+    "z2-swap-pair": [
+        [[[0, 5, 7, 8, 12], [16, 5, 5], [0, 0], 1, 120],
+         [[2, 8, 9, 10, 11], [16, 5, 5], [0, 0], 1, 120],
+         [[0, 7, 8, 10, 14], [16, 5, 5], [0, 0], 1, 120]],
+        [[[3, 11, 12, 13, 14], [16, 5, 5], [0, 0], 1, 120],
+         [[2, 3, 6, 7, 11, 14], [16, 6, 6], [0, 0], 1, 120],
+         [[0, 5, 8, 9, 14], [16, 5, 5], [0, 1], 1, 120]]],
+    "z2-swap-pair+fixed": [
+        [[[0, 2, 6, 7, 8], [11, 5, 5, 5, 5], [0, 0, 0, 0], 1, 165],
+         [[0, 1, 4, 7], [11, 4, 4, 4, 4], [0, 0, 0, 0], 1, 165],
+         [[1, 2, 5, 6, 10], [11, 5, 5, 5, 5], [0, 0, 0, 0], 1, 165]],
+        [[[1, 3, 7, 8, 9], [11, 5, 5, 5, 5], [0, 0, 0, 0], 1, 165],
+         [[1, 2, 3, 4, 10], [11, 5, 5, 5, 5], [0, 0, 0, 0], 1, 165],
+         [[0, 1, 4, 6], [11, 4, 4, 4, 4], [0, 0, 0, 0], 1, 165]]],
+    "semilattice2-pair": [
+        [[[0, 4, 5, 13, 16, 19], [20, 6, 6], [0, 0], 1, 190],
+         [[1, 6, 8, 10, 13, 17], [20, 6, 6], [0, 0], 1, 190],
+         [[1, 2, 8, 12, 15, 19], [20, 6, 6], [0, 1], 1, 190]],
+        [[[2, 5, 9, 12, 16, 17], [20, 6, 6], [0, 0], 1, 190],
+         [[2, 3, 6, 7, 11, 14], [20, 6, 6], [0, 0], 1, 190],
+         [[0, 3, 7, 13, 19], [20, 5, 5], [0, 0], 1, 190]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_bigramsey_golden_reports(capsys, tmp_path, name):
+    table, action, order, big_n = GOLDEN_CONFIGS[name]
+    n = len(order)
+    got = []
+    for new in (list(range(n)), list(range(n))[::-1]):
+        labels = [f"x{i}" for i in range(n)]
+        moved = [[0] * n for _ in action]
+        for m, row in enumerate(action):
+            for i, x in enumerate(row):
+                moved[m][new[i]] = new[x]
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({
+            "monoid": {"size": len(table), "identity": 0, "table": table},
+            "carrier": labels, "action": moved,
+            "order": [labels[new[i]] for i in order]}))
+        assert main(["bigramsey", "--A", str(path), "--N", str(big_n),
+                     "--k", "2", "--trials", "3", "--seed", "11"]) == 0
+        trials = json.loads(capsys.readouterr().out)["verdicts"]["trials"]
+        got.append([[t["u"], t["tower"], t["step_colors"], t["colors_used"],
+                     t["R_size"]] for t in trials])
+    assert got == GOLDEN_TRIALS[name]

@@ -286,6 +286,36 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
                  {"alphabet": 5, "generator_actions": {"f": [0]}},
                  "input.json: field 'alphabet' is not a JSON array",
                  id="unary-alphabet-not-array"),
+    pytest.param("validate --monoid",
+                 {"size": 1, "identity": 0, "table": 5},
+                 "input.json: field 'table' is not a JSON array",
+                 id="monoid-table-not-array"),
+    pytest.param("validate --monoid",
+                 {"size": 1, "identity": 0, "table": [5]},
+                 "input.json: field 'table' is not a JSON array of int arrays",
+                 id="monoid-table-row-not-array"),
+    pytest.param("validate --mset",
+                 {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                  "carrier": [0], "action": 5},
+                 "input.json: field 'action' is not a JSON array",
+                 id="mset-action-not-array"),
+    pytest.param("validate --mset",
+                 {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                  "carrier": [0], "action": [["a"]]},
+                 "input.json: field 'action' is not a JSON array of int arrays",
+                 id="mset-action-entry-not-int"),
+    pytest.param("validate --unary",
+                 {"alphabet": ["f"], "generator_actions": 5},
+                 "input.json: field 'generator_actions' is not a JSON object",
+                 id="unary-actions-not-object"),
+    pytest.param("validate --unary",
+                 {"alphabet": ["f"], "generator_actions": {"f": 5}},
+                 "input.json: field 'generator_actions' is not a JSON object",
+                 id="unary-action-row-not-array"),
+    pytest.param("validate --unary",
+                 {"alphabet": ["f"], "generator_actions": {"f": [[0]]}},
+                 "input.json: field 'generator_actions' is not a JSON object",
+                 id="unary-action-entry-not-int"),
 ])
 def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
                                        message):

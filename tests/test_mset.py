@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from msetramsey.chains import omega
 from msetramsey.errors import (CompositionFails, IdentityAxiomFails,
                                InputError, MonoidMismatch, UnknownSymbol)
 from msetramsey.monoid import (left_zero_monoid, trivial_monoid,
@@ -13,6 +14,7 @@ from msetramsey.mset import (MSet, OrderedMSet, UnaryAlgebra,
                              enumerate_embeddings, evaluate_word,
                              generated_sub_mset, validate_morphism,
                              validate_mset, with_order)
+from msetramsey.transport import hat_E
 
 
 def swap_pair(ordered=True):
@@ -123,11 +125,14 @@ def _all_small_msets(monoid, max_size, ordered):
     (truncated_powers(2), False), (truncated_powers(2), True)])
 def test_enumerate_embeddings_matches_bruteforce(monoid, ordered):
     objs = _all_small_msets(monoid, 3, ordered)
+    # lex lifts are large enough that the ordered search narrows targets
+    lifts = [hat_E(omega(n), monoid).lifted for n in (2, 3)] if ordered \
+        else []
     checked = 0
     for a in objs:
         if a.size > 2:
             continue
-        for b in objs:
+        for b in objs + lifts:
             got = [e.map for e in enumerate_embeddings(a, b)]
             assert got == _bruteforce_embeddings(a, b)
             assert got == sorted(got)
@@ -161,7 +166,6 @@ def test_unary_algebra_validates_generator_tables():
 
 
 def test_cofree_mset_satisfies_action_axioms():
-    from msetramsey.chains import omega
     for m in (trivial_monoid(), z2(), left_zero_monoid(2)):
         ms = cofree_mset(omega(2), m)
         validate_mset(m, ms.carrier, ms.action)  # must not raise
@@ -169,7 +173,6 @@ def test_cofree_mset_satisfies_action_axioms():
 
 
 def test_cofree_mset_ordered_lex_by_well_order():
-    from msetramsey.chains import omega
     ms = cofree_mset(omega(2), z2(), ordered=True)
     ordered_labels = [ms.carrier[i] for i in ms.order]
     assert ordered_labels == sorted(ordered_labels)
