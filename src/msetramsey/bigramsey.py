@@ -3,11 +3,13 @@
 Every embedding f of an ordered M-set A into hat_E(omega_N) is reduced
 to a chain embedding f* of a subchain of A: equal epsilon-values of the
 component functions are merged (the equivalence rho) and the surviving
-representatives map to those values. Composing with hat_E of a chain
-embedding u found by iterated chain-Ramsey searches then bounds the
-number of colors any coloring of hom(A, hat_E(omega_N)) takes on the
-image hat_E(u) . R by 2^(|A|-1), one color per subchain containing the
-least element.
+representatives map to those values. Since hat_E is cofree, f is fixed
+by g = epsilon . f, so these embeddings are listed directly: the tie
+patterns of g that A realizes, each times the chain embeddings of its
+blocks. Composing with hat_E of a chain embedding u found by iterated
+chain-Ramsey searches then bounds the number of colors any coloring of
+hom(A, hat_E(omega_N)) takes on the image hat_E(u) . R by 2^(|A|-1), one
+color per subchain containing the least element.
 
 The infinitary pigeonhole steps are replaced by finite searches for a
 maximum subset of the current truncation all of whose small subsets are
@@ -18,7 +20,8 @@ monochromatic; each run certifies its own instance and fails loudly
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add
 
 from .chains import Chain, ChainEmbedding, omega
 from .errors import (InputError, NotAnEmbedding, SizeOverflow,
@@ -87,6 +90,82 @@ def _reduction_key(f_map, order, functions, e):
             ell |= 1 << (i - 1)
             image.append(eps[i])
     return ell, tuple(image)
+
+
+def _realizable_patterns(a_star):
+    """The tie patterns of the embeddings of A into lex lifts of chains.
+
+    Yields (ell, blk) for a nonempty A: ell marks rank i > 0 as the start
+    of a new rho-block by bit i - 1, as in _reduction_key, and blk[a] is
+    the block index of carrier element a. The identity leads the
+    well-order, so an embedding f has g = epsilon . f nondecreasing
+    along A's order, with g = image[blk] for a strictly increasing
+    image. Two ranks in one block then compare by their blk-tuples
+    (blk[w.a] for w in the well-order), so whether ell is realized
+    depends on A alone.
+    """
+    order, act = a_star.order, a_star.base.action
+    well_order = a_star.monoid.well_order
+    for ell in range(1 << a_star.size >> 1):
+        blk = [0] * a_star.size
+        b = 0
+        for i, a in enumerate(order):
+            if i and ell >> (i - 1) & 1:
+                b += 1
+            blk[a] = b
+        if all(blk[x] != blk[y] or [blk[act[w][x]] for w in well_order]
+               < [blk[act[w][y]] for w in well_order]
+               for x, y in zip(order, order[1:])):
+            yield ell, blk
+
+
+def lift_hom_size(a_star, big_n, r_cap=DEFAULT_R_CAP):
+    """|hom(A, hat_E(omega_N))| in closed form, checked against r_cap.
+
+    The sum over realizable patterns ell of C(N, blocks(ell)), and 1
+    (the empty map) for an empty A; SizeOverflow above r_cap.
+    """
+    size = 1
+    if a_star.size:
+        size = sum(math.comb(big_n, ell.bit_count() + 1)
+                   for ell, _ in _realizable_patterns(a_star))
+    if size > r_cap:
+        raise SizeOverflow("hom(A, hat_E(omega_N))", size, r_cap)
+    return size
+
+
+def lift_embeddings(a_star, lift):
+    """hom(A, lift) for the lex lift of a chain, by the cofree property.
+
+    An embedding f is fixed by g = epsilon . f, as f(a) = (g(m.a))_m,
+    and g = image[blk] for a realizable pattern ell and an increasing
+    image in the base (_realizable_patterns). So
+    f(a) = sum_j image[blk[j.a]] * N^(|M|-1-j) in lift.functions order.
+    Returns (map, (ell, image)) pairs in the lex order of the map tables,
+    the order of enumerate_embeddings; (ell, image) is the map's
+    _reduction_key.
+    """
+    n, msize = len(lift.base), lift.monoid.size
+    act = a_star.base.action
+    out = []
+    for ell, blk in _realizable_patterns(a_star):
+        images = list(combinations(range(n), ell.bit_count() + 1))
+        if not images:   # more blocks than points in the base
+            continue
+        values = list(zip(*images))   # values[b][t] = images[t][b]
+        columns = []                  # columns[a][t] = the t-th map at a
+        for a in range(a_star.size):
+            weight = {}               # weight[b]: the coefficient of image[b]
+            for j in range(msize):
+                b = blk[act[j][a]]
+                weight[b] = weight.get(b, 0) + n ** (msize - 1 - j)
+            column = repeat(0, len(images))
+            for b, w in weight.items():
+                column = map(add, column, map(w.__mul__, values[b]))
+            columns.append(column)
+        out.extend(zip(zip(*columns), zip(repeat(ell), images)))
+    out.sort()
+    return out
 
 
 def pi_star(f, lift):
@@ -206,34 +285,39 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     """Find u with at most 2^(s-1) colors on hat_E(u) . hom(A, hat_E(omega_N)).
 
     `chi` is a coloring of R = hom(A, hat_E(omega_N)) in canonical
-    order, either a sequence of colors or a callable on embeddings. The
-    returned colors_used is an independent recount: the copies of A in
-    the final truncation are pushed through hat_E(u), located in R by
-    their raw map tables, and their chi-colors collected directly.
+    (lex map-table) order, either a sequence of colors or a callable on
+    embeddings. R is listed by the cofree property, one increasing image
+    per block count of each realizable tie pattern (lift_embeddings),
+    and each map comes with its reduction key; r_cap is checked against
+    the closed-form size first. The returned colors_used is an
+    independent recount by the generic engine: the copies of A in the
+    final truncation are enumerated by enumerate_embeddings, pushed
+    through hat_E(u), located in R by their raw map tables, and their
+    chi-colors collected directly.
     """
     m = a_star.monoid
     s = a_star.size
+    lift_hom_size(a_star, big_n, r_cap)
+    if not s:
+        raise InputError("the empty chain has no least element")
     lift = hat_E(omega(big_n), m)
-    r = enumerate_embeddings(a_star, lift.lifted)
-    if len(r) > r_cap:
-        raise SizeOverflow("hom(A, hat_E(omega_N))", len(r), r_cap)
-    colors = tuple(chi(f) for f in r) if callable(chi) else tuple(chi)
+    r = lift_embeddings(a_star, lift)
+    if callable(chi):
+        colors = tuple(
+            chi(MSetMorphism(a_star, lift.lifted, f_map, "order-embedding"))
+            for f_map, _ in r)
+    else:
+        colors = tuple(chi)
     if len(colors) != len(r):
         raise InputError(
             f"coloring has {len(colors)} entries for {len(r)} embeddings")
     if any(not (0 <= c < k) for c in colors):
         raise InputError("coloring value out of range")
 
-    if not s:
-        raise InputError("the empty chain has no least element")
     n = 1 << (s - 1)   # subchains containing the least element
-    order, functions, e = a_star.order, lift.functions, m.identity
-    gamma = {}
-    for f, c in zip(r, colors):
-        key = _reduction_key(f.map, order, functions, e)
-        if key in gamma:
-            raise InputError(f"reduction is not injective at {key}")
-        gamma[key] = c
+    gamma = {key: c for (_, key), c in zip(r, colors)}
+    if len(gamma) != len(r):
+        raise InputError("reduction is not injective")
 
     # iterated finite pigeonhole, from the full-index subchain down
     outer = list(range(big_n))   # composite w_n . ... . w_{i+1} into omega_N
@@ -262,8 +346,14 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
         raise TruncationTooSmall(
             0, "the final truncation contains no copy of A")
     eu = hat_E_map(u, lift_small, lift)
-    index = {f.map: i for i, f in enumerate(r)}
-    seen = {colors[index[tuple(eu.map[x] for x in f.map)]] for f in r_small}
+    index = {f_map: i for i, (f_map, _) in enumerate(r)}
+    seen = set()
+    for f in r_small:
+        pushed = tuple(eu.map[x] for x in f.map)
+        if pushed not in index:
+            raise InputError(f"recount: the pushed copy {pushed} is not in "
+                             "hom(A, hat_E(omega_N))")
+        seen.add(colors[index[pushed]])
     return ReductionResult(u, len(seen), n, tuple(tower),
                            tuple(reversed(step_colors)), len(r))
 

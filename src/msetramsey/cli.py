@@ -15,12 +15,12 @@ that is too small.
 
 import argparse
 import functools
-import random
 import sys
 import time
 
 from . import io
-from .bigramsey import big_ramsey_reduce, unordered_degree_bound
+from .bigramsey import (big_ramsey_reduce, lift_hom_size, random_coloring,
+                        unordered_degree_bound)
 from .chains import Chain
 from .comonad import (Coalgebra, DistinctListFunctor, ListFunctor,
                       MonoidActionFunctor, check_comonad_laws)
@@ -171,12 +171,12 @@ def cmd_bigramsey(args, started):
                                    r_cap=args.r_cap)
         trials.append(dict(result.to_json(), seed=None))
     else:
+        r_size = lift_hom_size(a_star, args.N, args.r_cap)
         for t in range(args.trials):
             seed = args.seed + t
-            rng = random.Random(seed)
-            result = big_ramsey_reduce(a_star,
-                                       lambda f: rng.randrange(args.k),
-                                       args.k, args.N, r_cap=args.r_cap)
+            result = big_ramsey_reduce(
+                a_star, random_coloring(r_size, args.k, seed), args.k,
+                args.N, r_cap=args.r_cap)
             trials.append(dict(result.to_json(), seed=seed))
     verdicts = {"trials": trials,
                 "max_colors_used": max(t["colors_used"] for t in trials),

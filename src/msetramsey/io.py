@@ -69,7 +69,14 @@ def monoid_from_json(data, where="monoid"):
     size = _require(data, "size", where)
     table = _require_table(data, "table", where)
     identity = _require(data, "identity", where)
-    return validate_monoid(size, table, identity, data.get("well_order"))
+    for name, value in (("size", size), ("identity", identity)):
+        if not isinstance(value, int):
+            raise InputError(f"{where}: field {name!r} is not an int")
+    well_order = data.get("well_order")
+    if well_order is not None and not _int_rows([well_order]):
+        raise InputError(
+            f"{where}: field 'well_order' is not a JSON array of ints")
+    return validate_monoid(size, table, identity, well_order)
 
 
 def load_monoid(path):

@@ -8,6 +8,7 @@ code path is the same engine with the order checks disabled.
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from .chains import Chain
 from .errors import (CompositionFails, IdentityAxiomFails, InputError,
@@ -288,27 +289,44 @@ def evaluate_word(algebra, word, a):
     return a
 
 
+def _getter(positions):
+    """itemgetter over `positions` that returns a tuple even for one."""
+    if len(positions) == 1:
+        p, = positions
+        return lambda h: (h[p],)
+    return itemgetter(*positions)
+
+
+def cofree_tables(x, m, ordered=False):
+    """cofree_mset(x, m, ordered) with its function table and its inverse.
+
+    functions[i] is carrier element i as the tuple of value positions
+    (h[m'] for m' in M), in product order; index[h] = i.
+    """
+    labels = tuple(x.labels) if isinstance(x, Chain) else tuple(x)
+    nm = m.size
+    functions = tuple(product(range(len(labels)), repeat=nm))
+    index = {h: i for i, h in enumerate(functions)}
+    action = tuple(
+        tuple(map(index.__getitem__,
+                  map(_getter([m.mul(g, mp) for mp in range(nm)]),
+                      functions)))
+        for g in range(nm))
+    ms = MSet(m, tuple(product(labels, repeat=nm)), action)
+    if ordered:
+        lex = list(map(_getter(m.well_order), functions))
+        ms = OrderedMSet(ms, tuple(sorted(range(len(functions)),
+                                          key=lex.__getitem__)))
+    return ms, functions, index
+
+
 def cofree_mset(x, m, ordered=False):
     """The cofree M-set on generators x: carrier x^M, gamma(m,h)(m') = h(m m').
 
     `x` is a Chain (ordered=True orders the carrier lexicographically by
     the monoid's well-order) or any sized collection.
     """
-    labels = tuple(x.labels) if isinstance(x, Chain) else tuple(x)
-    nx, nm = len(labels), m.size
-    functions = list(product(range(nx), repeat=nm))  # h[m'] = value position
-    index = {h: i for i, h in enumerate(functions)}
-    action = tuple(
-        tuple(index[tuple(h[m.mul(g, mp)] for mp in range(nm))]
-              for h in functions)
-        for g in range(nm))
-    carrier = tuple(tuple(labels[v] for v in h) for h in functions)
-    ms = MSet(m, carrier, action)
-    if not ordered:
-        return ms
-    order = sorted(range(len(functions)),
-                   key=lambda i: tuple(functions[i][w] for w in m.well_order))
-    return OrderedMSet(ms, tuple(order))
+    return cofree_tables(x, m, ordered)[0]
 
 
 def generated_sub_mset(b, seed):

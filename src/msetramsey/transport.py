@@ -9,12 +9,12 @@ trusting the construction.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .chains import Chain, ChainEmbedding, omega
 from .comonad import MonoidActionFunctor
 from .errors import InputError, NoChainWitnessInBudget, SizeOverflow
-from .mset import MSetMorphism, OrderedMSet, cofree_mset, validate_morphism
+from .mset import (MSetMorphism, OrderedMSet, cofree_tables,
+                   validate_morphism)
 from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
                      find_witness, holds_arrow)
 
@@ -27,11 +27,7 @@ class LexLift:
     base: Chain
     lifted: OrderedMSet
     functions: tuple   # functions[i] = h as a tuple of base positions
-    index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "index", {h: i for i, h in enumerate(self.functions)})
+    index: dict = field(repr=False, compare=False)   # h -> i
 
 
 def hat_E(base, m, cap=DEFAULT_LIFT_CAP):
@@ -39,9 +35,7 @@ def hat_E(base, m, cap=DEFAULT_LIFT_CAP):
     size = len(base) ** m.size
     if size > cap:
         raise SizeOverflow("hat_E carrier", size, cap)
-    # cofree_mset lists the carrier in this same order
-    functions = tuple(product(range(len(base)), repeat=m.size))
-    return LexLift(m, base, cofree_mset(base, m, ordered=True), functions)
+    return LexLift(m, base, *cofree_tables(base, m, ordered=True))
 
 
 def hat_E_map(h_emb, lift_src, lift_dst):

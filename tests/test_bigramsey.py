@@ -6,10 +6,11 @@ from itertools import combinations, permutations
 
 import pytest
 
+from msetramsey import bigramsey
 from msetramsey.bigramsey import (_max_mono_subset, _reduction_key,
                                   big_ramsey_reduce, equivariance_of_pi,
-                                  pi_star, random_coloring,
-                                  subchains_containing_min,
+                                  lift_embeddings, lift_hom_size, pi_star,
+                                  random_coloring, subchains_containing_min,
                                   unordered_degree_bound)
 from msetramsey.chains import Chain, ChainEmbedding, omega
 from msetramsey.cli import main
@@ -18,7 +19,7 @@ from msetramsey.errors import (InputError, MissingOrdering, NotAnEmbedding,
 from msetramsey.expansion import fibers, order_key
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
-                               truncated_powers, z2)
+                               truncated_powers, validate_monoid, z2)
 from msetramsey.mset import (MSet, MSetMorphism, OrderedMSet,
                              enumerate_embeddings, validate_mset)
 from msetramsey.ramsey import _all_actions
@@ -138,6 +139,40 @@ def test_reduction_key_rejects_nonmonotone_and_noninjective():
         _reduction_key((lift.index[(4, 0)], lift.index[(1, 2)]), *args)
     with pytest.raises(NotAnEmbedding, match="not injective"):
         _reduction_key((lift.index[(1, 2)], lift.index[(1, 2)]), *args)
+
+
+def _lift_monoids():
+    """The monoids of the enumerator's differential grid; the last two are
+    cyclic_group(3) and left_zero_monoid(2) under a non-default well-order."""
+    c3, lz = cyclic_group(3), left_zero_monoid(2)
+    return (trivial_monoid(), z2(), c3, chain_semilattice(2),
+            chain_semilattice(3), lz, truncated_powers(2),
+            *(validate_monoid(m.size, m.table, m.identity, (0, 2, 1))
+              for m in (c3, lz)))
+
+
+def test_lift_embeddings_matches_generic_engine():
+    """Same maps, same order, same keys as enumerate_embeddings plus
+    _reduction_key; the closed-form size counts the same list."""
+    checked = 0
+    for m in _lift_monoids():
+        lifts = [hat_E(omega(n), m) for n in range(1, 5)]
+        for a in _small_ordered_msets(m, 3):
+            for lift in lifts:
+                want = [(f.map, _reduction_key(f.map, a.order, lift.functions,
+                                               m.identity))
+                        for f in enumerate_embeddings(a, lift.lifted)]
+                assert lift_embeddings(a, lift) == want
+                assert lift_hom_size(a, len(lift.base)) == len(want)
+                checked += len(want)
+    assert checked > 5000
+
+
+def test_lift_hom_size_of_empty_source_is_one():
+    a = validate_mset(trivial_monoid(), (), [[]], order=())
+    lift = hat_E(omega(3), trivial_monoid())
+    assert lift_hom_size(a, 3) == len(enumerate_embeddings(a, lift.lifted)) \
+        == 1
 
 
 def test_pi_star_epsilon_values_are_monotone_on_every_embedding():
@@ -332,6 +367,34 @@ def test_big_ramsey_reduce_r_cap():
     a = _trivial_pair()
     with pytest.raises(SizeOverflow):
         big_ramsey_reduce(a, (), 2, 20, r_cap=10)
+
+
+def test_r_cap_checked_before_enumeration(monkeypatch, capsys, tmp_path):
+    def no_enumeration(*args):
+        raise AssertionError("R enumerated past the cap")
+
+    monkeypatch.setattr(bigramsey, "enumerate_embeddings", no_enumeration)
+    monkeypatch.setattr(bigramsey, "lift_embeddings", no_enumeration)
+    a = validate_mset(trivial_monoid(), (0, 1, 2), [[0, 1, 2]],
+                      order=(0, 1, 2))
+    with pytest.raises(SizeOverflow, match="size 1313400, exceeding cap 10"):
+        big_ramsey_reduce(a, (), 2, 200, r_cap=10)
+    assert lift_hom_size(a, 200, r_cap=1313400) == 1313400
+    with pytest.raises(SizeOverflow):
+        lift_hom_size(a, 200, r_cap=1313399)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({
+        "monoid": {"size": 1, "identity": 0, "table": [[0]]},
+        "carrier": [0, 1, 2], "action": [[0, 1, 2]], "order": [0, 1, 2]}))
+    assert main(["bigramsey", "--A", str(path), "--N", "200", "--k", "2",
+                 "--r-cap", "10"]) == 2
+    assert "size 1313400, exceeding cap 10" in capsys.readouterr().err
+
+
+def test_recount_names_a_copy_missing_from_r(monkeypatch):
+    monkeypatch.setattr(bigramsey, "lift_embeddings", lambda a, lift: [])
+    with pytest.raises(InputError, match=r"pushed copy \(0, 1\) is not in"):
+        big_ramsey_reduce(_trivial_pair(), lambda f: 0, 2, 3)
 
 
 def test_big_ramsey_reduce_truncation_too_small():

@@ -316,6 +316,23 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
                  {"alphabet": ["f"], "generator_actions": {"f": [[0]]}},
                  "input.json: field 'generator_actions' is not a JSON object",
                  id="unary-action-entry-not-int"),
+    pytest.param("validate --monoid",
+                 {"size": 1, "identity": "x", "table": [[0]]},
+                 "input.json: field 'identity' is not an int",
+                 id="monoid-identity-not-int"),
+    pytest.param("validate --monoid",
+                 {"size": 1.0, "identity": 0, "table": [[0]]},
+                 "input.json: field 'size' is not an int",
+                 id="monoid-size-not-int"),
+    pytest.param("validate --monoid",
+                 {"size": 1, "identity": 0, "table": [[0]], "well_order": 5},
+                 "input.json: field 'well_order' is not a JSON array of ints",
+                 id="monoid-well-order-not-array"),
+    pytest.param("validate --monoid",
+                 {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]],
+                  "well_order": [0, "a"]},
+                 "input.json: field 'well_order' is not a JSON array of ints",
+                 id="monoid-well-order-entry-not-int"),
 ])
 def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
                                        message):

@@ -1,5 +1,7 @@
 """Lexicographic lifts, weak coalgebras and witness transport."""
 
+from itertools import product
+
 import pytest
 
 from msetramsey.chains import ChainEmbedding, omega
@@ -7,7 +9,7 @@ from msetramsey.errors import (InputError, NoChainWitnessInBudget,
                                SizeOverflow)
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
-                               truncated_powers, z2)
+                               truncated_powers, validate_monoid, z2)
 from msetramsey.mset import (enumerate_embeddings, validate_morphism,
                              validate_mset)
 from msetramsey.ramsey import MSetContext
@@ -39,12 +41,21 @@ def test_hat_e_lex_order_matches_sorted_tuples():
 
 
 def test_hat_e_action_formula():
-    m = z2()
-    lift = hat_E(omega(3), m)
-    g = 1
-    for i, h in enumerate(lift.functions):
-        moved = lift.functions[lift.lifted.act(g, i)]
-        assert moved == tuple(h[m.mul(g, mp)] for mp in range(m.size))
+    """Every table of the lift, from its definition; the one-element
+    monoid and a non-default well-order included."""
+    lz = left_zero_monoid(2)
+    for m in (trivial_monoid(), z2(), cyclic_group(3), lz,
+              validate_monoid(lz.size, lz.table, lz.identity, (0, 2, 1))):
+        lift = hat_E(omega(3), m)
+        assert lift.functions == tuple(product(range(3), repeat=m.size))
+        assert lift.index == {h: i for i, h in enumerate(lift.functions)}
+        assert lift.lifted.carrier == lift.functions
+        for g in range(m.size):
+            for i, h in enumerate(lift.functions):
+                moved = lift.functions[lift.lifted.act(g, i)]
+                assert moved == tuple(h[m.mul(g, mp)] for mp in range(m.size))
+        assert [lift.functions[i] for i in lift.lifted.order] == sorted(
+            lift.functions, key=lambda h: [h[w] for w in m.well_order])
 
 
 def test_hat_e_cap():
