@@ -6,10 +6,14 @@ component functions are merged (the equivalence rho) and the surviving
 representatives map to those values. Since hat_E is cofree, f is fixed
 by g = epsilon . f, so these embeddings are listed directly: the tie
 patterns of g that A realizes, each times the chain embeddings of its
-blocks. Composing with hat_E of a chain embedding u found by iterated
-chain-Ramsey searches then bounds the number of colors any coloring of
-hom(A, hat_E(omega_N)) takes on the image hat_E(u) . R by 2^(|A|-1), one
-color per subchain containing the least element.
+blocks. Each embedding is held as an integer key, its map table read as
+one base-|lift| number, so one sort of ints gives the canonical order;
+a coloring is held as one table per pattern in combinations order of
+the images, read by combinatorial rank. Composing with hat_E of a chain
+embedding u found by iterated chain-Ramsey searches then bounds the
+number of colors any coloring of hom(A, hat_E(omega_N)) takes on the
+image hat_E(u) . R by 2^(|A|-1), one color per subchain containing the
+least element.
 
 The infinitary pigeonhole steps are replaced by finite searches for a
 maximum subset of the current truncation all of whose small subsets are
@@ -21,7 +25,6 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from operator import add
 
 from .chains import Chain, ChainEmbedding, omega
 from .errors import (InputError, NotAnEmbedding, SizeOverflow,
@@ -134,38 +137,82 @@ def lift_hom_size(a_star, big_n, r_cap=DEFAULT_R_CAP):
     return size
 
 
+def _pattern_keys(a_star, n, msize):
+    """The embeddings of A into the lex lift of omega_n, as integer keys.
+
+    Returns (ell, keys) for each realizable pattern ell, the keys listed
+    in combinations(range(n), blocks(ell)) order of the images. The map
+    of an image is f(a) = sum_j image[blk[j.a]] * n^(msize-1-j), linear
+    in the image, and its key reads the map table as one base-q integer,
+    q = n^msize, with f(a_0) the leading digit; so keys compare as the
+    map tables do lexicographically, and key = sum_b W_b * image[b].
+    """
+    q = n ** msize
+    s = a_star.size
+    act = a_star.base.action
+    out = []
+    for ell, blk in _realizable_patterns(a_star):
+        weights = [0] * (ell.bit_count() + 1)   # W_b
+        for a in range(s):
+            for j in range(msize):
+                weights[blk[act[j][a]]] += (n ** (msize - 1 - j)
+                                            * q ** (s - 1 - a))
+        out.append((ell, _combination_sums(weights, n)))
+    return out
+
+
+def _combination_sums(weights, n):
+    """sum_b weights[b] * c[b] for c in combinations(range(n), len(weights)).
+
+    Built one block at a time from the last: the combinations of size r
+    whose least element exceeds x are the last C(n-1-x, r) of them.
+    """
+    sums = [weights[-1] * y for y in range(n)]
+    for r, w in enumerate(reversed(weights[:-1]), 1):
+        longer = []
+        for x in range(n - r):
+            head = w * x
+            longer += [head + t for t in sums[len(sums)
+                                              - math.comb(n - 1 - x, r):]]
+        sums = longer
+    return sums
+
+
+def _decode(key, q, s):
+    """The map table (f(a_0), ..., f(a_{s-1})) of a base-q key."""
+    digits = []
+    for _ in range(s):
+        key, digit = divmod(key, q)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def _rank(sub, n):
+    """The index of an increasing tuple in combinations(range(n), len(sub))."""
+    b = len(sub)
+    return math.comb(n, b) - 1 - sum(
+        math.comb(n - 1 - x, b - i) for i, x in enumerate(sub))
+
+
 def lift_embeddings(a_star, lift):
     """hom(A, lift) for the lex lift of a chain, by the cofree property.
 
     An embedding f is fixed by g = epsilon . f, as f(a) = (g(m.a))_m,
     and g = image[blk] for a realizable pattern ell and an increasing
-    image in the base (_realizable_patterns). So
-    f(a) = sum_j image[blk[j.a]] * N^(|M|-1-j) in lift.functions order.
-    Returns (map, (ell, image)) pairs in the lex order of the map tables,
-    the order of enumerate_embeddings; (ell, image) is the map's
+    image in the base (_realizable_patterns). The maps are listed as the
+    integer keys of _pattern_keys, sorted once and decoded. Returns
+    (map, (ell, image)) pairs in the lex order of the map tables, the
+    order of enumerate_embeddings; (ell, image) is the map's
     _reduction_key.
     """
-    n, msize = len(lift.base), lift.monoid.size
-    act = a_star.base.action
+    n, s = len(lift.base), a_star.size
     out = []
-    for ell, blk in _realizable_patterns(a_star):
-        images = list(combinations(range(n), ell.bit_count() + 1))
-        if not images:   # more blocks than points in the base
-            continue
-        values = list(zip(*images))   # values[b][t] = images[t][b]
-        columns = []                  # columns[a][t] = the t-th map at a
-        for a in range(a_star.size):
-            weight = {}               # weight[b]: the coefficient of image[b]
-            for j in range(msize):
-                b = blk[act[j][a]]
-                weight[b] = weight.get(b, 0) + n ** (msize - 1 - j)
-            column = repeat(0, len(images))
-            for b, w in weight.items():
-                column = map(add, column, map(w.__mul__, values[b]))
-            columns.append(column)
-        out.extend(zip(zip(*columns), zip(repeat(ell), images)))
+    for ell, keys in _pattern_keys(a_star, n, lift.monoid.size):
+        out.extend(zip(keys, repeat(ell),
+                       combinations(range(n), ell.bit_count() + 1)))
     out.sort()
-    return out
+    q = n ** lift.monoid.size
+    return [(_decode(key, q, s), (ell, image)) for key, ell, image in out]
 
 
 def pi_star(f, lift):
@@ -209,42 +256,47 @@ def equivariance_of_pi(u, a_star, lift_src, lift_dst, r=None):
     return lhs == rhs
 
 
-def _max_mono_subset(points, arity, color_of):
+def _max_mono_subset(points, arity, colors):
     """Largest T within `points` whose arity-subsets share one color.
 
-    The rule that picks among the candidates: the largest size first,
-    then the least color, then the lex-least sorted set. Vacuous when
-    there are fewer than `arity` points.
+    `colors` lists the colors of the arity-subsets of the sorted points,
+    in combinations order. The rule that picks among the candidates: the
+    largest size first, then the least color, then the lex-least sorted
+    set. Vacuous when there are fewer than `arity` points.
 
     For arity >= 2 this is a branch and bound over candidate bitsets, as
     in max-clique solvers (Carraghan & Pardalos 1990; San Segundo et al.
     2011), with only the size bound. Bit y of masks[P] is set when
-    color(P + (y,)) == c, for each (arity-1)-subset P of point positions
-    and y > P[-1]. The search branches on the least candidate, including
-    it before excluding it, so the first set of the largest size it
-    meets is the lex-least; it tries the colors in increasing order and
-    only strict size improvements replace the incumbent.
+    P + (y,) has color c, for each (arity-1)-subset P of point positions
+    and y > P[-1]; those subsets are one contiguous run of `colors`. The
+    search branches on the least candidate, including it before
+    excluding it, so the first set of the largest size it meets is the
+    lex-least; it tries the colors in increasing order and only strict
+    size improvements replace the incumbent.
     """
     points = sorted(points)
     if len(points) < arity:
         return points
     if arity == 1:
         classes = {}
-        for x in points:
-            classes.setdefault(color_of((x,)), []).append(x)
+        for x, c in zip(points, colors):
+            classes.setdefault(c, []).append(x)
         best_color = max(classes, key=lambda c: (len(classes[c]), -c))
         return classes[best_color]
 
     n = len(points)
-    masks = {}   # color -> {(arity-1)-subset of positions: bitmask}
-    for pos, sub in zip(combinations(range(n), arity),
-                        combinations(points, arity)):
-        by_prefix = masks.setdefault(color_of(sub), {})
-        prefix = pos[:-1]
-        by_prefix[prefix] = by_prefix.get(prefix, 0) | 1 << pos[-1]
+    runs = []   # (prefix, least y, its run as a slice of reversed colors)
+    end = len(colors)
+    for prefix in combinations(range(n - 1), arity - 1):
+        lo = prefix[-1] + 1
+        runs.append((prefix, lo, end - (n - lo), end))
+        end -= n - lo
     best = ()
-    for c in sorted(masks):
-        mask_of = masks[c]
+    for c in sorted(set(colors)):
+        # the colors read backwards as a binary numeral, 1 where c
+        flags = "".join(["1" if x == c else "0" for x in reversed(colors)])
+        mask_of = {prefix: int(flags[start:stop], 2) << lo
+                   for prefix, lo, start, stop in runs}
         stack = [((), (1 << n) - 1)]
         while stack:
             chosen, cand = stack.pop()
@@ -287,13 +339,17 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     `chi` is a coloring of R = hom(A, hat_E(omega_N)) in canonical
     (lex map-table) order, either a sequence of colors or a callable on
     embeddings. R is listed by the cofree property, one increasing image
-    per block count of each realizable tie pattern (lift_embeddings),
-    and each map comes with its reduction key; r_cap is checked against
-    the closed-form size first. The returned colors_used is an
-    independent recount by the generic engine: the copies of A in the
-    final truncation are enumerated by enumerate_embeddings, pushed
-    through hat_E(u), located in R by their raw map tables, and their
-    chi-colors collected directly.
+    per block count of each realizable tie pattern, each map as an
+    integer key whose order is the map tables' lex order
+    (_pattern_keys); r_cap is checked against the closed-form size
+    first. One sort of the keys puts chi in place; the colors are then
+    scattered into one table per pattern, in combinations order of the
+    images, which the pigeonhole steps read by combinatorial rank. Map
+    tables are decoded from the keys only for a callable chi. The
+    returned colors_used is an independent recount by the generic
+    engine: the copies of A in the final truncation are enumerated by
+    enumerate_embeddings, pushed through hat_E(u), located in R by their
+    keys, and their chi-colors collected directly.
     """
     m = a_star.monoid
     s = a_star.size
@@ -301,61 +357,74 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     if not s:
         raise InputError("the empty chain has no least element")
     lift = hat_E(omega(big_n), m)
-    r = lift_embeddings(a_star, lift)
+    q = big_n ** m.size
+    patterns = _pattern_keys(a_star, big_n, m.size)
+    keys = []
+    for _, pk in patterns:
+        keys += pk
+    keys.sort()
     if callable(chi):
         colors = tuple(
-            chi(MSetMorphism(a_star, lift.lifted, f_map, "order-embedding"))
-            for f_map, _ in r)
+            chi(MSetMorphism(a_star, lift.lifted, _decode(key, q, s),
+                             "order-embedding"))
+            for key in keys)
     else:
         colors = tuple(chi)
-    if len(colors) != len(r):
+    if len(colors) != len(keys):
         raise InputError(
-            f"coloring has {len(colors)} entries for {len(r)} embeddings")
-    if any(not (0 <= c < k) for c in colors):
+            f"coloring has {len(colors)} entries for {len(keys)} embeddings")
+    if colors and not (0 <= min(colors) and max(colors) < k):
         raise InputError("coloring value out of range")
+    color_by_key = dict(zip(keys, colors))
+    if len(color_by_key) != len(keys):
+        raise InputError("reduction is not injective")
+    tables = {ell: list(map(color_by_key.__getitem__, pk))
+              for ell, pk in patterns}
 
     n = 1 << (s - 1)   # subchains containing the least element
-    gamma = {key: c for (_, key), c in zip(r, colors)}
-    if len(gamma) != len(r):
-        raise InputError("reduction is not injective")
-
     # iterated finite pigeonhole, from the full-index subchain down
-    outer = list(range(big_n))   # composite w_n . ... . w_{i+1} into omega_N
+    outer = range(big_n)   # composite w_n . ... . w_{i+1} into omega_N
     tower = [big_n]
     step_colors = []
     for i in range(n - 1, -1, -1):
         arity = i.bit_count() + 1   # subchain i in subchains_containing_min
-
-        def color_of(subset, i=i):
-            return gamma.get((i, tuple(outer[x] for x in subset)), 0)
-
-        mono = _max_mono_subset(range(len(outer)), arity, color_of)
+        table = tables.get(i)   # None: pattern i is not realized, color 0
+        if table is None:
+            colors_i = [0] * math.comb(len(outer), arity)
+        elif len(outer) == big_n:
+            colors_i = table
+        else:
+            colors_i = [table[_rank(sub, big_n)]
+                        for sub in combinations(outer, arity)]
+        mono = _max_mono_subset(range(len(outer)), arity, colors_i)
         if len(mono) < s:
             raise TruncationTooSmall(
                 i + 1, f"monochromatic subset has size {len(mono)} < {s}")
-        step_colors.append(color_of(tuple(mono[:arity])))
+        step_colors.append(colors_i[_rank(mono[:arity], len(outer))])
         outer = [outer[x] for x in mono]
         tower.append(len(mono))
 
     u = ChainEmbedding(omega(len(outer)), omega(big_n), tuple(outer))
 
-    # independent recount, bypassing gamma entirely
+    # independent recount, bypassing the pattern tables entirely
     lift_small = hat_E(omega(len(outer)), m)
     r_small = enumerate_embeddings(a_star, lift_small.lifted)
     if not r_small:
         raise TruncationTooSmall(
             0, "the final truncation contains no copy of A")
     eu = hat_E_map(u, lift_small, lift)
-    index = {f_map: i for i, (f_map, _) in enumerate(r)}
     seen = set()
     for f in r_small:
-        pushed = tuple(eu.map[x] for x in f.map)
-        if pushed not in index:
-            raise InputError(f"recount: the pushed copy {pushed} is not in "
-                             "hom(A, hat_E(omega_N))")
-        seen.add(colors[index[pushed]])
+        key = 0
+        for x in f.map:
+            key = key * q + eu.map[x]
+        if key not in color_by_key:
+            raise InputError(
+                f"recount: the pushed copy {_decode(key, q, s)} is not in "
+                "hom(A, hat_E(omega_N))")
+        seen.add(color_by_key[key])
     return ReductionResult(u, len(seen), n, tuple(tower),
-                           tuple(reversed(step_colors)), len(r))
+                           tuple(reversed(step_colors)), len(keys))
 
 
 def random_coloring(size, k, seed):

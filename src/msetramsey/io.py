@@ -160,8 +160,8 @@ def load_forest(path):
 
 def load_coloring(path):
     data = load_json(path)
-    if not isinstance(data, list) or \
-            any(not isinstance(c, int) for c in data):
+    # bool is a subclass of int, but true and false are not colors
+    if not isinstance(data, list) or any(type(c) is not int for c in data):
         raise InputError(f"{path}: a coloring file is a JSON array of ints")
     return tuple(data)
 

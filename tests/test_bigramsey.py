@@ -1,16 +1,18 @@
 """The reduction f -> f* and the truncated big-Ramsey experiment."""
 
 import json
+import math
 import random
 from itertools import combinations, permutations
 
 import pytest
 
 from msetramsey import bigramsey
-from msetramsey.bigramsey import (_max_mono_subset, _reduction_key,
-                                  big_ramsey_reduce, equivariance_of_pi,
-                                  lift_embeddings, lift_hom_size, pi_star,
-                                  random_coloring, subchains_containing_min,
+from msetramsey.bigramsey import (ReductionResult, _max_mono_subset, _rank,
+                                  _reduction_key, big_ramsey_reduce,
+                                  equivariance_of_pi, lift_embeddings,
+                                  lift_hom_size, pi_star, random_coloring,
+                                  subchains_containing_min,
                                   unordered_degree_bound)
 from msetramsey.chains import Chain, ChainEmbedding, omega
 from msetramsey.cli import main
@@ -23,7 +25,7 @@ from msetramsey.monoid import (chain_semilattice, cyclic_group,
 from msetramsey.mset import (MSet, MSetMorphism, OrderedMSet,
                              enumerate_embeddings, validate_mset)
 from msetramsey.ramsey import _all_actions
-from msetramsey.transport import hat_E
+from msetramsey.transport import hat_E, hat_E_map
 
 
 def _trivial_pair():
@@ -221,21 +223,21 @@ def test_equivariance_of_pi_z2():
 
 
 def test_max_mono_subset_singletons():
-    colors = {0: 0, 1: 1, 2: 1, 3: 1, 4: 0}
-    got = _max_mono_subset(range(5), 1, lambda s: colors[s[0]])
+    got = _max_mono_subset(range(5), 1, [0, 1, 1, 1, 0])
     assert got == [1, 2, 3]
 
 
 def test_max_mono_subset_pairs_is_max_clique():
     # color pairs by parity of the sum: even-sum pairs form cliques on
     # the odds and on the evens of {0..5}
-    got = _max_mono_subset(range(6), 2, lambda s: (s[0] + s[1]) % 2)
+    got = _max_mono_subset(range(6), 2, [(x + y) % 2 for x, y in
+                                         combinations(range(6), 2)])
     assert len(got) == 3
     assert all((x + y) % 2 == 0 for x in got for y in got if x < y)
 
 
 def test_max_mono_subset_vacuous_below_arity():
-    assert _max_mono_subset([3], 2, lambda s: 0) == [3]
+    assert _max_mono_subset([3], 2, []) == [3]
 
 
 def _recursive_max_mono_subset(points, arity, color_of):
@@ -290,7 +292,9 @@ def _bruteforce_max_mono_subset(points, arity, color_of):
 
 def _random_instances(seed, count, max_points):
     """Seeded (points, arity, table): dense colourings spread the colours
-    evenly, sparse ones give colour 0 to about nine subsets in ten."""
+    evenly, sparse ones give colour 0 to about nine subsets in ten. The
+    table lists the subsets of the sorted points in combinations order,
+    so its values are the colour sequence _max_mono_subset takes."""
     rng = random.Random(seed)
     for _ in range(count):
         points = rng.sample(range(3 * max_points), rng.randint(0, max_points))
@@ -303,18 +307,19 @@ def _random_instances(seed, count, max_points):
 
 def test_max_mono_subset_matches_recursive_search():
     for points, arity, table in _random_instances(1, 1600, 14):
-        assert _max_mono_subset(points, arity, table.__getitem__) == \
+        assert _max_mono_subset(points, arity, list(table.values())) == \
             _recursive_max_mono_subset(points, arity, table.__getitem__)
 
 
 def test_max_mono_subset_matches_bruteforce_rule():
     for points, arity, table in _random_instances(2, 400, 8):
-        assert _max_mono_subset(points, arity, table.__getitem__) == \
+        assert _max_mono_subset(points, arity, list(table.values())) == \
             _bruteforce_max_mono_subset(points, arity, table.__getitem__)
 
 
 def test_max_mono_subset_beyond_recursion_depth():
-    assert _max_mono_subset(range(1100), 2, lambda s: 0) == list(range(1100))
+    assert _max_mono_subset(range(1100), 2, [0] * math.comb(1100, 2)) == \
+        list(range(1100))
 
 
 def test_big_ramsey_reduce_single_point():
@@ -353,8 +358,9 @@ def test_big_ramsey_reduce_validates_coloring():
         big_ramsey_reduce(a, (0, 1), 2, 4)  # wrong length
     lift = hat_E(omega(4), trivial_monoid())
     n = len(enumerate_embeddings(a, lift.lifted))
-    with pytest.raises(InputError):
-        big_ramsey_reduce(a, (9,) * n, 2, 4)  # color out of range
+    for bad in (9, 2, -1):   # colors out of range for k = 2
+        with pytest.raises(InputError, match="out of range"):
+            big_ramsey_reduce(a, (bad,) * n, 2, 4)
 
 
 def test_big_ramsey_reduce_rejects_empty_source():
@@ -374,7 +380,7 @@ def test_r_cap_checked_before_enumeration(monkeypatch, capsys, tmp_path):
         raise AssertionError("R enumerated past the cap")
 
     monkeypatch.setattr(bigramsey, "enumerate_embeddings", no_enumeration)
-    monkeypatch.setattr(bigramsey, "lift_embeddings", no_enumeration)
+    monkeypatch.setattr(bigramsey, "_pattern_keys", no_enumeration)
     a = validate_mset(trivial_monoid(), (0, 1, 2), [[0, 1, 2]],
                       order=(0, 1, 2))
     with pytest.raises(SizeOverflow, match="size 1313400, exceeding cap 10"):
@@ -392,7 +398,7 @@ def test_r_cap_checked_before_enumeration(monkeypatch, capsys, tmp_path):
 
 
 def test_recount_names_a_copy_missing_from_r(monkeypatch):
-    monkeypatch.setattr(bigramsey, "lift_embeddings", lambda a, lift: [])
+    monkeypatch.setattr(bigramsey, "_pattern_keys", lambda a, n, msize: [])
     with pytest.raises(InputError, match=r"pushed copy \(0, 1\) is not in"):
         big_ramsey_reduce(_trivial_pair(), lambda f: 0, 2, 3)
 
@@ -413,6 +419,124 @@ def test_reduce_callable_coloring_matches_sequence():
     res_fun = big_ramsey_reduce(a, lambda f: table[f.map], 3, 8)
     assert res_seq.u.map == res_fun.u.map
     assert res_seq.colors_used == res_fun.colors_used
+
+
+def _reference_reduce(a_star, chi, k, big_n):
+    """The reduction before integer keys, kept as a judge: R as map
+    tuples with their (ell, image) keys, a gamma dict on those keys, one
+    color_of closure per pigeonhole step and the recursive search."""
+    m = a_star.monoid
+    s = a_star.size
+    lift = hat_E(omega(big_n), m)
+    r = lift_embeddings(a_star, lift)
+    if callable(chi):
+        colors = tuple(chi(MSetMorphism(a_star, lift.lifted, f_map,
+                                        "order-embedding"))
+                       for f_map, _ in r)
+    else:
+        colors = tuple(chi)
+    if len(colors) != len(r):
+        raise InputError("coloring has the wrong length")
+    if any(not (0 <= c < k) for c in colors):
+        raise InputError("coloring value out of range")
+    gamma = {key: c for (_, key), c in zip(r, colors)}
+    n = 1 << (s - 1)
+    outer = list(range(big_n))
+    tower = [big_n]
+    step_colors = []
+    for i in range(n - 1, -1, -1):
+        arity = i.bit_count() + 1
+
+        def color_of(subset, i=i):
+            return gamma.get((i, tuple(outer[x] for x in subset)), 0)
+
+        mono = _recursive_max_mono_subset(range(len(outer)), arity, color_of)
+        if len(mono) < s:
+            raise TruncationTooSmall(
+                i + 1, f"monochromatic subset has size {len(mono)} < {s}")
+        step_colors.append(color_of(tuple(mono[:arity])))
+        outer = [outer[x] for x in mono]
+        tower.append(len(mono))
+    u = ChainEmbedding(omega(len(outer)), omega(big_n), tuple(outer))
+    lift_small = hat_E(omega(len(outer)), m)
+    r_small = enumerate_embeddings(a_star, lift_small.lifted)
+    if not r_small:
+        raise TruncationTooSmall(
+            0, "the final truncation contains no copy of A")
+    eu = hat_E_map(u, lift_small, lift)
+    index = {f_map: i for i, (f_map, _) in enumerate(r)}
+    seen = {colors[index[tuple(eu.map[x] for x in f.map)]] for f in r_small}
+    return ReductionResult(u, len(seen), n, tuple(tower),
+                           tuple(reversed(step_colors)), len(r))
+
+
+def _outcome(reduce, *args):
+    try:
+        return reduce(*args).to_json()
+    except TruncationTooSmall as exc:
+        return str(exc)
+
+
+def test_reduce_matches_reference_reduction():
+    """Same result or the same TruncationTooSmall as the gamma/color_of
+    reduction, for sequence and callable colorings."""
+    rng = random.Random(9)
+    sources = [a for m in (trivial_monoid(), z2(), cyclic_group(3),
+                           chain_semilattice(2), left_zero_monoid(2))
+               for a in _small_ordered_msets(m, 3)]
+    sources += [validate_mset(trivial_monoid(), (0, 1, 2, 3),
+                              [[0, 1, 2, 3]], order=(0, 1, 2, 3))] * 4
+    outcomes = set()
+    for i, a in enumerate(sources):
+        big_n, k = rng.randrange(11), rng.randint(1, 3)
+        seed = rng.randrange(99)
+        if i % 2:
+            chi = random_coloring(lift_hom_size(a, big_n), k, seed)
+        else:
+            def chi(f, k=k, seed=seed):
+                return random.Random(f"{seed}{f.map}").randrange(k)
+        got = _outcome(big_ramsey_reduce, a, chi, k, big_n)
+        assert got == _outcome(_reference_reduce, a, chi, k, big_n)
+        outcomes.add((i % 2, isinstance(got, str)))
+    assert len(outcomes) == 4
+
+
+def test_rank_matches_combinations_order():
+    for n in range(13):
+        for b in range(n + 1):
+            for i, sub in enumerate(combinations(range(n), b)):
+                assert _rank(sub, n) == i
+
+
+def test_bigramsey_colors_beyond_a_byte(capsys, tmp_path):
+    """--k 300 with colors 256-299; the verdicts were recorded before
+    integer keys replaced the gamma dict."""
+    cases = {
+        "trivial-3-chain": ([[0]], [[0, 1, 2]], 12, {
+            "R_size": 220, "bound": 4, "colors_used": 1, "seed": None,
+            "step_colors": [0, 0, 0, 256], "tower": [12, 4, 4, 4, 4],
+            "u": [0, 2, 5, 10]}),
+        "z2-swap-pair": ([[0, 1], [1, 0]], [[0, 1], [1, 0]], 20, {
+            "R_size": 190, "bound": 2, "colors_used": 1, "seed": None,
+            "step_colors": [0, 280], "tower": [20, 5, 5],
+            "u": [0, 2, 8, 14, 15]}),
+    }
+    for name, (table, action, big_n, trial) in cases.items():
+        s = len(action[0])
+        a_path, c_path = tmp_path / f"{name}.json", tmp_path / "col.json"
+        a_path.write_text(json.dumps({
+            "monoid": {"size": len(table), "identity": 0, "table": table},
+            "carrier": list(range(s)), "action": action,
+            "order": list(range(s))}))
+        rng = random.Random(300)
+        c_path.write_text(json.dumps(
+            [rng.choice((256, 280, 299))
+             for _ in range(trial["R_size"])]))
+        assert main(["bigramsey", "--A", str(a_path), "--N", str(big_n),
+                     "--k", "300", "--coloring", str(c_path)]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdicts == {"all_within_bound": True, "bound": trial["bound"],
+                            "max_colors_used": 1, "trials": [trial]}
 
 
 def test_unordered_degree_bound():

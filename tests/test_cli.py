@@ -343,6 +343,16 @@ def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
     assert message in err
 
 
+def test_bigramsey_boolean_coloring_exits_1(capsys, files):
+    path = files["tmp"] / "bools.json"
+    path.write_text(json.dumps([True, False] * 3))   # |R| = C(4, 2)
+    code, report, err = run(capsys, [
+        "bigramsey", "--A", files["pair"], "--N", "4", "--k", "2",
+        "--coloring", str(path)])
+    assert code == 1 and report is None
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_bigramsey_cap_exits_2(capsys, files):
     code, _, err = run(capsys, [
         "bigramsey", "--A", files["pair"], "--N", "30", "--k", "2",

@@ -1,0 +1,90 @@
+"""Generated inputs at the CLI boundary: every run exits 0, 1 or 2, lets
+no other exception escape, and reruns to the same bytes."""
+
+import contextlib
+import io
+import json
+import os
+import random
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from msetramsey.bigramsey import lift_hom_size
+from msetramsey.cli import main
+from msetramsey.monoid import (chain_semilattice, cyclic_group,
+                               left_zero_monoid, trivial_monoid, z2)
+from msetramsey.mset import validate_mset
+from msetramsey.ramsey import _all_actions
+
+MONOIDS = (trivial_monoid(), z2(), cyclic_group(3), chain_semilattice(2),
+           left_zero_monoid(2))
+
+# entries no coloring may hold: k <= 4, so 4 and up are out of range
+NOT_A_COLOR = st.one_of(
+    st.integers(-3, -1), st.integers(4, 300), st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def bigramsey_argv(draw):
+    """(files to write, argv) for one bigramsey run."""
+    m = draw(st.sampled_from(MONOIDS))
+    # sampled_from leans to its first entries, integers to 0
+    n = draw(st.sampled_from((2, 3, 1, 0)))
+    labels = [f"x{i}" for i in range(n)]
+    valid = draw(st.sampled_from((True, True, True, False)))
+    if valid:
+        action = draw(st.sampled_from(list(_all_actions(m, n))))
+    else:   # any table of the right shape, mostly not an action
+        action = draw(st.lists(st.lists(st.integers(-1, n), min_size=n,
+                                        max_size=n),
+                               min_size=m.size, max_size=m.size))
+    order = draw(st.permutations(labels))
+    big_n, k = draw(st.sampled_from(range(8, -1, -1))), draw(st.integers(1, 4))
+    files = {"a.json": {"monoid": m.to_json(), "carrier": labels,
+                        "action": [list(row) for row in action],
+                        "order": order}}
+    argv = ["bigramsey", "--A", "a.json", "--N", str(big_n), "--k", str(k)]
+    if draw(st.booleans()):
+        size = draw(st.integers(0, 40))
+        if valid and draw(st.sampled_from((True, True, True, False))):
+            size = lift_hom_size(validate_mset(m, labels, action, order),
+                                 big_n)
+        size = max(0, size + draw(st.sampled_from((0, 0, 0, -1, 1))))
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        colors = [rng.randrange(k) for _ in range(size)]
+        for _ in range(draw(st.sampled_from((0, 0, 1, 2))) if colors else 0):
+            colors[draw(st.integers(0, size - 1))] = draw(NOT_A_COLOR)
+        files["coloring.json"] = colors
+        argv += ["--coloring", "coloring.json"]
+    else:
+        argv += ["--trials", str(draw(st.integers(1, 2))),
+                 "--seed", str(draw(st.integers(0, 9)))]
+    if draw(st.integers(0, 4)) == 0:
+        argv += ["--r-cap", str(draw(st.integers(0, 30)))]
+    return files, argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bigramsey_argv())
+def test_bigramsey_exits_0_1_or_2_and_reruns_identically(case):
+    files, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                json.dump(obj, fh)
+        argv = [os.path.join(tmp, x) if x in files else x for x in argv]
+        first = _run(argv)
+        assert first[0] in (0, 1, 2)
+        assert first == _run(argv)
+    code, out, err = first
+    assert (code == 0) == bool(out) and "Traceback" not in err
