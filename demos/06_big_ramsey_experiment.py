@@ -9,9 +9,10 @@ recounts the surviving colors independently.
 """
 
 from msetramsey import (big_ramsey_reduce, enumerate_embeddings, fibers,
-                        hat_E, omega, pi_star, random_coloring,
-                        subchains_containing_min, trivial_monoid,
-                        unordered_degree_bound, validate_mset, z2)
+                        hat_E, lift_hom_size, omega, pi_star,
+                        random_coloring, subchains_containing_min,
+                        trivial_monoid, unordered_degree_bound, validate_mset,
+                        z2)
 from msetramsey.expansion import order_key
 
 
@@ -29,8 +30,7 @@ def main():
           f"{rec.subchain.labels} at positions {rec.f_star.map}")
 
     print("\n== the experiment, trivial monoid ==")
-    lift20 = hat_E(omega(20), trivial_monoid())
-    r_size = len(enumerate_embeddings(a, lift20.lifted))
+    r_size = lift_hom_size(a, 20)
     chi = random_coloring(r_size, 4, seed=7)
     res = big_ramsey_reduce(a, chi, 4, 20)
     print(f"coloring the {r_size} increasing pairs with 4 colors")
@@ -42,8 +42,7 @@ def main():
     print("\n== the experiment, Z2 swap pair ==")
     swap = validate_mset(z2(), ("a1", "a2"), [[0, 1], [1, 0]],
                          order=("a1", "a2"))
-    lift5 = hat_E(omega(5), z2())
-    r_size = len(enumerate_embeddings(swap, lift5.lifted))
+    r_size = lift_hom_size(swap, 5)
     res = big_ramsey_reduce(swap, random_coloring(r_size, 3, seed=7), 3, 5)
     print(f"|R| = {r_size}; colors surviving: {res.colors_used} "
           f"(bound {res.bound})")
@@ -52,7 +51,7 @@ def main():
     base = swap.base
     per_order = {}
     for a_star in fibers(base):
-        r_size = len(enumerate_embeddings(a_star, lift5.lifted))
+        r_size = lift_hom_size(a_star, 5)
         worst = max(
             big_ramsey_reduce(a_star, random_coloring(r_size, 2, s),
                               2, 5).colors_used

@@ -34,8 +34,8 @@ from .transport import (LexLift, WeakCoalgebra, check_PA, hat_E, hat_E_map,
                         hat_delta, mset_as_weak_coalgebra, phi,
                         transport_witness)
 from .bigramsey import (ReductionRecord, ReductionResult, big_ramsey_reduce,
-                        equivariance_of_pi, lift_embeddings, lift_hom_size,
-                        pi_star, random_coloring, subchains_containing_min,
+                        equivariance_of_pi, lift_hom_size, pi_star,
+                        random_coloring, subchains_containing_min,
                         unordered_degree_bound)
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ representatives map to those values. Since hat_E is cofree, f is fixed
 by g = epsilon . f, so these embeddings are listed directly: the tie
 patterns of g that A realizes, each times the chain embeddings of its
 blocks. Each embedding is held as an integer key, its map table read as
-one base-|lift| number, so one sort of ints gives the canonical order;
+one base-N^|M| number, so one sort of ints gives the canonical order;
 a coloring is held as one table per pattern in combinations order of
 the images, read by combinatorial rank. Composing with hat_E of a chain
 embedding u found by iterated chain-Ramsey searches then bounds the
@@ -24,7 +24,7 @@ monochromatic; each run certifies its own instance and fails loudly
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 
 from .chains import Chain, ChainEmbedding, omega
 from .errors import (InputError, NotAnEmbedding, SizeOverflow,
@@ -178,13 +178,12 @@ def _combination_sums(weights, n):
     return sums
 
 
-def _decode(key, q, s):
-    """The map table (f(a_0), ..., f(a_{s-1})) of a base-q key."""
-    digits = []
-    for _ in range(s):
-        key, digit = divmod(key, q)
-        digits.append(digit)
-    return tuple(reversed(digits))
+def _base_number(digits, base):
+    """`digits`, leading digit first, read as one base-`base` integer."""
+    value = 0
+    for d in digits:
+        value = value * base + d
+    return value
 
 
 def _rank(sub, n):
@@ -192,27 +191,6 @@ def _rank(sub, n):
     b = len(sub)
     return math.comb(n, b) - 1 - sum(
         math.comb(n - 1 - x, b - i) for i, x in enumerate(sub))
-
-
-def lift_embeddings(a_star, lift):
-    """hom(A, lift) for the lex lift of a chain, by the cofree property.
-
-    An embedding f is fixed by g = epsilon . f, as f(a) = (g(m.a))_m,
-    and g = image[blk] for a realizable pattern ell and an increasing
-    image in the base (_realizable_patterns). The maps are listed as the
-    integer keys of _pattern_keys, sorted once and decoded. Returns
-    (map, (ell, image)) pairs in the lex order of the map tables, the
-    order of enumerate_embeddings; (ell, image) is the map's
-    _reduction_key.
-    """
-    n, s = len(lift.base), a_star.size
-    out = []
-    for ell, keys in _pattern_keys(a_star, n, lift.monoid.size):
-        out.extend(zip(keys, repeat(ell),
-                       combinations(range(n), ell.bit_count() + 1)))
-    out.sort()
-    q = n ** lift.monoid.size
-    return [(_decode(key, q, s), (ell, image)) for key, ell, image in out]
 
 
 def pi_star(f, lift):
@@ -237,13 +215,11 @@ def pi_star(f, lift):
     return ReductionRecord(f, blocks, ell, subchain, f_star)
 
 
-def equivariance_of_pi(u, a_star, lift_src, lift_dst, r=None):
+def equivariance_of_pi(u, a_star, lift_src, lift_dst):
     """Check pi(hat_E(u) . R) = u . pi(R), and g* = u . f* per element."""
-    if r is None:
-        r = enumerate_embeddings(a_star, lift_src.lifted)
     eu = hat_E_map(u, lift_src, lift_dst)
     lhs, rhs = set(), set()
-    for f in r:
+    for f in enumerate_embeddings(a_star, lift_src.lifted):
         g = MSetMorphism(a_star, lift_dst.lifted,
                          tuple(eu.map[x] for x in f.map), f.kind)
         rec_f = pi_star(f, lift_src)
@@ -336,40 +312,32 @@ class ReductionResult:
 def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     """Find u with at most 2^(s-1) colors on hat_E(u) . hom(A, hat_E(omega_N)).
 
-    `chi` is a coloring of R = hom(A, hat_E(omega_N)) in canonical
-    (lex map-table) order, either a sequence of colors or a callable on
-    embeddings. R is listed by the cofree property, one increasing image
-    per block count of each realizable tie pattern, each map as an
-    integer key whose order is the map tables' lex order
+    `chi` is a sequence of colors of R = hom(A, hat_E(omega_N)) in
+    canonical (lex map-table) order. R is listed by the cofree property,
+    one increasing image per block count of each realizable tie pattern,
+    each map as an integer key whose order is the map tables' lex order
     (_pattern_keys); r_cap is checked against the closed-form size
-    first. One sort of the keys puts chi in place; the colors are then
-    scattered into one table per pattern, in combinations order of the
-    images, which the pigeonhole steps read by combinatorial rank. Map
-    tables are decoded from the keys only for a callable chi. The
-    returned colors_used is an independent recount by the generic
-    engine: the copies of A in the final truncation are enumerated by
-    enumerate_embeddings, pushed through hat_E(u), located in R by their
-    keys, and their chi-colors collected directly.
+    first, and no lift of omega_N is built. One sort of the keys puts
+    chi in place; the colors are then scattered into one table per
+    pattern, in combinations order of the images, which the pigeonhole
+    steps read by combinatorial rank. The returned colors_used is an
+    independent recount by the generic engine: the copies of A in
+    hat_E(omega_T) of the final truncation are enumerated by
+    enumerate_embeddings and pushed through hat_E(u) coordinatewise,
+    (u.h)(m) = u(h(m)); each pushed copy must be a key of R, and its
+    chi-color is collected directly.
     """
     m = a_star.monoid
     s = a_star.size
     lift_hom_size(a_star, big_n, r_cap)
     if not s:
         raise InputError("the empty chain has no least element")
-    lift = hat_E(omega(big_n), m)
-    q = big_n ** m.size
     patterns = _pattern_keys(a_star, big_n, m.size)
     keys = []
     for _, pk in patterns:
         keys += pk
     keys.sort()
-    if callable(chi):
-        colors = tuple(
-            chi(MSetMorphism(a_star, lift.lifted, _decode(key, q, s),
-                             "order-embedding"))
-            for key in keys)
-    else:
-        colors = tuple(chi)
+    colors = tuple(chi)
     if len(colors) != len(keys):
         raise InputError(
             f"coloring has {len(colors)} entries for {len(keys)} embeddings")
@@ -412,16 +380,16 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     if not r_small:
         raise TruncationTooSmall(
             0, "the final truncation contains no copy of A")
-    eu = hat_E_map(u, lift_small, lift)
+    pushed = [_base_number((outer[v] for v in h), big_n)
+              for h in lift_small.functions]
+    q = big_n ** m.size
     seen = set()
     for f in r_small:
-        key = 0
-        for x in f.map:
-            key = key * q + eu.map[x]
+        table = tuple(pushed[x] for x in f.map)
+        key = _base_number(table, q)
         if key not in color_by_key:
-            raise InputError(
-                f"recount: the pushed copy {_decode(key, q, s)} is not in "
-                "hom(A, hat_E(omega_N))")
+            raise InputError(f"recount: the pushed copy {table} is not in "
+                             "hom(A, hat_E(omega_N))")
         seen.add(color_by_key[key])
     return ReductionResult(u, len(seen), n, tuple(tower),
                            tuple(reversed(step_colors)), len(keys))

@@ -192,21 +192,7 @@ def cmd_degree_bound(args, started):
     a = io.load_mset(args.A)
     if isinstance(a, OrderedMSet):
         a = a.base
-    path = args.ordered_degrees
-    entries = io.load_json(path)
-    if not isinstance(entries, list):
-        raise InputError(f"{path}: the degrees file is a JSON array of "
-                         '{"order": [int, ...], "degree": n} objects')
-    degrees = {}
-    for entry in entries:
-        if not (isinstance(entry, dict)
-                and isinstance(entry.get("order"), list)
-                and all(isinstance(x, int) for x in entry["order"])
-                and "degree" in entry
-                and isinstance(entry["degree"], (int, type(None)))):
-            raise InputError(f"{path}: entry {entry!r} is not an "
-                             '{"order": [int, ...], "degree": n} object')
-        degrees[tuple(entry["order"])] = entry["degree"]
+    degrees = io.load_degrees(args.ordered_degrees)
     if args.big:
         verdicts = unordered_degree_bound(a, degrees).to_json()
     else:

@@ -9,6 +9,7 @@ Formats:
   chain:  [label, label, ...]
   forest: { "carrier": [...], "parent": {label: label}, "order": [...]? }
   coloring: [int, int, ...]
+  degrees: [ { "order": [int, ...], "degree": int or null }, ... ]
 
 Labels read from JSON are used as-is (JSON scalars); every loader routes
 through the corresponding validator so malformed files surface the same
@@ -49,8 +50,13 @@ def _require(data, field, where, array=False):
     return data[field]
 
 
+def _is_int(x):
+    # bool is a subclass of int, but true and false are not ints in a file
+    return type(x) is int
+
+
 def _int_rows(rows):
-    return all(isinstance(row, list) and all(isinstance(x, int) for x in row)
+    return all(isinstance(row, list) and all(map(_is_int, row))
                for row in rows)
 
 
@@ -70,7 +76,7 @@ def monoid_from_json(data, where="monoid"):
     table = _require_table(data, "table", where)
     identity = _require(data, "identity", where)
     for name, value in (("size", size), ("identity", identity)):
-        if not isinstance(value, int):
+        if not _is_int(value):
             raise InputError(f"{where}: field {name!r} is not an int")
     well_order = data.get("well_order")
     if well_order is not None and not _int_rows([well_order]):
@@ -160,10 +166,27 @@ def load_forest(path):
 
 def load_coloring(path):
     data = load_json(path)
-    # bool is a subclass of int, but true and false are not colors
-    if not isinstance(data, list) or any(type(c) is not int for c in data):
+    if not _int_rows([data]):
         raise InputError(f"{path}: a coloring file is a JSON array of ints")
     return tuple(data)
+
+
+def load_degrees(path):
+    """The ordered degrees file: order key -> degree (None if unknown)."""
+    entries = load_json(path)
+    if not isinstance(entries, list):
+        raise InputError(f"{path}: the degrees file is a JSON array of "
+                         '{"order": [int, ...], "degree": n} objects')
+    degrees = {}
+    for entry in entries:
+        if not (isinstance(entry, dict)
+                and _int_rows([entry.get("order")])
+                and "degree" in entry
+                and (entry["degree"] is None or _is_int(entry["degree"]))):
+            raise InputError(f"{path}: entry {entry!r} is not an "
+                             '{"order": [int, ...], "degree": n} object')
+        degrees[tuple(entry["order"])] = entry["degree"]
+    return degrees
 
 
 def dump_report(report, out=None):

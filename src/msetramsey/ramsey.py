@@ -39,7 +39,7 @@ class ChainContext:
         # chains are a Ramsey category (Finite Ramsey Theorem)
         return 1, "finite_ramsey_theorem"
 
-    def objects(self, max_size, like=None):
+    def objects(self, max_size):
         return [omega(n) for n in range(1, max_size + 1)]
 
 
@@ -60,7 +60,7 @@ class MSetContext:
             return 1, "ordered_msets_ramsey"
         return math.factorial(a.size), "order_expansion_sum"
 
-    def objects(self, max_size, like=None):
+    def objects(self, max_size):
         """All M-sets (with all orders, in the ordered case) up to a size."""
         out = []
         for n in range(1, max_size + 1):
@@ -393,8 +393,8 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     """
     upper, upper_src = ctx.theory_degree_upper(a)
     evidence = {"upper_source": upper_src, "defeats": []}
-    candidates = ctx.objects(budget.max_c_size, like=a)
-    bs = [b for b in ctx.objects(budget.max_b_size, like=a)
+    candidates = ctx.objects(budget.max_c_size)
+    bs = [b for b in ctx.objects(budget.max_b_size)
           if ctx.hom(a, b)]
     lower = 1
     while (upper is None or lower < upper) and lower < budget.max_k:

@@ -8,9 +8,9 @@ from itertools import combinations, permutations
 import pytest
 
 from msetramsey import bigramsey
-from msetramsey.bigramsey import (ReductionResult, _max_mono_subset, _rank,
-                                  _reduction_key, big_ramsey_reduce,
-                                  equivariance_of_pi, lift_embeddings,
+from msetramsey.bigramsey import (ReductionResult, _max_mono_subset,
+                                  _pattern_keys, _rank, _reduction_key,
+                                  big_ramsey_reduce, equivariance_of_pi,
                                   lift_hom_size, pi_star, random_coloring,
                                   subchains_containing_min,
                                   unordered_degree_bound)
@@ -153,20 +153,34 @@ def _lift_monoids():
               for m in (c3, lz)))
 
 
-def test_lift_embeddings_matches_generic_engine():
-    """Same maps, same order, same keys as enumerate_embeddings plus
-    _reduction_key; the closed-form size counts the same list."""
+def test_pattern_keys_match_generic_engine():
+    """The sorted keys are enumerate_embeddings' maps, in its order, read
+    as base-N^|M| numbers; each pattern's keys, in combinations order of
+    the images, carry that pattern and image as their _reduction_key; the
+    closed-form size counts the same list."""
     checked = 0
     for m in _lift_monoids():
         lifts = [hat_E(omega(n), m) for n in range(1, 5)]
         for a in _small_ordered_msets(m, 3):
             for lift in lifts:
-                want = [(f.map, _reduction_key(f.map, a.order, lift.functions,
-                                               m.identity))
-                        for f in enumerate_embeddings(a, lift.lifted)]
-                assert lift_embeddings(a, lift) == want
-                assert lift_hom_size(a, len(lift.base)) == len(want)
-                checked += len(want)
+                n, q = len(lift.base), len(lift.functions)
+                maps = {}
+                for f in enumerate_embeddings(a, lift.lifted):
+                    key = 0
+                    for x in f.map:
+                        key = key * q + x
+                    maps[key] = f.map
+                patterns = _pattern_keys(a, n, m.size)
+                assert sorted(k for _, pk in patterns for k in pk) == \
+                    list(maps)
+                for ell, pk in patterns:
+                    images = combinations(range(n), ell.bit_count() + 1)
+                    for key, image in zip(pk, images, strict=True):
+                        assert _reduction_key(maps[key], a.order,
+                                              lift.functions,
+                                              m.identity) == (ell, image)
+                assert lift_hom_size(a, n) == len(maps)
+                checked += len(maps)
     assert checked > 5000
 
 
@@ -400,25 +414,13 @@ def test_r_cap_checked_before_enumeration(monkeypatch, capsys, tmp_path):
 def test_recount_names_a_copy_missing_from_r(monkeypatch):
     monkeypatch.setattr(bigramsey, "_pattern_keys", lambda a, n, msize: [])
     with pytest.raises(InputError, match=r"pushed copy \(0, 1\) is not in"):
-        big_ramsey_reduce(_trivial_pair(), lambda f: 0, 2, 3)
+        big_ramsey_reduce(_trivial_pair(), (), 2, 3)
 
 
 def test_big_ramsey_reduce_truncation_too_small():
     a = _trivial_pair()
     with pytest.raises(TruncationTooSmall):
         big_ramsey_reduce(a, (), 2, 1)
-
-
-def test_reduce_callable_coloring_matches_sequence():
-    a = _trivial_pair()
-    lift = hat_E(omega(8), trivial_monoid())
-    r = enumerate_embeddings(a, lift.lifted)
-    chi = random_coloring(len(r), 3, 11)
-    table = {f.map: c for f, c in zip(r, chi)}
-    res_seq = big_ramsey_reduce(a, chi, 3, 8)
-    res_fun = big_ramsey_reduce(a, lambda f: table[f.map], 3, 8)
-    assert res_seq.u.map == res_fun.u.map
-    assert res_seq.colors_used == res_fun.colors_used
 
 
 def _reference_reduce(a_star, chi, k, big_n):
@@ -428,13 +430,10 @@ def _reference_reduce(a_star, chi, k, big_n):
     m = a_star.monoid
     s = a_star.size
     lift = hat_E(omega(big_n), m)
-    r = lift_embeddings(a_star, lift)
-    if callable(chi):
-        colors = tuple(chi(MSetMorphism(a_star, lift.lifted, f_map,
-                                        "order-embedding"))
-                       for f_map, _ in r)
-    else:
-        colors = tuple(chi)
+    r = [(f.map, _reduction_key(f.map, a_star.order, lift.functions,
+                                m.identity))
+         for f in enumerate_embeddings(a_star, lift.lifted)]
+    colors = tuple(chi)
     if len(colors) != len(r):
         raise InputError("coloring has the wrong length")
     if any(not (0 <= c < k) for c in colors):
@@ -479,7 +478,8 @@ def _outcome(reduce, *args):
 
 def test_reduce_matches_reference_reduction():
     """Same result or the same TruncationTooSmall as the gamma/color_of
-    reduction, for sequence and callable colorings."""
+    reduction, for two seeded kinds of coloring: random_coloring, and a
+    color drawn from each map table in R's order."""
     rng = random.Random(9)
     sources = [a for m in (trivial_monoid(), z2(), cyclic_group(3),
                            chain_semilattice(2), left_zero_monoid(2))
@@ -493,8 +493,9 @@ def test_reduce_matches_reference_reduction():
         if i % 2:
             chi = random_coloring(lift_hom_size(a, big_n), k, seed)
         else:
-            def chi(f, k=k, seed=seed):
-                return random.Random(f"{seed}{f.map}").randrange(k)
+            lift = hat_E(omega(big_n), a.monoid)
+            chi = [random.Random(f"{seed}{f.map}").randrange(k)
+                   for f in enumerate_embeddings(a, lift.lifted)]
         got = _outcome(big_ramsey_reduce, a, chi, k, big_n)
         assert got == _outcome(_reference_reduce, a, chi, k, big_n)
         outcomes.add((i % 2, isinstance(got, str)))

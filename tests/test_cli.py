@@ -1,6 +1,7 @@
 """The command-line interface: reports, exit codes, determinism."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -333,6 +334,34 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
                   "well_order": [0, "a"]},
                  "input.json: field 'well_order' is not a JSON array of ints",
                  id="monoid-well-order-entry-not-int"),
+    pytest.param("validate --monoid",
+                 {"size": 2, "identity": False,
+                  "table": [[False, True], [True, False]]},
+                 "input.json: field 'table' is not a JSON array of int arrays",
+                 id="monoid-bool-entries"),
+    pytest.param("validate --monoid",
+                 {"size": True, "identity": 0, "table": [[0]]},
+                 "input.json: field 'size' is not an int",
+                 id="monoid-size-bool"),
+    pytest.param("validate --monoid",
+                 {"size": 1, "identity": False, "table": [[0]]},
+                 "input.json: field 'identity' is not an int",
+                 id="monoid-identity-bool"),
+    pytest.param("validate --monoid",
+                 {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]],
+                  "well_order": [0, True]},
+                 "input.json: field 'well_order' is not a JSON array of ints",
+                 id="monoid-well-order-bool"),
+    pytest.param("bigramsey --N 4 --k 2 --A",
+                 {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                  "carrier": [0, 1], "action": [[False, True]],
+                  "order": [0, 1]},
+                 "input.json: field 'action' is not a JSON array of int arrays",
+                 id="bigramsey-mset-action-bool"),
+    pytest.param("validate --unary",
+                 {"alphabet": ["f"], "generator_actions": {"f": [True]}},
+                 "input.json: field 'generator_actions' is not a JSON object",
+                 id="unary-action-entry-bool"),
 ])
 def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
                                        message):
@@ -351,6 +380,21 @@ def test_bigramsey_boolean_coloring_exits_1(capsys, files):
         "--coloring", str(path)])
     assert code == 1 and report is None
     assert str(path) in err and "Traceback" not in err
+
+
+def test_bigramsey_r_cap_is_the_only_cap_on_n(capsys, files):
+    """|R| = 51,040 while the lift of omega_320 has 102,400 elements: R's
+    cap is the only one on N."""
+    path = files["tmp"] / "par.json"
+    path.write_text(json.dumps(
+        [(x + y) % 2 for x, y in combinations(range(320), 2)]))
+    code, report, _ = run(capsys, [
+        "bigramsey", "--A", files["swap"], "--N", "320", "--k", "2",
+        "--coloring", str(path)])
+    assert code == 0
+    (trial,) = report["verdicts"]["trials"]
+    assert trial["tower"] == [320, 160, 160]
+    assert trial["colors_used"] == 1 and trial["R_size"] == 51040
 
 
 def test_bigramsey_cap_exits_2(capsys, files):
@@ -377,8 +421,11 @@ def test_degree_bound(capsys, files):
     [{"order": 0, "degree": 1}],
     [{"order": [0, 1], "degree": "x"}, {"order": [1, 0], "degree": 1}],
     [{"order": [[0], 1], "degree": 1}],
+    [{"order": [False, True], "degree": True},
+     {"order": [True, False], "degree": 1}],
+    [{"order": [0, 1], "degree": True}, {"order": [1, 0], "degree": 1}],
 ], ids=["no-degree", "not-an-object", "order-not-array", "degree-not-int",
-        "order-not-ints"])
+        "order-not-ints", "bools", "degree-bool"])
 def test_degree_bound_malformed_entry_exits_1(capsys, files, entries):
     path = files["tmp"] / "bad_degrees.json"
     path.write_text(json.dumps(entries))

@@ -67,6 +67,45 @@ def bigramsey_argv(draw):
     return files, argv
 
 
+# values an int slot of a monoid or M-set file may hold instead of an int
+NOT_AN_INT = st.one_of(
+    st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=2), st.lists(st.integers(0, 2), max_size=2))
+
+
+def _int_slots(monoid):
+    """(container, key) of every int slot of a monoid file's object."""
+    slots = [(monoid, "size"), (monoid, "identity")]
+    slots += [(row, j) for row in monoid["table"] for j in range(len(row))]
+    order = monoid["well_order"]
+    return slots + [(order, j) for j in range(len(order))]
+
+
+@st.composite
+def validate_argv(draw):
+    """(files to write, argv, whether an int slot holds a boolean) for one
+    validate --monoid or validate --mset run."""
+    m = draw(st.sampled_from(MONOIDS))
+    monoid = m.to_json()
+    slots = _int_slots(monoid)
+    if draw(st.booleans()):
+        n = draw(st.sampled_from((2, 1, 3, 0)))
+        labels = [f"x{i}" for i in range(n)]
+        action = [list(row) for row in
+                  draw(st.sampled_from(list(_all_actions(m, n))))]
+        obj = {"monoid": monoid, "carrier": labels, "action": action,
+               "order": draw(st.permutations(labels))}
+        slots += [(row, j) for row in action for j in range(n)]
+        kind = "--mset"
+    else:
+        obj, kind = monoid, "--monoid"
+    for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(NOT_AN_INT)
+    has_bool = any(type(c[key]) is bool for c, key in slots)
+    return {"input.json": obj}, ["validate", kind, "input.json"], has_bool
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -74,10 +113,10 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(bigramsey_argv())
-def test_bigramsey_exits_0_1_or_2_and_reruns_identically(case):
-    files, argv = case
+def _run_twice(files, argv):
+    """Write `files` to a fresh directory and run argv on them twice; the
+    run exits 0, 1 or 2, reports iff it exits 0, prints no traceback and
+    reruns to the same bytes. Returns its exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in files.items():
             with open(os.path.join(tmp, name), "w") as fh:
@@ -88,3 +127,18 @@ def test_bigramsey_exits_0_1_or_2_and_reruns_identically(case):
         assert first == _run(argv)
     code, out, err = first
     assert (code == 0) == bool(out) and "Traceback" not in err
+    return code
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bigramsey_argv())
+def test_bigramsey_exits_0_1_or_2_and_reruns_identically(case):
+    _run_twice(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(validate_argv())
+def test_validate_exits_0_1_or_2_and_rejects_booleans(case):
+    files, argv, has_bool = case
+    code = _run_twice(files, argv)
+    assert code == 1 or not has_bool
