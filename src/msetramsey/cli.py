@@ -22,13 +22,13 @@ from . import io
 from .bigramsey import (big_ramsey_reduce, lift_hom_size, random_coloring,
                         unordered_degree_bound)
 from .chains import Chain
-from .comonad import (Coalgebra, DistinctListFunctor, ListFunctor,
-                      MonoidActionFunctor, check_comonad_laws)
+from .comonad import (DistinctListFunctor, ListFunctor, MonoidActionFunctor,
+                      check_comonad_laws)
 from .errors import (CapExceeded, InputError, NoChainWitnessInBudget,
                      TruncationTooSmall)
 from .expansion import degree_sum_bound, fibers
 from .forests import decode_coalgebra, encode_forest
-from .mset import OrderedMSet, order_positions
+from .mset import OrderedMSet
 from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
                      SMALL_BUDGET, TINY_BUDGET, holds_arrow,
                      probe_small_degree)
@@ -213,24 +213,7 @@ def cmd_forest(args, started):
         verdicts["coalgebra"] = coalg.to_json()
     if args.decode is not None:
         inputs["coalgebra"] = _input_entry(args.decode)
-        data = io.load_json(args.decode)
-        if not isinstance(data, dict):
-            raise InputError(f"{args.decode}: a coalgebra file is a JSON "
-                             "object")
-        carrier = data.get("carrier", [])
-        structure = data.get("structure", [])
-        if not isinstance(carrier, list) or not isinstance(structure, list) \
-                or any(not isinstance(v, list) for v in structure):
-            raise InputError(f"{args.decode}: the carrier is a JSON array and "
-                             "the structure is a JSON array of root paths")
-        carrier = tuple(carrier)
-        structure = tuple(tuple(v) for v in structure)
-        if len(carrier) != len(structure):
-            raise InputError("forest: carrier and structure sizes differ")
-        coalg = Coalgebra(DistinctListFunctor(), carrier, structure)
-        order = data.get("order")
-        if order is not None:
-            order = order_positions(carrier, order)
+        coalg, order = io.load_coalgebra(args.decode)
         verdicts["forest"] = decode_coalgebra(coalg, order).to_json()
     return _report(args, inputs, {}, verdicts, started)
 

@@ -134,7 +134,7 @@ def _first(iterable, pred):
 
 
 def check_comonad_laws(functor, elements, delta=None, epsilon=None,
-                       cap=DEFAULT_CAP, with_counit=True):
+                       with_counit=True):
     """Exhaustively check functor + comultiplication (+ counit) laws.
 
     `delta`/`epsilon` override the functor's own maps, which is how the
@@ -143,7 +143,7 @@ def check_comonad_laws(functor, elements, delta=None, epsilon=None,
     elements = list(elements)
     delta = delta or functor.delta
     epsilon = epsilon or functor.epsilon
-    ea = functor.carrier(elements, cap=cap)
+    ea = functor.carrier(elements)
     report = LawReport()
 
     # functor laws on E(A)
@@ -254,13 +254,13 @@ def coalgebra_to_mset(c):
     return validate_mset(m, c.carrier, action)
 
 
-def cofree_coalgebra(functor, elements, cap=DEFAULT_CAP):
+def cofree_coalgebra(functor, elements):
     """(E(X), delta_X) with the E(X)-elements themselves as carrier labels."""
-    ex = functor.carrier(elements, cap=cap)
+    ex = functor.carrier(elements)
     return Coalgebra(functor, tuple(ex), tuple(functor.delta(h) for h in ex))
 
 
-def sharp_lift(c, f, elements, cap=DEFAULT_CAP):
+def sharp_lift(c, f, elements):
     """The unique lift f# = E(f) . alpha into the cofree coalgebra on X.
 
     `f` maps carrier labels of c to elements of X. Asserts the counit
@@ -270,7 +270,7 @@ def sharp_lift(c, f, elements, cap=DEFAULT_CAP):
     if status != "EM":
         raise NotEMCoalgebra(f"coalgebra classifies as {status}")
     functor = c.functor
-    target = cofree_coalgebra(functor, elements, cap=cap)
+    target = cofree_coalgebra(functor, elements)
     sharp = {a: functor.lift(lambda x: f[x], va)
              for a, va in zip(c.carrier, c.structure)}
     for a in c.carrier:

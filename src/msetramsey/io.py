@@ -8,8 +8,10 @@ Formats:
                    "generator_actions": { "f": [...] }, "order": [...]? }
   chain:  [label, label, ...]
   forest: { "carrier": [...], "parent": {label: label}, "order": [...]? }
+  coalgebra (a forest's): { "carrier": [...], "structure": [[label, ...]],
+                            "order": [...]? }, one root path per element
   coloring: [int, int, ...]
-  degrees: [ { "order": [int, ...], "degree": int or null }, ... ]
+  degrees: [ { "order": [int, ...], "degree": int >= 1 or null }, ... ]
 
 Labels read from JSON are used as-is (JSON scalars); every loader routes
 through the corresponding validator so malformed files surface the same
@@ -21,6 +23,7 @@ import json
 import os
 
 from .chains import Chain
+from .comonad import Coalgebra, DistinctListFunctor
 from .errors import InputError
 from .forests import make_forest
 from .monoid import validate_monoid
@@ -164,6 +167,28 @@ def load_forest(path):
     return forest_from_json(load_json(path), where=path)
 
 
+def load_coalgebra(path):
+    """A forest's coalgebra file: (coalgebra, order positions or None)."""
+    data = load_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: a coalgebra file is a JSON object")
+    carrier = data.get("carrier", [])
+    structure = data.get("structure", [])
+    if not isinstance(carrier, list) or not isinstance(structure, list) \
+            or any(not isinstance(v, list) for v in structure):
+        raise InputError(f"{path}: the carrier is a JSON array and the "
+                         "structure is a JSON array of root paths")
+    if len(carrier) != len(structure):
+        raise InputError("forest: carrier and structure sizes differ")
+    carrier = tuple(carrier)
+    order = data.get("order")
+    if order is not None:
+        order = order_positions(carrier, order)
+    coalg = Coalgebra(DistinctListFunctor(), carrier,
+                      tuple(tuple(v) for v in structure))
+    return coalg, order
+
+
 def load_coloring(path):
     data = load_json(path)
     if not _int_rows([data]):
@@ -182,7 +207,8 @@ def load_degrees(path):
         if not (isinstance(entry, dict)
                 and _int_rows([entry.get("order")])
                 and "degree" in entry
-                and (entry["degree"] is None or _is_int(entry["degree"]))):
+                and (entry["degree"] is None
+                     or _is_int(entry["degree"]) and entry["degree"] >= 1)):
             raise InputError(f"{path}: entry {entry!r} is not an "
                              '{"order": [int, ...], "degree": n} object')
         degrees[tuple(entry["order"])] = entry["degree"]

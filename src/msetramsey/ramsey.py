@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import count, permutations
 
-from .chains import enumerate_chain_embeddings, omega
+from .chains import enumerate_chain_embeddings
 from .forests import forest_as_mset, height
 from .monoid import truncated_powers
 from .mset import enumerate_embeddings, validate_mset, with_order
@@ -38,9 +38,6 @@ class ChainContext:
     def theory_degree_upper(self, a):
         # chains are a Ramsey category (Finite Ramsey Theorem)
         return 1, "finite_ramsey_theorem"
-
-    def objects(self, max_size):
-        return [omega(n) for n in range(1, max_size + 1)]
 
 
 class MSetContext:
@@ -354,10 +351,12 @@ def holds_arrow(a, b, c, k, t, ctx, cap=DEFAULT_SEARCH_CAP):
 
 
 def find_witness(a, b, k, t, ctx, candidates, cap=DEFAULT_SEARCH_CAP):
-    """First candidate C with a holding arrow, else (None, bound)."""
+    """First C containing B whose arrow holds, else (None, number tried)."""
     bound = 0
     for c in candidates:
         bound += 1
+        if not ctx.hom(b, c):
+            continue   # the arrow could only hold vacuously
         verdict = holds_arrow(a, b, c, k, t, ctx, cap=cap)
         if verdict.status == "holds":
             return c, verdict
@@ -367,7 +366,7 @@ def find_witness(a, b, k, t, ctx, candidates, cap=DEFAULT_SEARCH_CAP):
 @dataclass
 class DegreeProbe:
     lower: int
-    upper: object   # int or None when unknown
+    upper: int      # the context's theory bound
     evidence: dict = field(default_factory=dict)
 
 
@@ -387,35 +386,36 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
 
     lower: t is bumped past any value defeated within the budget, where
     "defeated" means some (B, k) admits a bad coloring for every
-    candidate C reachable from B. upper: a theory-side bound when the
-    context provides one. The probe never reports an exact value without
-    both sides; lower never exceeds a known upper.
+    candidate C that contains B. upper: the context's theory bound.
+    The candidates are listed once, and only if upper and max_k leave
+    lower room to rise; B ranges over those of size <= max_b_size.
     """
     upper, upper_src = ctx.theory_degree_upper(a)
     evidence = {"upper_source": upper_src, "defeats": []}
+    top = min(upper, budget.max_k)
+    if top <= 1:
+        return DegreeProbe(1, upper, evidence)
     candidates = ctx.objects(budget.max_c_size)
-    bs = [b for b in ctx.objects(budget.max_b_size)
-          if ctx.hom(a, b)]
+    bs = [(b, len(ctx.hom(a, b))) for b in candidates
+          if b.size <= budget.max_b_size]
     lower = 1
-    while (upper is None or lower < upper) and lower < budget.max_k:
-        defeated = False
-        for b in bs:
-            if len(ctx.hom(a, b)) <= lower:
-                continue  # w-images can never exceed `lower` colors
-            cs = [c for c in candidates if ctx.hom(b, c)]
-            for k in range(lower + 1, budget.max_k + 1):
-                if cs and all(
-                        holds_arrow(a, b, c, k, lower, ctx, cap=cap).status
-                        == "refuted" for c in cs):
-                    b_size = b.size if hasattr(b, "size") else len(b)
-                    evidence["defeats"].append(
-                        {"t": lower, "k": k, "B_size": b_size,
-                         "candidates": len(cs)})
-                    defeated = True
-                    break
-            if defeated:
-                break
-        if not defeated:
+    while lower < top:
+        defeat = _first_defeat(a, lower, bs, candidates, ctx, budget, cap)
+        if defeat is None:
             break
+        evidence["defeats"].append(defeat)
         lower += 1
     return DegreeProbe(lower, upper, evidence)
+
+
+def _first_defeat(a, t, bs, candidates, ctx, budget, cap):
+    """The first (B, k) refuted for every candidate C containing B."""
+    for b, n_ab in bs:
+        if n_ab <= t:
+            continue  # w-images can never exceed t colors
+        cs = [c for c in candidates if ctx.hom(b, c)]   # B is one of them
+        for k in range(t + 1, budget.max_k + 1):
+            if all(holds_arrow(a, b, c, k, t, ctx, cap=cap).status
+                   == "refuted" for c in cs):
+                return dict(t=t, k=k, B_size=b.size, candidates=len(cs))
+    return None

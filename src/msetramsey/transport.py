@@ -49,13 +49,13 @@ def hat_E_map(h_emb, lift_src, lift_dst):
                              "order-embedding")
 
 
-def hat_delta(lift, cap=DEFAULT_LIFT_CAP):
+def hat_delta(lift):
     """hat_delta(h)(v)(w) = h(v*w), as a morphism lift -> hat_E(chain(lift)).
 
     h(v * .) is the action gamma(v, h), so this is the lift's own
     weak-coalgebra structure, validated with its square there.
     """
-    coalg = mset_as_weak_coalgebra(lift.lifted, cap=cap)
+    coalg = mset_as_weak_coalgebra(lift.lifted)
     return coalg.embedding, coalg.lift
 
 
@@ -86,14 +86,14 @@ class WeakCoalgebra:
         return self.ordered_mset.carrier_chain()
 
 
-def mset_as_weak_coalgebra(a_star, cap=DEFAULT_LIFT_CAP):
+def mset_as_weak_coalgebra(a_star):
     """Represent an ordered M-set by alpha(a)(g) = action(g, a).
 
     Asserts that alpha is an order-embedding into hat_E of the carrier
     chain and that the weak-EM comultiplication square commutes.
     """
     m = a_star.monoid
-    lift = hat_E(a_star.carrier_chain(), m, cap=cap)
+    lift = hat_E(a_star.carrier_chain(), m)
     pos = a_star.positions
     structure = tuple(
         tuple(pos[a_star.act(g, a)] for g in range(m.size))
@@ -108,7 +108,7 @@ def mset_as_weak_coalgebra(a_star, cap=DEFAULT_LIFT_CAP):
     return WeakCoalgebra(a_star, lift, structure, embedding)
 
 
-def phi(u, b_coalg, cap=DEFAULT_LIFT_CAP):
+def phi(u, b_coalg):
     """Phi(u) = hat_E(u) . beta, landing in hat_E(C).
 
     `u` is a chain embedding from the carrier chain of the coalgebra to
@@ -117,7 +117,7 @@ def phi(u, b_coalg, cap=DEFAULT_LIFT_CAP):
     if u.source != b_coalg.carrier_chain:
         raise InputError("u must start at the coalgebra's carrier chain")
     m = b_coalg.ordered_mset.monoid
-    lift_c = hat_E(u.target, m, cap=cap)
+    lift_c = hat_E(u.target, m)
     values = tuple(tuple(u.map[r] for r in h) for h in b_coalg.structure)
     table = tuple(lift_c.index[v] for v in values)
     mor = validate_morphism(b_coalg.ordered_mset, lift_c.lifted, table,
@@ -130,20 +130,20 @@ def phi(u, b_coalg, cap=DEFAULT_LIFT_CAP):
     return mor, lift_c
 
 
-def check_PA(u, f_map, a_coalg, b_coalg, cap=DEFAULT_LIFT_CAP):
+def check_PA(u, f_map, a_coalg, b_coalg):
     """The pre-adjunction condition with v = f.
 
     Verifies Phi_B(u) . f == Phi_A(u . F(f)) pointwise, where F(f) is f
     read as a chain embedding between carrier chains.
     """
-    phi_b, _ = phi(u, b_coalg, cap=cap)
+    phi_b, _ = phi(u, b_coalg)
     bpos = b_coalg.ordered_mset.positions
     # f as a chain embedding between the carrier chains
     chain_f = ChainEmbedding(
         a_coalg.carrier_chain, b_coalg.carrier_chain,
         tuple(bpos[f_map[a_coalg.ordered_mset.order[r]]]
               for r in range(a_coalg.ordered_mset.size)))
-    phi_a, _ = phi(u.compose(chain_f), a_coalg, cap=cap)
+    phi_a, _ = phi(u.compose(chain_f), a_coalg)
     lhs = tuple(phi_b.map[f_map[x]] for x in range(a_coalg.ordered_mset.size))
     if lhs != phi_a.map:
         return False, None

@@ -198,6 +198,26 @@ def test_transport(capsys, files):
     assert report["verdicts"]["certified"] == "holds"
 
 
+def test_transport_witness_contains_v(capsys, files):
+    """U the Z2 swap pair, V the swap pair plus a fixed point: W must hold
+    a copy of chain(V), so W = omega_6 (R(3,3) = 6), not omega_1."""
+    swap_fixed = files["tmp"] / "swap_fixed.json"
+    swap_fixed.write_text(json.dumps({
+        "monoid": {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+        "carrier": ["a1", "a2", "f"], "action": [[0, 1, 2], [1, 0, 2]],
+        "order": ["a1", "a2", "f"]}))
+    code, report, _ = run(capsys, [
+        "transport", "--U", files["swap"], "--V", str(swap_fixed),
+        "-k", "2", "--budget", "8"])
+    assert code == 0
+    verdicts = report["verdicts"]
+    assert (verdicts["chain_witness_size"], verdicts["lift_size"]) == (6, 36)
+    assert verdicts["certified"] == "holds"
+    assert verdicts["verdict"]["reason"] == "exhausted_with_pruning"
+    assert verdicts["verdict"]["witness_stats"] == {
+        "hom_AB": 1, "hom_AC": 15, "hom_BC": 35}
+
+
 def test_transport_inconclusive_reason_names_certify_cap(capsys, files):
     code, report, _ = run(capsys, [
         "transport", "--U", files["fixed1"], "--V", files["fixed2"],
@@ -424,8 +444,10 @@ def test_degree_bound(capsys, files):
     [{"order": [False, True], "degree": True},
      {"order": [True, False], "degree": 1}],
     [{"order": [0, 1], "degree": True}, {"order": [1, 0], "degree": 1}],
+    pytest.param([{"order": [0, 1], "degree": -5},
+                  {"order": [1, 0], "degree": 1}], id="degree-below-1"),
 ], ids=["no-degree", "not-an-object", "order-not-array", "degree-not-int",
-        "order-not-ints", "bools", "degree-bool"])
+        "order-not-ints", "bools", "degree-bool", "degree-below-1"])
 def test_degree_bound_malformed_entry_exits_1(capsys, files, entries):
     path = files["tmp"] / "bad_degrees.json"
     path.write_text(json.dumps(entries))

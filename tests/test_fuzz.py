@@ -7,6 +7,7 @@ import json
 import os
 import random
 import tempfile
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -106,6 +107,44 @@ def validate_argv(draw):
     return {"input.json": obj}, ["validate", kind, "input.json"], has_bool
 
 
+# values a degree may hold instead of an int >= 1 or null
+NOT_A_DEGREE = st.one_of(
+    st.integers(-3, 0), st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=2), st.lists(st.integers(1, 3), max_size=2))
+
+
+@st.composite
+def degree_bound_argv(draw):
+    """(files to write, argv, whether a degree is a bool or an int below 1)
+    for one degree-bound run."""
+    m = draw(st.sampled_from(MONOIDS))
+    n = draw(st.sampled_from((2, 1, 3)))
+    action = draw(st.sampled_from(list(_all_actions(m, n))))
+    a = {"monoid": m.to_json(), "carrier": [f"x{i}" for i in range(n)],
+         "action": [list(row) for row in action]}
+    entries = [{"order": list(p), "degree": draw(st.integers(1, 4))}
+               for p in permutations(range(n))]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        entry = draw(st.sampled_from(entries))
+        part = draw(st.sampled_from(("degree", "degree", "null", "order")))
+        if part == "degree":
+            entry["degree"] = draw(NOT_A_DEGREE)
+        elif part == "null":
+            entry["degree"] = None
+        else:
+            entry["order"] = draw(st.lists(st.integers(-1, n), max_size=n))
+    if len(entries) > 1 and draw(st.integers(0, 4)) == 0:
+        entries.pop(draw(st.integers(0, len(entries) - 1)))
+    below_one = any(type(e["degree"]) is bool or (
+        type(e["degree"]) is int and e["degree"] < 1) for e in entries)
+    argv = ["degree-bound", "--A", "a.json",
+            "--ordered-degrees", "degrees.json"]
+    if draw(st.booleans()):
+        argv.append("--big")
+    return {"a.json": a, "degrees.json": entries}, argv, below_one
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -142,3 +181,11 @@ def test_validate_exits_0_1_or_2_and_rejects_booleans(case):
     files, argv, has_bool = case
     code = _run_twice(files, argv)
     assert code == 1 or not has_bool
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(degree_bound_argv())
+def test_degree_bound_exits_0_1_or_2_and_rejects_degrees_below_1(case):
+    files, argv, below_one = case
+    code = _run_twice(files, argv)
+    assert code == 1 or not below_one

@@ -13,7 +13,8 @@ from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                truncated_powers, z2)
 from msetramsey.ramsey import (ChainContext, Coloring, ForestContext,
-                               MSetContext, SMALL_BUDGET, TINY_BUDGET,
+                               MSetContext, ProbeBudget, SMALL_BUDGET,
+                               TINY_BUDGET,
                                _all_actions, _search_bad_coloring,
                                coloring_is_bad, composite_images,
                                compose_map, find_witness, holds_arrow,
@@ -415,3 +416,73 @@ def test_probe_small_degree_lower_stops_at_max_k():
     assert probe.evidence["defeats"] == [
         {"t": 1, "k": 2, "B_size": 3, "candidates": 2},
         {"t": 2, "k": 3, "B_size": 3, "candidates": 2}]
+
+
+def _never_listed(max_size):
+    raise AssertionError("candidates listed although the bound is met")
+
+
+@pytest.mark.parametrize("make, a", [
+    (lambda: MSetContext(chain_semilattice(3)), None),
+    (lambda: MSetContext(cyclic_group(3)), None),
+    (lambda: MSetContext(left_zero_monoid(2)), None),
+    (lambda: MSetContext(trivial_monoid(), ordered=True),
+     with_order(validate_mset(trivial_monoid(), (0, 1), [(0, 1)]))),
+    (ChainContext, omega(3)),
+], ids=["semilattice3-point", "cyclic3-point", "left-zero2-point",
+        "ordered-pair", "chain3"])
+def test_probe_lists_no_candidates_when_the_bound_is_met(make, a):
+    ctx = make()
+    if a is None:
+        m = ctx.monoid
+        a = validate_mset(m, (0,), [(0,)] * m.size)
+    ctx.objects = _never_listed
+    probe = probe_small_degree(a, ctx, budget=SMALL_BUDGET)
+    assert (probe.lower, probe.upper) == (1, 1)
+    assert probe.evidence["defeats"] == []
+
+
+def _counting_objects(ctx):
+    calls = []
+    listed = ctx.objects
+
+    def objects(max_size):
+        calls.append(max_size)
+        return listed(max_size)
+    ctx.objects = objects
+    return calls
+
+
+@pytest.mark.parametrize("make, candidates", [
+    (lambda: chain_semilattice(3), 159), (lambda: cyclic_group(3), 3),
+    (lambda: left_zero_monoid(2), 147)],
+    ids=["semilattice3", "cyclic3", "left-zero2"])
+def test_probe_fixed_pair_evidence(make, candidates):
+    """The degree 2 of a pair of fixed points, defeated by its own B."""
+    m = make()
+    ctx = MSetContext(m)
+    calls = _counting_objects(ctx)
+    pair = validate_mset(m, (0, 1), [(0, 1)] * m.size)
+    probe = probe_small_degree(pair, ctx, budget=SMALL_BUDGET)
+    assert (probe.lower, probe.upper) == (2, 2)
+    assert probe.evidence == {
+        "upper_source": "order_expansion_sum",
+        "defeats": [{"t": 1, "k": 2, "B_size": 2,
+                     "candidates": candidates}]}
+    assert calls == [SMALL_BUDGET.max_c_size]
+
+
+def test_probe_b_larger_than_every_candidate_c():
+    """max_b_size 3 > max_c_size 2: a B of size 3 has no C to be
+    refuted in, so a 3-chain keeps lower 1."""
+    m = trivial_monoid()
+    budget = ProbeBudget(3, 2, 3)
+    pair = validate_mset(m, (0, 1), [(0, 1)])
+    probe = probe_small_degree(pair, MSetContext(m), budget=budget)
+    assert (probe.lower, probe.upper) == (2, 2)
+    assert probe.evidence["defeats"] == [
+        {"t": 1, "k": 2, "B_size": 2, "candidates": 1}]
+    three = validate_mset(m, (0, 1, 2), [(0, 1, 2)])
+    probe = probe_small_degree(three, MSetContext(m), budget=budget)
+    assert (probe.lower, probe.upper) == (1, 6)
+    assert probe.evidence["defeats"] == []

@@ -238,3 +238,34 @@ def test_transport_witness_budget_exhausted():
     v_star = _fixed_point(("v0", "v1"))
     with pytest.raises(NoChainWitnessInBudget):
         transport_witness(u_star, v_star, 2, chain_witness_budget=2)
+
+
+def test_transport_witness_must_contain_v():
+    """chain(U) = omega_2 and chain(V) = omega_4 need W = omega_18
+    (R(4,4) = 18), beyond the default budget of 8."""
+    m = trivial_monoid()
+    pair = validate_mset(m, (0, 1), [(0, 1)], order=(0, 1))
+    four = validate_mset(m, tuple(range(4)), [tuple(range(4))],
+                         order=tuple(range(4)))
+    with pytest.raises(NoChainWitnessInBudget):
+        transport_witness(pair, four, 2)
+
+
+@pytest.mark.parametrize("make", [trivial_monoid, z2,
+                                  lambda: chain_semilattice(2)],
+                         ids=["trivial", "z2", "semilattice2"])
+def test_certified_lifts_contain_a_copy_of_v(make):
+    """A lift that certifies hat_E(W) -> (V)^U_2 must contain V: the arrow
+    is not met vacuously by a W too small to hold a copy of U."""
+    ctx = MSetContext(make(), ordered=True)
+    objs = ctx.objects(3)
+    certified = 0
+    for u_star in (u for u in objs if u.size <= 2):
+        for v_star in (v for v in objs if v.size > 2):
+            if not ctx.hom(u_star, v_star):
+                continue
+            result = transport_witness(u_star, v_star, 2)
+            if result.certified == "holds":
+                assert ctx.hom(v_star, result.lift.lifted)
+                certified += 1
+    assert certified > 0
