@@ -2,10 +2,12 @@
 
 Every embedding of an s-element ordered M-set A into the lex lift of a
 chain reduces to a chain embedding of one of the 2^(s-1) subchains of A
-containing its least element. Iterated pigeonhole steps on the chain
-side then squeeze any coloring of the embeddings down to at most one
-color per subchain. This script runs the finite pipeline end to end and
-recounts the surviving colors independently.
+containing its least element; which of them occur (the tie patterns A
+realizes) depends on A alone. Iterated pigeonhole steps on the chain
+side, one per realized pattern, then squeeze any coloring of the
+embeddings down to at most one color per realized pattern. This script
+runs the finite pipeline end to end and recounts the surviving colors
+independently.
 """
 
 from msetramsey import (big_ramsey_reduce, enumerate_embeddings, fibers,
@@ -34,7 +36,8 @@ def main():
     chi = random_coloring(r_size, 4, seed=7)
     res = big_ramsey_reduce(a, chi, 4, 20)
     print(f"coloring the {r_size} increasing pairs with 4 colors")
-    print(f"truncation tower: {res.tower}")
+    print(f"truncation tower, N then one step per realized pattern: "
+          f"{res.tower}")
     print(f"u embeds a {len(res.u.map)}-chain at positions {res.u.map}")
     print(f"colors surviving on hat_E(u) . R: {res.colors_used} "
           f"(bound {res.bound} = 2^(s-1))")

@@ -8,12 +8,12 @@ by g = epsilon . f, so these embeddings are listed directly: the tie
 patterns of g that A realizes, each times the chain embeddings of its
 blocks. Each embedding is held as an integer key, its map table read as
 one base-N^|M| number, so one sort of ints gives the canonical order;
-a coloring is held as one table per pattern in combinations order of
-the images, read by combinatorial rank. Composing with hat_E of a chain
-embedding u found by iterated chain-Ramsey searches then bounds the
-number of colors any coloring of hom(A, hat_E(omega_N)) takes on the
-image hat_E(u) . R by 2^(|A|-1), one color per subchain containing the
-least element.
+each pattern's colors are read in combinations order of the images, by
+combinatorial rank. Composing with hat_E of a chain embedding u found by
+iterated chain-Ramsey searches, one per realized pattern, then bounds
+the number of colors any coloring of hom(A, hat_E(omega_N)) takes on the
+image hat_E(u) . R by the number of patterns A realizes, one color per
+realized subchain containing the least element: at most 2^(|A|-1).
 
 The infinitary pigeonhole steps are replaced by finite searches for a
 maximum subset of the current truncation all of whose small subsets are
@@ -298,8 +298,8 @@ class ReductionResult:
     u: ChainEmbedding
     colors_used: int
     bound: int
-    tower: tuple           # truncation sizes N = T_0 >= T_1 >= ... >= T_n
-    step_colors: tuple     # constant color certified at each step, top down
+    tower: tuple           # N, then the truncation after each step
+    step_colors: tuple     # one color per realized pattern, increasing ell
     r_size: int
 
     def to_json(self):
@@ -318,12 +318,13 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     each map as an integer key whose order is the map tables' lex order
     (_pattern_keys); r_cap is checked against the closed-form size
     first, and no lift of omega_N is built. One sort of the keys puts
-    chi in place; the colors are then scattered into one table per
-    pattern, in combinations order of the images, which the pigeonhole
-    steps read by combinatorial rank. The returned colors_used is an
-    independent recount by the generic engine: the copies of A in
-    hat_E(omega_T) of the final truncation are enumerated by
-    enumerate_embeddings and pushed through hat_E(u) coordinatewise,
+    chi in place. One pigeonhole step runs per realized pattern ell, in
+    decreasing ell (TruncationTooSmall names step ell + 1), reading its
+    colors in combinations order of the images by combinatorial rank, so
+    at most one color per realized pattern survives. The returned
+    colors_used is an independent recount by the generic engine: the
+    copies of A in hat_E(omega_T) of the final truncation are enumerated
+    by enumerate_embeddings and pushed through hat_E(u) coordinatewise,
     (u.h)(m) = u(h(m)); each pushed copy must be a key of R, and its
     chi-color is collected directly.
     """
@@ -346,35 +347,30 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     color_by_key = dict(zip(keys, colors))
     if len(color_by_key) != len(keys):
         raise InputError("reduction is not injective")
-    tables = {ell: list(map(color_by_key.__getitem__, pk))
-              for ell, pk in patterns}
 
-    n = 1 << (s - 1)   # subchains containing the least element
-    # iterated finite pigeonhole, from the full-index subchain down
+    # iterated finite pigeonhole, one step per realized pattern, from the
+    # full-index subchain (always realized) down
     outer = range(big_n)   # composite w_n . ... . w_{i+1} into omega_N
     tower = [big_n]
     step_colors = []
-    for i in range(n - 1, -1, -1):
-        arity = i.bit_count() + 1   # subchain i in subchains_containing_min
-        table = tables.get(i)   # None: pattern i is not realized, color 0
-        if table is None:
-            colors_i = [0] * math.comb(len(outer), arity)
-        elif len(outer) == big_n:
-            colors_i = table
+    for ell, pk in reversed(patterns):
+        arity = ell.bit_count() + 1   # the blocks of pattern ell
+        if len(outer) == big_n:
+            colors_i = list(map(color_by_key.__getitem__, pk))
         else:
-            colors_i = [table[_rank(sub, big_n)]
+            colors_i = [color_by_key[pk[_rank(sub, big_n)]]
                         for sub in combinations(outer, arity)]
         mono = _max_mono_subset(range(len(outer)), arity, colors_i)
         if len(mono) < s:
             raise TruncationTooSmall(
-                i + 1, f"monochromatic subset has size {len(mono)} < {s}")
+                ell + 1, f"monochromatic subset has size {len(mono)} < {s}")
         step_colors.append(colors_i[_rank(mono[:arity], len(outer))])
         outer = [outer[x] for x in mono]
         tower.append(len(mono))
 
     u = ChainEmbedding(omega(len(outer)), omega(big_n), tuple(outer))
 
-    # independent recount, bypassing the pattern tables entirely
+    # independent recount, bypassing the patterns entirely
     lift_small = hat_E(omega(len(outer)), m)
     r_small = enumerate_embeddings(a_star, lift_small.lifted)
     if not r_small:
@@ -391,7 +387,7 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
             raise InputError(f"recount: the pushed copy {table} is not in "
                              "hom(A, hat_E(omega_N))")
         seen.add(color_by_key[key])
-    return ReductionResult(u, len(seen), n, tuple(tower),
+    return ReductionResult(u, len(seen), 1 << (s - 1), tuple(tower),
                            tuple(reversed(step_colors)), len(keys))
 
 
@@ -418,6 +414,8 @@ def unordered_degree_bound(a, per_ordering):
     ordering (from big_ramsey_reduce runs); the whole fiber of A must be
     covered (degree_sum_bound raises IncompleteFiber otherwise).
     """
+    if not a.size:
+        raise InputError("the empty M-set has no least element")
     total = degree_sum_bound(a, per_ordering)
     formula = math.factorial(a.size) * 2 ** (a.size - 1)
     return AggregateBound(total, formula, total <= formula)

@@ -19,8 +19,8 @@ import sys
 import time
 
 from . import io
-from .bigramsey import (big_ramsey_reduce, lift_hom_size, random_coloring,
-                        unordered_degree_bound)
+from .bigramsey import (DEFAULT_R_CAP, big_ramsey_reduce, lift_hom_size,
+                        random_coloring, unordered_degree_bound)
 from .chains import Chain
 from .comonad import (DistinctListFunctor, ListFunctor, MonoidActionFunctor,
                       check_comonad_laws)
@@ -32,7 +32,7 @@ from .mset import OrderedMSet
 from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
                      SMALL_BUDGET, TINY_BUDGET, holds_arrow,
                      probe_small_degree)
-from .transport import transport_witness
+from .transport import DEFAULT_LIFT_CAP, transport_witness
 
 
 def _input_entry(path):
@@ -290,7 +290,8 @@ def build_parser():
                    help="largest chain size searched for a witness")
     p.add_argument("--certify-cap", type=_int_at_least(0),
                    default=DEFAULT_SEARCH_CAP)
-    p.add_argument("--lift-cap", type=_int_at_least(0), default=10 ** 5)
+    p.add_argument("--lift-cap", type=_int_at_least(0),
+                   default=DEFAULT_LIFT_CAP)
     p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("bigramsey", parents=[common],
@@ -302,7 +303,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coloring", default=None,
                    help="JSON coloring file (overrides random trials)")
-    p.add_argument("--r-cap", type=_int_at_least(0), default=10 ** 5)
+    p.add_argument("--r-cap", type=_int_at_least(0), default=DEFAULT_R_CAP)
     p.set_defaults(func=cmd_bigramsey)
 
     p = sub.add_parser("degree-bound", parents=[common],

@@ -112,5 +112,3 @@ class NoChainWitnessInBudget(WorkbenchError):
 class IncompleteFiber(InputError):
     pass
 
-
-MissingOrdering = IncompleteFiber

@@ -13,8 +13,10 @@ Formats:
   coloring: [int, int, ...]
   degrees: [ { "order": [int, ...], "degree": int >= 1 or null }, ... ]
 
-Labels read from JSON are used as-is (JSON scalars); every loader routes
-through the corresponding validator so malformed files surface the same
+Labels are JSON scalars, used as-is (a chain label may also be a flat
+array of scalars, read as a tuple); the chain, forest and coalgebra
+loaders reject any other label. Every loader routes through the
+corresponding validator so malformed files surface the same
 witness-carrying errors as programmatic construction.
 """
 
@@ -56,6 +58,20 @@ def _require(data, field, where, array=False):
 def _is_int(x):
     # bool is a subclass of int, but true and false are not ints in a file
     return type(x) is int
+
+
+def _is_label(x):
+    # a label is a JSON scalar: a string, a number, true, false or null
+    return x is None or isinstance(x, (str, int, float))
+
+
+def _require_labels(labels, field, where):
+    """InputError on the first of `labels`, read from `field`, that is not
+    a label."""
+    for x in labels:
+        if not _is_label(x):
+            raise InputError(f"{where}: field {field!r} holds {x!r}, which "
+                             "is not a JSON scalar label")
 
 
 def _int_rows(rows):
@@ -129,6 +145,11 @@ def load_unary_algebra(path):
 def chain_from_json(data, where="chain"):
     if not isinstance(data, list):
         raise InputError(f"{where}: a chain file is a JSON array")
+    for x in data:   # a flat array of scalars is one label, read as a tuple
+        if not (_is_label(x)
+                or isinstance(x, list) and all(map(_is_label, x))):
+            raise InputError(f"{where}: chain label {x!r} is neither a JSON "
+                             "scalar nor a JSON array of scalars")
     return Chain(tuple(tuple(x) if isinstance(x, list) else x for x in data))
 
 
@@ -138,9 +159,11 @@ def load_chain(path):
 
 def forest_from_json(data, where="forest"):
     carrier = tuple(_require(data, "carrier", where, array=True))
+    _require_labels(carrier, "carrier", where)
     parent_map = _require(data, "parent", where)
     if not isinstance(parent_map, dict):
         raise InputError(f"{where}: parent is a JSON object")
+    _require_labels(parent_map.values(), "parent", where)
     index = {}   # JSON object keys are strings, so labels are keyed by str()
     for i, x in enumerate(carrier):
         if str(x) in index:
@@ -178,6 +201,9 @@ def load_coalgebra(path):
             or any(not isinstance(v, list) for v in structure):
         raise InputError(f"{path}: the carrier is a JSON array and the "
                          "structure is a JSON array of root paths")
+    _require_labels(carrier, "carrier", path)
+    for v in structure:
+        _require_labels(v, "structure", path)
     if len(carrier) != len(structure):
         raise InputError("forest: carrier and structure sizes differ")
     carrier = tuple(carrier)

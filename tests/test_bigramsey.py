@@ -16,7 +16,7 @@ from msetramsey.bigramsey import (ReductionResult, _max_mono_subset,
                                   unordered_degree_bound)
 from msetramsey.chains import Chain, ChainEmbedding, omega
 from msetramsey.cli import main
-from msetramsey.errors import (InputError, MissingOrdering, NotAnEmbedding,
+from msetramsey.errors import (IncompleteFiber, InputError, NotAnEmbedding,
                                SizeOverflow, TruncationTooSmall)
 from msetramsey.expansion import fibers, order_key
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
@@ -423,12 +423,24 @@ def test_big_ramsey_reduce_truncation_too_small():
         big_ramsey_reduce(a, (), 2, 1)
 
 
+def _realized_patterns(a_star):
+    """The ells of the embeddings of A into hat_E(omega_s), s = |A|: a
+    pattern has at most s blocks, so every realized one shows up there."""
+    m = a_star.monoid
+    lift = hat_E(omega(a_star.size), m)
+    return {_reduction_key(f.map, a_star.order, lift.functions,
+                           m.identity)[0]
+            for f in enumerate_embeddings(a_star, lift.lifted)}
+
+
 def _reference_reduce(a_star, chi, k, big_n):
     """The reduction before integer keys, kept as a judge: R as map
     tuples with their (ell, image) keys, a gamma dict on those keys, one
-    color_of closure per pigeonhole step and the recursive search."""
+    color_of closure per pigeonhole step and the recursive search. A
+    step runs for each realized pattern and no other, top down."""
     m = a_star.monoid
     s = a_star.size
+    realized = _realized_patterns(a_star)
     lift = hat_E(omega(big_n), m)
     r = [(f.map, _reduction_key(f.map, a_star.order, lift.functions,
                                 m.identity))
@@ -444,10 +456,12 @@ def _reference_reduce(a_star, chi, k, big_n):
     tower = [big_n]
     step_colors = []
     for i in range(n - 1, -1, -1):
+        if i not in realized:
+            continue
         arity = i.bit_count() + 1
 
         def color_of(subset, i=i):
-            return gamma.get((i, tuple(outer[x] for x in subset)), 0)
+            return gamma[i, tuple(outer[x] for x in subset)]
 
         mono = _recursive_max_mono_subset(range(len(outer)), arity, color_of)
         if len(mono) < s:
@@ -502,6 +516,42 @@ def test_reduce_matches_reference_reduction():
     assert len(outcomes) == 4
 
 
+def test_swap_pair_plus_fixed_point_runs_two_steps():
+    """a <-> b swapped, c fixed, a < b < c: the pattern ell = 1 (blocks
+    {a}, {b, c}) and the all-distinct ell = 3 are realized, ell = 0 and
+    ell = 2 are not, so the tower has two steps."""
+    a = validate_mset(z2(), ("a", "b", "c"), [[0, 1, 2], [1, 0, 2]],
+                      order=("a", "b", "c"))
+    assert _realized_patterns(a) == {1, 3}
+    chi = random_coloring(lift_hom_size(a, 9), 2, 4)
+    res = big_ramsey_reduce(a, chi, 2, 9)
+    assert len(res.tower) == 3 and len(res.step_colors) == 2
+    assert res.bound == 4 and res.colors_used <= 2
+
+
+def test_one_step_per_realized_pattern():
+    """Over every ordering of every M-set of size at most 3 over six
+    monoids, N = 0..7: one tower step and one step color per realized
+    pattern, at most that many colors, and the bound 2^(s-1)."""
+    runs, step_counts = 0, set()
+    for m in (trivial_monoid(), z2(), cyclic_group(3), chain_semilattice(2),
+              chain_semilattice(3), left_zero_monoid(2)):
+        for a in _small_ordered_msets(m, 3):
+            realized = len(_realized_patterns(a))
+            for big_n in range(8):
+                chi = random_coloring(lift_hom_size(a, big_n), 2, big_n)
+                try:
+                    res = big_ramsey_reduce(a, chi, 2, big_n)
+                except TruncationTooSmall:
+                    continue
+                assert len(res.tower) - 1 == len(res.step_colors) == realized
+                assert res.colors_used <= realized
+                assert res.bound == 2 ** (a.size - 1)
+                runs += 1
+                step_counts.add(realized)
+    assert runs > 1000 and step_counts == {1, 2, 3}
+
+
 def test_rank_matches_combinations_order():
     for n in range(13):
         for b in range(n + 1):
@@ -511,15 +561,15 @@ def test_rank_matches_combinations_order():
 
 def test_bigramsey_colors_beyond_a_byte(capsys, tmp_path):
     """--k 300 with colors 256-299; the verdicts were recorded before
-    integer keys replaced the gamma dict."""
+    integer keys replaced the gamma dict, less the idle steps' entries."""
     cases = {
         "trivial-3-chain": ([[0]], [[0, 1, 2]], 12, {
             "R_size": 220, "bound": 4, "colors_used": 1, "seed": None,
-            "step_colors": [0, 0, 0, 256], "tower": [12, 4, 4, 4, 4],
+            "step_colors": [256], "tower": [12, 4],
             "u": [0, 2, 5, 10]}),
         "z2-swap-pair": ([[0, 1], [1, 0]], [[0, 1], [1, 0]], 20, {
             "R_size": 190, "bound": 2, "colors_used": 1, "seed": None,
-            "step_colors": [0, 280], "tower": [20, 5, 5],
+            "step_colors": [280], "tower": [20, 5],
             "u": [0, 2, 8, 14, 15]}),
     }
     for name, (table, action, big_n, trial) in cases.items():
@@ -546,7 +596,7 @@ def test_unordered_degree_bound():
     agg = unordered_degree_bound(a, degrees)
     assert agg.aggregate == 4 == agg.formula
     assert agg.within_formula
-    with pytest.raises(MissingOrdering):
+    with pytest.raises(IncompleteFiber):
         unordered_degree_bound(a, {(0, 1): 2})
     one = validate_mset(trivial_monoid(), ("a",), [[0]])
     agg1 = unordered_degree_bound(one, {(0,): 1})
@@ -572,56 +622,52 @@ GOLDEN_CONFIGS = {
 }
 # Recorded before the bitset search, the reduction key and the target
 # intervals replaced the old code: per listing, per trial,
-# [u, tower, step_colors, colors_used, R_size].
+# [u, tower, step_colors, colors_used, R_size]. Each configuration
+# realizes only its all-distinct pattern, so the idle steps the old code
+# ran for the other patterns (keeping every point, color 0) are left out.
 GOLDEN_TRIALS = {
     "trivial-2-chain": [
-        [[[0, 4, 5, 13, 16, 19], [20, 6, 6], [0, 0], 1, 190],
-         [[1, 6, 8, 10, 13, 17], [20, 6, 6], [0, 0], 1, 190],
-         [[1, 2, 8, 12, 15, 19], [20, 6, 6], [0, 1], 1, 190]],
-        [[[2, 5, 9, 12, 16, 17], [20, 6, 6], [0, 0], 1, 190],
-         [[2, 3, 6, 7, 11, 14], [20, 6, 6], [0, 0], 1, 190],
-         [[0, 3, 7, 13, 19], [20, 5, 5], [0, 0], 1, 190]]],
+        [[[0, 4, 5, 13, 16, 19], [20, 6], [0], 1, 190],
+         [[1, 6, 8, 10, 13, 17], [20, 6], [0], 1, 190],
+         [[1, 2, 8, 12, 15, 19], [20, 6], [1], 1, 190]],
+        [[[2, 5, 9, 12, 16, 17], [20, 6], [0], 1, 190],
+         [[2, 3, 6, 7, 11, 14], [20, 6], [0], 1, 190],
+         [[0, 3, 7, 13, 19], [20, 5], [0], 1, 190]]],
     "trivial-3-chain": [
-        [[[0, 2, 3, 7, 8], [14, 5, 5, 5, 5], [0, 0, 0, 0], 1, 364],
-         [[3, 8, 9, 11, 13], [14, 5, 5, 5, 5], [0, 0, 0, 1], 1, 364],
-         [[0, 1, 7, 10, 13], [14, 5, 5, 5, 5], [0, 0, 0, 0], 1, 364]],
-        [[[0, 3, 4, 7, 13], [14, 5, 5, 5, 5], [0, 0, 0, 0], 1, 364],
-         [[0, 1, 2, 12, 13], [14, 5, 5, 5, 5], [0, 0, 0, 1], 1, 364],
-         [[1, 5, 8, 10, 13], [14, 5, 5, 5, 5], [0, 0, 0, 0], 1, 364]]],
+        [[[0, 2, 3, 7, 8], [14, 5], [0], 1, 364],
+         [[3, 8, 9, 11, 13], [14, 5], [1], 1, 364],
+         [[0, 1, 7, 10, 13], [14, 5], [0], 1, 364]],
+        [[[0, 3, 4, 7, 13], [14, 5], [0], 1, 364],
+         [[0, 1, 2, 12, 13], [14, 5], [1], 1, 364],
+         [[1, 5, 8, 10, 13], [14, 5], [0], 1, 364]]],
     "trivial-4-chain": [
-        [[[0, 1, 3, 6, 7], [11, 5, 5, 5, 5, 5, 5, 5, 5],
-          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330],
-         [[0, 1, 4, 5, 9], [11, 5, 5, 5, 5, 5, 5, 5, 5],
-          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330],
-         [[0, 1, 2, 5, 9], [11, 5, 5, 5, 5, 5, 5, 5, 5],
-          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330]],
-        [[[0, 1, 2, 7, 8], [11, 5, 5, 5, 5, 5, 5, 5, 5],
-          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330],
-         [[0, 1, 2, 5, 6], [11, 5, 5, 5, 5, 5, 5, 5, 5],
-          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330],
-         [[0, 1, 3, 4, 8], [11, 5, 5, 5, 5, 5, 5, 5, 5],
-          [0, 0, 0, 0, 0, 0, 0, 0], 1, 330]]],
+        [[[0, 1, 3, 6, 7], [11, 5], [0], 1, 330],
+         [[0, 1, 4, 5, 9], [11, 5], [0], 1, 330],
+         [[0, 1, 2, 5, 9], [11, 5], [0], 1, 330]],
+        [[[0, 1, 2, 7, 8], [11, 5], [0], 1, 330],
+         [[0, 1, 2, 5, 6], [11, 5], [0], 1, 330],
+         [[0, 1, 3, 4, 8], [11, 5], [0], 1, 330]]],
     "z2-swap-pair": [
-        [[[0, 5, 7, 8, 12], [16, 5, 5], [0, 0], 1, 120],
-         [[2, 8, 9, 10, 11], [16, 5, 5], [0, 0], 1, 120],
-         [[0, 7, 8, 10, 14], [16, 5, 5], [0, 0], 1, 120]],
-        [[[3, 11, 12, 13, 14], [16, 5, 5], [0, 0], 1, 120],
-         [[2, 3, 6, 7, 11, 14], [16, 6, 6], [0, 0], 1, 120],
-         [[0, 5, 8, 9, 14], [16, 5, 5], [0, 1], 1, 120]]],
+        [[[0, 5, 7, 8, 12], [16, 5], [0], 1, 120],
+         [[2, 8, 9, 10, 11], [16, 5], [0], 1, 120],
+         [[0, 7, 8, 10, 14], [16, 5], [0], 1, 120]],
+        [[[3, 11, 12, 13, 14], [16, 5], [0], 1, 120],
+         [[2, 3, 6, 7, 11, 14], [16, 6], [0], 1, 120],
+         [[0, 5, 8, 9, 14], [16, 5], [1], 1, 120]]],
     "z2-swap-pair+fixed": [
-        [[[0, 2, 6, 7, 8], [11, 5, 5, 5, 5], [0, 0, 0, 0], 1, 165],
-         [[0, 1, 4, 7], [11, 4, 4, 4, 4], [0, 0, 0, 0], 1, 165],
-         [[1, 2, 5, 6, 10], [11, 5, 5, 5, 5], [0, 0, 0, 0], 1, 165]],
-        [[[1, 3, 7, 8, 9], [11, 5, 5, 5, 5], [0, 0, 0, 0], 1, 165],
-         [[1, 2, 3, 4, 10], [11, 5, 5, 5, 5], [0, 0, 0, 0], 1, 165],
-         [[0, 1, 4, 6], [11, 4, 4, 4, 4], [0, 0, 0, 0], 1, 165]]],
+        [[[0, 2, 6, 7, 8], [11, 5], [0], 1, 165],
+         [[0, 1, 4, 7], [11, 4], [0], 1, 165],
+         [[1, 2, 5, 6, 10], [11, 5], [0], 1, 165]],
+        [[[1, 3, 7, 8, 9], [11, 5], [0], 1, 165],
+         [[1, 2, 3, 4, 10], [11, 5], [0], 1, 165],
+         [[0, 1, 4, 6], [11, 4], [0], 1, 165]]],
     "semilattice2-pair": [
-        [[[0, 4, 5, 13, 16, 19], [20, 6, 6], [0, 0], 1, 190],
-         [[1, 6, 8, 10, 13, 17], [20, 6, 6], [0, 0], 1, 190],
-         [[1, 2, 8, 12, 15, 19], [20, 6, 6], [0, 1], 1, 190]],
-        [[[2, 5, 9, 12, 16, 17], [20, 6, 6], [0, 0], 1, 190],
-         [[2, 3, 6, 7, 11, 14], [20, 6, 6], [0, 0], 1, 190],
-         [[0, 3, 7, 13, 19], [20, 5, 5], [0, 0], 1, 190]]],
+        [[[0, 4, 5, 13, 16, 19], [20, 6], [0], 1, 190],
+         [[1, 6, 8, 10, 13, 17], [20, 6], [0], 1, 190],
+         [[1, 2, 8, 12, 15, 19], [20, 6], [1], 1, 190]],
+        [[[2, 5, 9, 12, 16, 17], [20, 6], [0], 1, 190],
+         [[2, 3, 6, 7, 11, 14], [20, 6], [0], 1, 190],
+         [[0, 3, 7, 13, 19], [20, 5], [0], 1, 190]]],
 }
 
 

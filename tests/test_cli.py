@@ -382,6 +382,36 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
                  {"alphabet": ["f"], "generator_actions": {"f": [True]}},
                  "input.json: field 'generator_actions' is not a JSON object",
                  id="unary-action-entry-bool"),
+    pytest.param("validate --chain", [1, 2, {"a": 1}],
+                 "input.json: chain label {'a': 1} is neither a JSON scalar",
+                 id="chain-label-object"),
+    pytest.param("validate --chain", [[[1]], 2],
+                 "input.json: chain label [[1]] is neither a JSON scalar",
+                 id="chain-label-nested-array"),
+    pytest.param("validate --forest",
+                 {"carrier": [[1]], "parent": {"[1]": [1]}, "order": [[1]]},
+                 "input.json: field 'carrier' holds [1], which is not a JSON "
+                 "scalar label", id="forest-label-array"),
+    pytest.param("forest --encode",
+                 {"carrier": [[1]], "parent": {"[1]": [1]}, "order": [[1]]},
+                 "input.json: field 'carrier' holds [1], which is not a JSON "
+                 "scalar label", id="encode-label-array"),
+    pytest.param("forest --encode",
+                 {"carrier": [{"a": 1}], "parent": {"{'a': 1}": {"a": 1}},
+                  "order": [{"a": 1}]},
+                 "input.json: field 'carrier' holds {'a': 1}, which is not "
+                 "a JSON scalar label", id="encode-label-object"),
+    pytest.param("forest --encode",
+                 {"carrier": ["x"], "parent": {"x": ["x"]}, "order": ["x"]},
+                 "input.json: field 'parent' holds ['x'], which is not a "
+                 "JSON scalar label", id="encode-parent-array"),
+    pytest.param("forest --decode", {"carrier": [[1]], "structure": [[[1]]]},
+                 "input.json: field 'carrier' holds [1], which is not a JSON "
+                 "scalar label", id="decode-label-array"),
+    pytest.param("forest --decode",
+                 {"carrier": ["x"], "structure": [["x", [1]]]},
+                 "input.json: field 'structure' holds [1], which is not a "
+                 "JSON scalar label", id="decode-path-entry-array"),
 ])
 def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
                                        message):
@@ -390,6 +420,16 @@ def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
     code, report, err = run(capsys, command.split() + [str(path)])
     assert code == 1 and report is None
     assert message in err
+
+
+def test_arrow_check_non_scalar_chain_label_exits_1(capsys, files):
+    path = files["tmp"] / "bad_chain.json"
+    path.write_text(json.dumps([1, 2, {"a": 1}]))
+    code, report, err = run(capsys, [
+        "arrow-check", "--ctx", "chains", "--A", str(path),
+        "--B", files["chain2"], "--C", files["chain3"], "-k", "2"])
+    assert code == 1 and report is None
+    assert "bad_chain.json: chain label {'a': 1}" in err
 
 
 def test_bigramsey_boolean_coloring_exits_1(capsys, files):
@@ -413,7 +453,7 @@ def test_bigramsey_r_cap_is_the_only_cap_on_n(capsys, files):
         "--coloring", str(path)])
     assert code == 0
     (trial,) = report["verdicts"]["trials"]
-    assert trial["tower"] == [320, 160, 160]
+    assert trial["tower"] == [320, 160]
     assert trial["colors_used"] == 1 and trial["R_size"] == 51040
 
 
@@ -433,6 +473,24 @@ def test_degree_bound(capsys, files):
         "degree-bound", "--A", files["pair_unordered"],
         "--ordered-degrees", files["degrees"], "--big"])
     assert code == 0 and report["verdicts"]["within_formula"] is True
+
+
+def test_degree_bound_big_rejects_empty_carrier(capsys, files):
+    """2^(n-1) counts subchains through a least element, which an empty A
+    lacks; the plain fiber sum still runs (one empty ordering)."""
+    a = files["tmp"] / "empty.json"
+    a.write_text(json.dumps({"monoid": {"size": 1, "identity": 0,
+                                        "table": [[0]]},
+                             "carrier": [], "action": [[]]}))
+    degrees = files["tmp"] / "empty_degrees.json"
+    degrees.write_text(json.dumps([{"order": [], "degree": 1}]))
+    argv = ["degree-bound", "--A", str(a), "--ordered-degrees", str(degrees)]
+    code, report, err = run(capsys, argv + ["--big"])
+    assert code == 1 and report is None
+    assert "no least element" in err
+    code, report, _ = run(capsys, argv)
+    assert code == 0
+    assert report["verdicts"] == {"bound": 1, "fiber_size": 1}
 
 
 @pytest.mark.parametrize("entries", [

@@ -116,10 +116,10 @@ NOT_A_DEGREE = st.one_of(
 
 @st.composite
 def degree_bound_argv(draw):
-    """(files to write, argv, whether a degree is a bool or an int below 1)
-    for one degree-bound run."""
+    """(files to write, argv, whether a degree is a bool or an int below 1,
+    whether A is empty and --big is given) for one degree-bound run."""
     m = draw(st.sampled_from(MONOIDS))
-    n = draw(st.sampled_from((2, 1, 3)))
+    n = draw(st.sampled_from((2, 1, 3, 0)))
     action = draw(st.sampled_from(list(_all_actions(m, n))))
     a = {"monoid": m.to_json(), "carrier": [f"x{i}" for i in range(n)],
          "action": [list(row) for row in action]}
@@ -140,9 +140,88 @@ def degree_bound_argv(draw):
         type(e["degree"]) is int and e["degree"] < 1) for e in entries)
     argv = ["degree-bound", "--A", "a.json",
             "--ordered-degrees", "degrees.json"]
-    if draw(st.booleans()):
+    big = draw(st.booleans())
+    if big:
         argv.append("--big")
-    return {"a.json": a, "degrees.json": entries}, argv, below_one
+    files = {"a.json": a, "degrees.json": entries}
+    return files, argv, below_one, big and not n
+
+
+SCALAR = st.one_of(
+    st.text(max_size=2), st.integers(-2, 9), st.booleans(), st.none(),
+    st.floats(allow_nan=False, allow_infinity=False))
+# JSON values no label may be: arrays (a chain label may be a flat array
+# of scalars, so some of these nest one) and objects
+NOT_A_LABEL = st.one_of(
+    st.lists(SCALAR, max_size=2),
+    st.lists(st.lists(SCALAR, max_size=1), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=1), SCALAR, max_size=1))
+
+
+def _is_scalar(x):
+    return not isinstance(x, (list, dict))
+
+
+def _labels(draw, n):
+    """n labels, mostly distinct strings, some scalars of other types and
+    now and then an array or an object."""
+    labels = [f"x{i}" for i in range(n)]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2))) if n else 0):
+        labels[draw(st.integers(0, n - 1))] = draw(
+            st.one_of(SCALAR, NOT_A_LABEL))
+    return labels
+
+
+@st.composite
+def chain_argv(draw):
+    """(files to write, argv, whether an entry is neither a scalar nor a
+    flat array of scalars) for one validate --chain run."""
+    labels = _labels(draw, draw(st.integers(0, 4)))
+    bad = not all(_is_scalar(x) or isinstance(x, list)
+                  and all(map(_is_scalar, x)) for x in labels)
+    return {"chain.json": labels}, ["validate", "--chain", "chain.json"], bad
+
+
+@st.composite
+def forest_argv(draw):
+    """(files to write, argv, whether a carrier label, parent or root-path
+    entry is not a scalar) for one forest --encode or --decode run: a
+    forest of up to 4 vertices (a parent choice may close a cycle), as a
+    forest file or as its root-path coalgebra, now and then with a label
+    swapped for another value."""
+    n = draw(st.integers(0, 4))
+    labels = _labels(draw, n)
+    parent = [draw(st.integers(0, i)) for i in range(n)]
+    if n and draw(st.integers(0, 4)) == 0:
+        parent[0] = n - 1   # may close a cycle through vertex 0
+    order = draw(st.permutations(labels))
+    if draw(st.booleans()):
+        paths = []
+        for i in range(n):
+            path, seen = [i], {i}
+            while parent[path[-1]] not in seen:
+                path.append(parent[path[-1]])
+                seen.add(path[-1])
+            paths.append([labels[j] for j in path])
+        if paths and draw(st.integers(0, 2)) == 0:
+            path = draw(st.sampled_from(paths))
+            path[draw(st.integers(0, len(path) - 1))] = draw(
+                st.one_of(SCALAR, NOT_A_LABEL))
+        obj = {"carrier": labels, "structure": paths, "order": order}
+        bad = not all(map(_is_scalar, labels + sum(paths, [])))
+        argv = ["forest", "--decode", "input.json"]
+    else:
+        values = [labels[j] for j in parent]
+        if values and draw(st.integers(0, 2)) == 0:
+            values[draw(st.integers(0, n - 1))] = draw(
+                st.one_of(SCALAR, NOT_A_LABEL))
+        obj = {"carrier": labels, "order": order,
+               "parent": {str(x): y for x, y in zip(labels, values)}}
+        bad = not all(map(_is_scalar, labels + values))
+        argv = ["forest", "--encode", "input.json"]
+    if draw(st.integers(0, 4)) == 0:
+        del obj["order"]
+    return {"input.json": obj}, argv, bad
 
 
 def _run(argv):
@@ -186,6 +265,22 @@ def test_validate_exits_0_1_or_2_and_rejects_booleans(case):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(degree_bound_argv())
 def test_degree_bound_exits_0_1_or_2_and_rejects_degrees_below_1(case):
-    files, argv, below_one = case
+    files, argv, below_one, empty_big = case
     code = _run_twice(files, argv)
-    assert code == 1 or not below_one
+    assert code == 1 or not (below_one or empty_big)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chain_argv())
+def test_validate_chain_exits_0_1_or_2_and_rejects_non_labels(case):
+    files, argv, has_non_label = case
+    code = _run_twice(files, argv)
+    assert code == 1 or not has_non_label
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(forest_argv())
+def test_forest_exits_0_1_or_2_and_rejects_non_labels(case):
+    files, argv, has_non_label = case
+    code = _run_twice(files, argv)
+    assert code == 1 or not has_non_label
