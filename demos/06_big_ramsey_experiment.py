@@ -15,7 +15,7 @@ from msetramsey import (big_ramsey_reduce, enumerate_embeddings, fibers,
                         random_coloring, subchains_containing_min,
                         trivial_monoid, unordered_degree_bound, validate_mset,
                         z2)
-from msetramsey.expansion import order_key
+from msetramsey.expansion import forget_order, order_key
 
 
 def main():
@@ -51,7 +51,7 @@ def main():
           f"(bound {res.bound})")
 
     print("\n== aggregating over orderings ==")
-    base = swap.base
+    base = forget_order(swap)
     per_order = {}
     for a_star in fibers(base):
         r_size = lift_hom_size(a_star, 5)

@@ -14,10 +14,9 @@ from .chains import (Chain, ChainEmbedding, enumerate_chain_embeddings,
 from .monoid import (FiniteMonoid, WordTruncation, chain_semilattice,
                      cyclic_group, left_zero_monoid, trivial_monoid,
                      validate_monoid, z2)
-from .mset import (MSet, MSetMorphism, OrderedMSet, UnaryAlgebra,
-                   cofree_mset, enumerate_embeddings, evaluate_word,
-                   generated_sub_mset, validate_morphism, validate_mset,
-                   with_order)
+from .mset import (MSet, MSetMorphism, UnaryAlgebra, cofree_mset,
+                   enumerate_embeddings, evaluate_word, generated_sub_mset,
+                   validate_morphism, validate_mset, with_order)
 from .comonad import (Coalgebra, CoalgebraHom, DistinctListFunctor,
                       LawReport, ListFunctor, MonoidActionFunctor,
                       check_comonad_laws, classify_coalgebra,

@@ -107,7 +107,7 @@ def _realizable_patterns(a_star):
     (blk[w.a] for w in the well-order), so whether ell is realized
     depends on A alone.
     """
-    order, act = a_star.order, a_star.base.action
+    order, act = a_star.order, a_star.action
     well_order = a_star.monoid.well_order
     for ell in range(1 << a_star.size >> 1):
         blk = [0] * a_star.size
@@ -149,7 +149,7 @@ def _pattern_keys(a_star, n, msize):
     """
     q = n ** msize
     s = a_star.size
-    act = a_star.base.action
+    act = a_star.action
     out = []
     for ell, blk in _realizable_patterns(a_star):
         weights = [0] * (ell.bit_count() + 1)   # W_b

@@ -25,6 +25,8 @@ class Chain:
     def __len__(self):
         return len(self.labels)
 
+    size = property(__len__)
+
     def __iter__(self):
         return iter(self.labels)
 

@@ -21,14 +21,12 @@ import time
 from . import io
 from .bigramsey import (DEFAULT_R_CAP, big_ramsey_reduce, lift_hom_size,
                         random_coloring, unordered_degree_bound)
-from .chains import Chain
 from .comonad import (DistinctListFunctor, ListFunctor, MonoidActionFunctor,
                       check_comonad_laws)
 from .errors import (CapExceeded, InputError, NoChainWitnessInBudget,
                      TruncationTooSmall)
-from .expansion import degree_sum_bound, fibers
+from .expansion import degree_sum_bound, fibers, forget_order
 from .forests import decode_coalgebra, encode_forest
-from .mset import OrderedMSet
 from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
                      SMALL_BUDGET, TINY_BUDGET, holds_arrow,
                      probe_small_degree)
@@ -68,8 +66,7 @@ def cmd_validate(args, started):
         path = getattr(args, kind)
         inputs[kind] = _input_entry(path)
         obj = _load_object(kind, path)
-        size = len(obj) if isinstance(obj, Chain) else obj.size
-        verdicts[kind] = {"valid": True, "size": size}
+        verdicts[kind] = {"valid": True, "size": obj.size}
     return _report(args, inputs, {}, verdicts, started)
 
 
@@ -99,7 +96,7 @@ def _arrow_context(args, objects):
     if args.ctx == "chains":
         return ChainContext()
     a = objects[0]
-    ordered = isinstance(a, OrderedMSet)
+    ordered = a.order is not None
     want_ordered = args.ctx == "ordered-msets"
     if ordered != want_ordered:
         raise InputError(
@@ -141,7 +138,7 @@ def cmd_transport(args, started):
     inputs = {"U": _input_entry(args.U), "V": _input_entry(args.V)}
     u_star, v_star = io.load_mset(args.U), io.load_mset(args.V)
     for name, obj in (("U", u_star), ("V", v_star)):
-        if not isinstance(obj, OrderedMSet):
+        if obj.order is None:
             raise InputError(f"transport: {name} must carry an order")
     result = transport_witness(u_star, v_star, args.k,
                                chain_witness_budget=args.budget,
@@ -159,7 +156,7 @@ def cmd_transport(args, started):
 def cmd_bigramsey(args, started):
     inputs = {"A": _input_entry(args.A)}
     a_star = io.load_mset(args.A)
-    if not isinstance(a_star, OrderedMSet):
+    if a_star.order is None:
         raise InputError("bigramsey: A must carry an order")
     params = {"N": args.N, "k": args.k, "trials": args.trials,
               "seed": args.seed, "r_cap": args.r_cap}
@@ -189,9 +186,7 @@ def cmd_bigramsey(args, started):
 def cmd_degree_bound(args, started):
     inputs = {"A": _input_entry(args.A),
               "ordered_degrees": _input_entry(args.ordered_degrees)}
-    a = io.load_mset(args.A)
-    if isinstance(a, OrderedMSet):
-        a = a.base
+    a = forget_order(io.load_mset(args.A))
     degrees = io.load_degrees(args.ordered_degrees)
     if args.big:
         verdicts = unordered_degree_bound(a, degrees).to_json()

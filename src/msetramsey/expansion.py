@@ -5,19 +5,20 @@ main results is of this form. Fibers are raw (isomorphic orderings are
 not merged), matching the sum the degree bounds are stated over.
 """
 
+from dataclasses import replace
 from itertools import permutations
 
 from .errors import IncompleteFiber, NotAnEmbedding
-from .mset import OrderedMSet, check_equivariant, order_violation
+from .mset import check_equivariant, order_violation, with_order
 
 
 def forget_order(a_star):
-    return a_star.base
+    return replace(a_star, order=None)
 
 
 def fibers(a):
     """All |A|! orderings of an unordered M-set."""
-    return [OrderedMSet(a, perm) for perm in permutations(range(a.size))]
+    return [with_order(a, perm) for perm in permutations(range(a.size))]
 
 
 def order_key(a_star):
@@ -31,11 +32,11 @@ def restrict_along(b_star, e_map, a):
     `e_map` is an embedding of the unordered M-set A into forget(B*);
     uniqueness is asserted by sweeping the whole fiber of A.
     """
-    if len(set(e_map)) != len(e_map) or check_equivariant(e_map, a, b_star.base):
+    if len(set(e_map)) != len(e_map) or check_equivariant(e_map, a, b_star):
         raise NotAnEmbedding("map is not an embedding of M-sets")
     tpos = b_star.positions
     order = tuple(sorted(range(a.size), key=lambda x: tpos[e_map[x]]))
-    a_star = OrderedMSet(a, order)
+    a_star = with_order(a, order)
     if order_violation(e_map, a_star, b_star) is not None:
         raise NotAnEmbedding("pulled-back order does not embed")
     admitting = [f for f in fibers(a)
@@ -62,8 +63,7 @@ def check_reasonable(instances):
             if y not in image:
                 rank[y] = nxt
                 nxt += 1
-        b_star = OrderedMSet(b, tuple(sorted(range(b.size),
-                                             key=lambda y: rank[y])))
+        b_star = with_order(b, sorted(range(b.size), key=lambda y: rank[y]))
         if order_violation(e_map, a_star, b_star) is None:
             continue
         found = any(order_violation(e_map, a_star, f) is None

@@ -12,7 +12,7 @@ from itertools import product
 
 from .comonad import Coalgebra, DistinctListFunctor
 from .errors import InputError, NotAForest, NotPathShaped
-from .mset import MSet, OrderedMSet
+from .mset import MSet
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ def forest_as_mset(forest, monoid, ordered):
     rows = [tuple(range(forest.size))]
     for _ in range(1, monoid.size):
         rows.append(tuple(forest.parent[x] for x in rows[-1]))
-    ms = MSet(monoid, forest.carrier, tuple(rows))
-    return OrderedMSet(ms, forest.order) if ordered else ms
+    return MSet(monoid, forest.carrier, tuple(rows),
+                forest.order if ordered else None)
 
 
 def encode_forest(forest):

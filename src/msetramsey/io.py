@@ -14,8 +14,9 @@ Formats:
   degrees: [ { "order": [int, ...], "degree": int >= 1 or null }, ... ]
 
 Labels are JSON scalars, used as-is (a chain label may also be a flat
-array of scalars, read as a tuple); the chain, forest and coalgebra
-loaders reject any other label. Every loader routes through the
+array of scalars, read as a tuple); every loader rejects any other
+carrier label, and any two carrier labels Python holds equal, such as
+"a" and "a", 1 and true, or 1 and 1.0. Every loader routes through the
 corresponding validator so malformed files surface the same
 witness-carrying errors as programmatic construction.
 """
@@ -74,6 +75,23 @@ def _require_labels(labels, field, where):
                              "is not a JSON scalar label")
 
 
+def _require_distinct(labels, what, where):
+    """InputError on the first two of `labels`, read from `what`, that
+    Python holds equal."""
+    first = {}
+    for x in labels:
+        if x in first:
+            raise InputError(f"{where}: {what} holds {first[x]!r} and {x!r}, "
+                             "which are equal labels")
+        first[x] = x
+
+
+def _require_carrier(carrier, where):
+    """InputError unless `carrier` holds distinct labels."""
+    _require_labels(carrier, "carrier", where)
+    _require_distinct(carrier, "field 'carrier'", where)
+
+
 def _int_rows(rows):
     return all(isinstance(row, list) and all(map(_is_int, row))
                for row in rows)
@@ -114,6 +132,7 @@ def mset_from_json(data, where="mset", base_dir="."):
         monoid = os.path.join(base_dir, monoid)
     monoid = monoid_from_json(monoid, where=f"{where}.monoid")
     carrier = tuple(_require(data, "carrier", where, array=True))
+    _require_carrier(carrier, where)
     action = _require_table(data, "action", where)
     return validate_mset(monoid, carrier, action, data.get("order"))
 
@@ -135,6 +154,9 @@ def unary_algebra_from_json(data, where="unary algebra"):
     carrier = data.get("carrier")
     if carrier is None:
         carrier = list(range(len(next(iter(actions.values())))))
+    elif not isinstance(carrier, list):
+        raise InputError(f"{where}: field 'carrier' is not a JSON array")
+    _require_carrier(carrier, where)
     return UnaryAlgebra(alphabet, tuple(carrier), actions)
 
 
@@ -150,7 +172,9 @@ def chain_from_json(data, where="chain"):
                 or isinstance(x, list) and all(map(_is_label, x))):
             raise InputError(f"{where}: chain label {x!r} is neither a JSON "
                              "scalar nor a JSON array of scalars")
-    return Chain(tuple(tuple(x) if isinstance(x, list) else x for x in data))
+    labels = tuple(tuple(x) if isinstance(x, list) else x for x in data)
+    _require_distinct(labels, "the chain", where)
+    return Chain(labels)
 
 
 def load_chain(path):
@@ -159,7 +183,7 @@ def load_chain(path):
 
 def forest_from_json(data, where="forest"):
     carrier = tuple(_require(data, "carrier", where, array=True))
-    _require_labels(carrier, "carrier", where)
+    _require_carrier(carrier, where)
     parent_map = _require(data, "parent", where)
     if not isinstance(parent_map, dict):
         raise InputError(f"{where}: parent is a JSON object")
@@ -201,7 +225,7 @@ def load_coalgebra(path):
             or any(not isinstance(v, list) for v in structure):
         raise InputError(f"{path}: the carrier is a JSON array and the "
                          "structure is a JSON array of root paths")
-    _require_labels(carrier, "carrier", path)
+    _require_carrier(carrier, path)
     for v in structure:
         _require_labels(v, "structure", path)
     if len(carrier) != len(structure):

@@ -1,12 +1,13 @@
 """Finite M-sets, ordered M-sets, unary algebras and their embeddings.
 
 Carriers are indexed 0..n-1 with user labels kept in a side table. The
-action table is indexed action[m][a]. An ordered M-set carries a
-permutation of the carrier listing it in increasing order; the unordered
-code path is the same engine with the order checks disabled.
+action table is indexed action[m][a]. An ordered M-set is an MSet whose
+`order` is set: a permutation of the carrier listing it in increasing
+order. Forgetting the order clears the field; the unordered code path
+is the same engine with the order checks disabled.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import itemgetter
 
@@ -21,6 +22,18 @@ class MSet:
     monoid: FiniteMonoid
     carrier: tuple   # labels
     action: tuple    # action[m][a] = alpha(m, a), positional
+    order: tuple = None  # carrier indices in increasing order (ordered M-set)
+    # positions[a] = rank of carrier element a in the order
+    positions: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        positions = None
+        if self.order is not None:
+            if sorted(self.order) != list(range(self.size)):
+                raise InputError("order is not a permutation of the carrier")
+            positions = tuple(sorted(range(self.size),
+                                     key=self.order.__getitem__))
+        object.__setattr__(self, "positions", positions)
 
     @property
     def size(self):
@@ -29,51 +42,16 @@ class MSet:
     def act(self, m, a):
         return self.action[m][a]
 
-    def to_json(self):
-        return {"monoid": self.monoid.to_json(),
-                "carrier": list(self.carrier),
-                "action": [list(row) for row in self.action]}
-
-
-@dataclass(frozen=True)
-class OrderedMSet:
-    base: MSet
-    order: tuple  # carrier indices listed in increasing order
-
-    def __post_init__(self):
-        if sorted(self.order) != list(range(self.base.size)):
-            raise InputError("order is not a permutation of the carrier")
-
-    @property
-    def monoid(self):
-        return self.base.monoid
-
-    @property
-    def carrier(self):
-        return self.base.carrier
-
-    @property
-    def size(self):
-        return self.base.size
-
-    def act(self, m, a):
-        return self.base.act(m, a)
-
-    @property
-    def positions(self):
-        """positions[a] = rank of carrier element a in the order."""
-        pos = [0] * self.base.size
-        for rank, a in enumerate(self.order):
-            pos[a] = rank
-        return tuple(pos)
-
     def carrier_chain(self):
         """The carrier as a chain, listed in increasing order."""
-        return Chain(tuple(self.base.carrier[a] for a in self.order))
+        return Chain(tuple(self.carrier[a] for a in self.order))
 
     def to_json(self):
-        d = self.base.to_json()
-        d["order"] = [self.base.carrier[a] for a in self.order]
+        d = {"monoid": self.monoid.to_json(),
+             "carrier": list(self.carrier),
+             "action": [list(row) for row in self.action]}
+        if self.order is not None:
+            d["order"] = [self.carrier[a] for a in self.order]
         return d
 
 
@@ -98,10 +76,9 @@ def validate_mset(monoid, carrier, action, order=None):
     for m1, m2, a in product(range(monoid.size), range(monoid.size), range(n)):
         if action[m1][action[m2][a]] != action[monoid.mul(m2, m1)][a]:
             raise CompositionFails(m1, m2, carrier[a])
-    ms = MSet(monoid, carrier, action)
-    if order is None:
-        return ms
-    return OrderedMSet(ms, order_positions(carrier, order))
+    if order is not None:
+        order = order_positions(carrier, order)
+    return MSet(monoid, carrier, action, order)
 
 
 def order_positions(carrier, order):
@@ -115,16 +92,16 @@ def order_positions(carrier, order):
 
 
 def with_order(ms, order_indices=None):
-    """Wrap an MSet with a total order (default: carrier index order)."""
+    """The M-set under a total order (default: carrier index order)."""
     if order_indices is None:
-        order_indices = tuple(range(ms.size))
-    return OrderedMSet(ms, tuple(order_indices))
+        order_indices = range(ms.size)
+    return replace(ms, order=tuple(order_indices))
 
 
 @dataclass(frozen=True)
 class MSetMorphism:
-    source: object   # MSet or OrderedMSet
-    target: object
+    source: MSet
+    target: MSet
     map: tuple       # target index per source index
     kind: str        # "morphism" | "embedding" | "order-embedding"
 
@@ -136,13 +113,8 @@ class MSetMorphism:
                             tuple(self.map[a] for a in inner.map), self.kind)
 
 
-def _base(x):
-    return x.base if isinstance(x, OrderedMSet) else x
-
-
 def check_equivariant(f_map, a, b):
     """First (m, x) where f(alpha(m,x)) != beta(m, f(x)), or None."""
-    a, b = _base(a), _base(b)
     for m in range(a.monoid.size):
         for x in range(a.size):
             if f_map[a.act(m, x)] != b.act(m, f_map[x]):
@@ -164,8 +136,7 @@ def order_violation(f_map, source, target):
 
 
 def validate_morphism(source, target, f_map, kind="morphism"):
-    if _base(source).monoid is not _base(target).monoid and \
-            _base(source).monoid != _base(target).monoid:
+    if source.monoid != target.monoid:
         raise MonoidMismatch("source and target live over different monoids")
     bad = check_equivariant(f_map, source, target)
     if bad is not None:
@@ -189,24 +160,23 @@ def enumerate_embeddings(a, b):
     maps come out in lexicographic order. When ordered, only the targets
     between the images of its nearest assigned neighbours are tried.
     """
-    ordered = isinstance(a, OrderedMSet)
-    if ordered != isinstance(b, OrderedMSet):
+    ordered = a.order is not None
+    if ordered != (b.order is not None):
         raise MonoidMismatch("cannot mix ordered and unordered M-sets")
-    ab, bb = _base(a), _base(b)
-    if ab.monoid != bb.monoid:
+    if a.monoid != b.monoid:
         raise MonoidMismatch("source and target live over different monoids")
-    n, msize = ab.size, ab.monoid.size
+    n, msize = a.size, a.monoid.size
     if ordered:
         spos, tpos = a.positions, b.positions
     kind = "order-embedding" if ordered else "embedding"
     results = []
     assign = [-1] * n
-    used = [False] * bb.size
+    used = [False] * b.size
 
     def place(x, y, trail):
         """Send m.x to m.y for every m in M; False on a clash."""
         for m in range(msize):
-            xm, ym = ab.action[m][x], bb.action[m][y]
+            xm, ym = a.action[m][x], b.action[m][y]
             if assign[xm] == ym:
                 continue
             if assign[xm] != -1 or used[ym]:
@@ -228,11 +198,11 @@ def enumerate_embeddings(a, b):
         if x == n:
             results.append(MSetMorphism(a, b, tuple(assign), kind))
             return
-        targets = range(bb.size)
+        targets = range(b.size)
         if ordered:
             # x's image lies strictly between those of its nearest
             # assigned neighbours in source order
-            lo, hi = -1, bb.size
+            lo, hi = -1, b.size
             for z in range(n):
                 if assign[z] != -1:
                     t = tpos[assign[z]]
@@ -240,7 +210,7 @@ def enumerate_embeddings(a, b):
                         lo = max(lo, t)
                     else:
                         hi = min(hi, t)
-            if hi - lo - 1 < bb.size:
+            if hi - lo - 1 < b.size:
                 targets = sorted(b.order[lo + 1:hi])
         for y in targets:
             trail = []
@@ -312,11 +282,11 @@ def cofree_tables(x, m, ordered=False):
                   map(_getter([m.mul(g, mp) for mp in range(nm)]),
                       functions)))
         for g in range(nm))
-    ms = MSet(m, tuple(product(labels, repeat=nm)), action)
+    order = None
     if ordered:
         lex = list(map(_getter(m.well_order), functions))
-        ms = OrderedMSet(ms, tuple(sorted(range(len(functions)),
-                                          key=lex.__getitem__)))
+        order = tuple(sorted(range(len(functions)), key=lex.__getitem__))
+    ms = MSet(m, tuple(product(labels, repeat=nm)), action, order)
     return ms, functions, index
 
 
@@ -331,26 +301,23 @@ def cofree_mset(x, m, ordered=False):
 
 def generated_sub_mset(b, seed):
     """Smallest action-closed superset of `seed`, with inclusion morphism."""
-    bb = _base(b)
     closed = set(seed)
     frontier = list(seed)
     while frontier:
         a = frontier.pop()
-        for m in range(bb.monoid.size):
-            y = bb.act(m, a)
+        for m in range(b.monoid.size):
+            y = b.act(m, a)
             if y not in closed:
                 closed.add(y)
                 frontier.append(y)
     keep = sorted(closed)
     back = {a: i for i, a in enumerate(keep)}
-    action = tuple(tuple(back[bb.act(m, a)] for a in keep)
-                   for m in range(bb.monoid.size))
-    sub = MSet(bb.monoid, tuple(bb.carrier[a] for a in keep), action)
-    if isinstance(b, OrderedMSet):
+    action = tuple(tuple(back[b.act(m, a)] for a in keep)
+                   for m in range(b.monoid.size))
+    order, kind = None, "embedding"
+    if b.order is not None:
         pos = b.positions
-        sub = OrderedMSet(sub, tuple(
-            sorted(range(len(keep)), key=lambda i: pos[keep[i]])))
-    inclusion = MSetMorphism(sub, b, tuple(keep),
-                             "order-embedding" if isinstance(b, OrderedMSet)
-                             else "embedding")
-    return sub, inclusion
+        order = tuple(sorted(range(len(keep)), key=lambda i: pos[keep[i]]))
+        kind = "order-embedding"
+    sub = MSet(b.monoid, tuple(b.carrier[a] for a in keep), action, order)
+    return sub, MSetMorphism(sub, b, tuple(keep), kind)

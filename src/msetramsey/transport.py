@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from .chains import Chain, ChainEmbedding, omega
 from .comonad import MonoidActionFunctor
 from .errors import InputError, NoChainWitnessInBudget, SizeOverflow
-from .mset import (MSetMorphism, OrderedMSet, cofree_tables,
-                   validate_morphism)
+from .mset import MSet, MSetMorphism, cofree_tables, validate_morphism
 from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
                      find_witness, holds_arrow)
 
@@ -25,7 +24,7 @@ DEFAULT_LIFT_CAP = 10 ** 5
 class LexLift:
     monoid: object
     base: Chain
-    lifted: OrderedMSet
+    lifted: MSet
     functions: tuple   # functions[i] = h as a tuple of base positions
     index: dict = field(repr=False, compare=False)   # h -> i
 
@@ -76,7 +75,7 @@ def _square_violation(m, structure, values, order):
 class WeakCoalgebra:
     """An ordered M-set together with its structure map into hat_E."""
 
-    ordered_mset: OrderedMSet
+    ordered_mset: MSet
     lift: LexLift               # hat_E of the carrier chain
     structure: tuple            # structure[a] = h as tuple of order ranks
     embedding: MSetMorphism     # the structure map as an order-embedding

@@ -18,12 +18,12 @@ from msetramsey.chains import Chain, ChainEmbedding, omega
 from msetramsey.cli import main
 from msetramsey.errors import (IncompleteFiber, InputError, NotAnEmbedding,
                                SizeOverflow, TruncationTooSmall)
-from msetramsey.expansion import fibers, order_key
+from msetramsey.expansion import fibers, forget_order, order_key
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                truncated_powers, validate_monoid, z2)
-from msetramsey.mset import (MSet, MSetMorphism, OrderedMSet,
-                             enumerate_embeddings, validate_mset)
+from msetramsey.mset import (MSet, MSetMorphism, enumerate_embeddings,
+                             validate_mset, with_order)
 from msetramsey.ramsey import _all_actions
 from msetramsey.transport import hat_E, hat_E_map
 
@@ -110,7 +110,7 @@ def _small_ordered_msets(monoid, max_size):
         for action in _all_actions(monoid, n):
             ms = MSet(monoid, tuple(range(n)), tuple(map(tuple, action)))
             for order in permutations(range(n)):
-                yield OrderedMSet(ms, order)
+                yield with_order(ms, order)
 
 
 def test_reduction_key_matches_pi_star_on_small_lifts():
@@ -591,7 +591,7 @@ def test_bigramsey_colors_beyond_a_byte(capsys, tmp_path):
 
 
 def test_unordered_degree_bound():
-    a = _trivial_pair().base
+    a = forget_order(_trivial_pair())
     degrees = {order_key(f): 2 for f in fibers(a)}
     agg = unordered_degree_bound(a, degrees)
     assert agg.aggregate == 4 == agg.formula

@@ -412,6 +412,48 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
                  {"carrier": ["x"], "structure": [["x", [1]]]},
                  "input.json: field 'structure' holds [1], which is not a "
                  "JSON scalar label", id="decode-path-entry-array"),
+    pytest.param("validate --mset",
+                 {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                  "carrier": [[1], {"a": 2}], "action": [[0, 1]]},
+                 "input.json: field 'carrier' holds [1], which is not a JSON "
+                 "scalar label", id="mset-label-array"),
+    pytest.param("validate --mset",
+                 {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                  "carrier": ["a", "a"], "action": [[0, 1]]},
+                 "input.json: field 'carrier' holds 'a' and 'a', which are "
+                 "equal labels", id="mset-repeated-label"),
+    pytest.param("validate --mset",
+                 {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                  "carrier": [1, True], "action": [[0, 1]],
+                  "order": [True, 1]},
+                 "input.json: field 'carrier' holds 1 and True, which are "
+                 "equal labels", id="mset-one-and-true"),
+    pytest.param("forest --encode",
+                 {"carrier": [1, True], "parent": {"1": 1, "True": 1},
+                  "order": [1, True]},
+                 "input.json: field 'carrier' holds 1 and True, which are "
+                 "equal labels", id="encode-one-and-true"),
+    pytest.param("validate --forest",
+                 {"carrier": [1, 1.0], "parent": {"1": 1, "1.0": 1}},
+                 "input.json: field 'carrier' holds 1 and 1.0, which are "
+                 "equal labels", id="forest-one-and-one-point-zero"),
+    pytest.param("forest --decode",
+                 {"carrier": ["x", "x"], "structure": [["x"], ["x"]]},
+                 "input.json: field 'carrier' holds 'x' and 'x', which are "
+                 "equal labels", id="decode-repeated-label"),
+    pytest.param("validate --unary",
+                 {"alphabet": ["f"], "carrier": [0, False],
+                  "generator_actions": {"f": [0, 1]}},
+                 "input.json: field 'carrier' holds 0 and False, which are "
+                 "equal labels", id="unary-zero-and-false"),
+    pytest.param("validate --unary",
+                 {"alphabet": ["f"], "carrier": "ab",
+                  "generator_actions": {"f": [0, 1]}},
+                 "input.json: field 'carrier' is not a JSON array",
+                 id="unary-carrier-string"),
+    pytest.param("validate --chain", [1, True],
+                 "input.json: the chain holds 1 and True, which are equal "
+                 "labels", id="chain-one-and-true"),
 ])
 def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
                                        message):

@@ -68,6 +68,49 @@ def bigramsey_argv(draw):
     return files, argv
 
 
+@st.composite
+def mset_arrow_argv(draw):
+    """(files to write, argv) for one arrow-check run on M-set files: A,
+    B and C of up to 2, 2 and 3 elements, ordered for --ctx ordered-msets.
+    Now and then one file has a fault: an order where none belongs or
+    none where one does, an order label outside the carrier or repeated,
+    a table that is mostly not an action, or another monoid."""
+    ctx = draw(st.sampled_from(("ordered-msets", "msets")))
+    m = draw(st.sampled_from(MONOIDS))
+    faulty = draw(st.sampled_from((None, None, None, "A", "B", "C")))
+    fault = draw(st.sampled_from(("flipped", "outside", "repeated",
+                                  "action", "monoid")))
+    files = {}
+    for name, sizes in (("A", (1, 2, 0)), ("B", (2, 1)), ("C", (3, 2, 1))):
+        here = fault if name == faulty else None
+        mc = draw(st.sampled_from(MONOIDS)) if here == "monoid" else m
+        n = draw(st.sampled_from(sizes))
+        labels = [f"x{i}" for i in range(n)]
+        if here == "action":
+            action = draw(st.lists(st.lists(st.integers(-1, n), min_size=n,
+                                            max_size=n),
+                                   min_size=mc.size, max_size=mc.size))
+        else:
+            action = draw(st.sampled_from(list(_all_actions(mc, n))))
+        obj = {"monoid": mc.to_json(), "carrier": labels,
+               "action": [list(row) for row in action]}
+        if (ctx == "ordered-msets") != (here == "flipped"):
+            order = draw(st.permutations(labels))
+            if here == "outside":
+                order.insert(draw(st.integers(0, n)), "y")
+            elif here == "repeated" and order:
+                order[draw(st.integers(0, n - 1))] = draw(
+                    st.sampled_from(labels))
+            obj["order"] = order
+        files[f"{name}.json"] = obj
+    argv = ["arrow-check", "--ctx", ctx, "--A", "A.json", "--B", "B.json",
+            "--C", "C.json", "-k", str(draw(st.integers(1, 3))),
+            "-t", str(draw(st.integers(0, 2)))]
+    if draw(st.integers(0, 4)) == 0:
+        argv += ["--cap", str(draw(st.integers(0, 5)))]
+    return files, argv
+
+
 # values an int slot of a monoid or M-set file may hold instead of an int
 NOT_AN_INT = st.one_of(
     st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
@@ -251,6 +294,12 @@ def _run_twice(files, argv):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(bigramsey_argv())
 def test_bigramsey_exits_0_1_or_2_and_reruns_identically(case):
+    _run_twice(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mset_arrow_argv())
+def test_arrow_check_on_msets_exits_0_1_or_2_and_reruns_identically(case):
     _run_twice(*case)
 
 

@@ -7,13 +7,15 @@ import pytest
 from msetramsey.chains import omega
 from msetramsey.errors import (CompositionFails, IdentityAxiomFails,
                                InputError, MonoidMismatch, UnknownSymbol)
+from msetramsey.expansion import forget_order
 from msetramsey.monoid import (left_zero_monoid, trivial_monoid,
                                truncated_powers, z2)
-from msetramsey.mset import (MSet, OrderedMSet, UnaryAlgebra,
+from msetramsey.mset import (MSet, UnaryAlgebra,
                              check_equivariant, cofree_mset,
                              enumerate_embeddings, evaluate_word,
                              generated_sub_mset, validate_morphism,
                              validate_mset, with_order)
+from msetramsey.ramsey import MSetContext
 from msetramsey.transport import hat_E
 
 
@@ -49,7 +51,30 @@ def test_ordered_mset_positions_and_chain():
     assert a.positions == (1, 2, 0)
     assert a.carrier_chain().labels == ("z", "x", "y")
     with pytest.raises(InputError):
-        OrderedMSet(a.base, (0, 0, 1))
+        with_order(a, (0, 0, 1))
+
+
+def test_order_is_a_field_that_forgetting_clears():
+    checked = 0
+    for ms in MSetContext(z2()).objects(3):
+        for p in permutations(range(ms.size)):
+            ordered = with_order(ms, p)
+            assert forget_order(ordered) == ms
+            assert hash(forget_order(ordered)) == hash(ms)
+            assert ordered != ms and ordered.order == p
+            assert all(ordered.positions[a] == rank
+                       for rank, a in enumerate(p))
+            assert ms.positions is None
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("order", [(0, 1, 1), (0, 1), (0, 1, 2, 3),
+                                   (0, 1, 3), (-1, 0, 1)])
+def test_with_order_rejects_non_permutations(order):
+    ms = validate_mset(trivial_monoid(), ("x", "y", "z"), [[0, 1, 2]])
+    with pytest.raises(InputError, match="not a permutation"):
+        with_order(ms, order)
 
 
 def test_validate_mset_orders_mixed_labels():
@@ -82,7 +107,7 @@ def test_validate_morphism_kinds():
 
 def _bruteforce_embeddings(a, b):
     """Oracle: filter all injections for equivariance (and order)."""
-    ordered = isinstance(a, OrderedMSet)
+    ordered = a.order is not None
     out = []
     for m in permutations(range(b.size), a.size):
         if check_equivariant(m, a, b) is not None:

@@ -37,7 +37,7 @@ def test_hat_e_lex_order_matches_sorted_tuples():
     ordered = [lift.functions[i] for i in lift.lifted.order]
     assert ordered == sorted(lift.functions)
     # the underlying action satisfies the M-set axioms
-    validate_mset(z2(), lift.lifted.carrier, lift.lifted.base.action)
+    validate_mset(z2(), lift.lifted.carrier, lift.lifted.action)
 
 
 def test_hat_e_action_formula():
