@@ -11,7 +11,6 @@ from msetramsey import (ChainEmbedding, check_PA, degree_sum_bound,
                         enumerate_embeddings, fibers, hat_E,
                         mset_as_weak_coalgebra, omega, restrict_along,
                         transport_witness, validate_mset, z2)
-from msetramsey.expansion import order_key
 
 
 def main():
@@ -24,7 +23,7 @@ def main():
     pulled = restrict_along(ordered, (0, 1), swap)
     print("restricting the first ordering along the identity embedding "
           "returns it:", pulled.order == ordered.order)
-    bound = degree_sum_bound(swap, {order_key(f): 1 for f in fib})
+    bound = degree_sum_bound(swap, {f.order: 1 for f in fib})
     print("degree sum over the fiber with each ordered degree 1:", bound)
 
     print("\n== the lex lift ==")

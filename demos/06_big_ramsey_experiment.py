@@ -15,7 +15,7 @@ from msetramsey import (big_ramsey_reduce, enumerate_embeddings, fibers,
                         random_coloring, subchains_containing_min,
                         trivial_monoid, unordered_degree_bound, validate_mset,
                         z2)
-from msetramsey.expansion import forget_order, order_key
+from msetramsey.expansion import forget_order
 
 
 def main():
@@ -59,7 +59,7 @@ def main():
             big_ramsey_reduce(a_star, random_coloring(r_size, 2, s),
                               2, 5).colors_used
             for s in range(3))
-        per_order[order_key(a_star)] = worst
+        per_order[a_star.order] = worst
     agg = unordered_degree_bound(base, per_order)
     print(f"sum over both orderings: {agg.aggregate} <= "
           f"{agg.formula} = 2! * 2^1")

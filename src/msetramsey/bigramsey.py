@@ -410,7 +410,7 @@ class AggregateBound:
 def unordered_degree_bound(a, per_ordering):
     """Sum certified per-ordering color counts against n! * 2^(n-1).
 
-    `per_ordering` maps order_key(A*) -> the certified bound for that
+    `per_ordering` maps A*.order -> the certified bound for that
     ordering (from big_ramsey_reduce runs); the whole fiber of A must be
     covered (degree_sum_bound raises IncompleteFiber otherwise).
     """

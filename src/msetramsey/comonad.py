@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from .errors import (EmptySequence, InputError, NotEMCoalgebra, SizeOverflow)
+from .mset import MSet
 
 DEFAULT_CAP = 10 ** 6
 
@@ -242,8 +243,12 @@ def mset_to_coalgebra(ms):
 
 
 def coalgebra_to_mset(c):
-    """The M-set of an EM coalgebra over the monoid-action functor."""
-    from .mset import validate_mset
+    """The M-set of an EM coalgebra over the monoid-action functor.
+
+    The comultiplication square is the composition axiom of the action
+    and the counit triangle its identity axiom, so `classify_coalgebra`
+    decides both.
+    """
     status, witnesses = classify_coalgebra(c)
     if status != "EM":
         raise NotEMCoalgebra(f"coalgebra classifies as {status}: {witnesses}")
@@ -251,7 +256,7 @@ def coalgebra_to_mset(c):
     index = {x: i for i, x in enumerate(c.carrier)}
     action = tuple(tuple(index[c.structure[a][g]] for a in range(len(c.carrier)))
                    for g in range(m.size))
-    return validate_mset(m, c.carrier, action)
+    return MSet(m, tuple(c.carrier), action)
 
 
 def cofree_coalgebra(functor, elements):

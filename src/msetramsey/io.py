@@ -5,7 +5,7 @@ Formats:
   mset:   { "monoid": <monoid object or path string>, "carrier": [...],
             "action": [[...]], "order": [...]? }
   unary algebra: { "alphabet": [...], "carrier": [...]?,
-                   "generator_actions": { "f": [...] }, "order": [...]? }
+                   "generator_actions": { "f": [...] } }
   chain:  [label, label, ...]
   forest: { "carrier": [...], "parent": {label: label}, "order": [...]? }
   coalgebra (a forest's): { "carrier": [...], "structure": [[label, ...]],
@@ -144,6 +144,10 @@ def load_mset(path):
 
 def unary_algebra_from_json(data, where="unary algebra"):
     alphabet = tuple(_require(data, "alphabet", where, array=True))
+    _require_labels(alphabet, "alphabet", where)
+    if "order" in data:
+        raise InputError(f"{where}: field 'order' is not part of the unary "
+                         "algebra format")
     rows = _require(data, "generator_actions", where)
     if not isinstance(rows, dict) or not _int_rows(rows.values()):
         raise InputError(f"{where}: field 'generator_actions' is not a "
@@ -219,8 +223,8 @@ def load_coalgebra(path):
     data = load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: a coalgebra file is a JSON object")
-    carrier = data.get("carrier", [])
-    structure = data.get("structure", [])
+    carrier = _require(data, "carrier", path)
+    structure = _require(data, "structure", path)
     if not isinstance(carrier, list) or not isinstance(structure, list) \
             or any(not isinstance(v, list) for v in structure):
         raise InputError(f"{path}: the carrier is a JSON array and the "

@@ -82,13 +82,18 @@ def validate_mset(monoid, carrier, action, order=None):
 
 
 def order_positions(carrier, order):
-    """Carrier positions of the labels that `order` lists."""
+    """Carrier positions of the labels that `order` lists.
+
+    Labels match on type and value, so true does not stand for 1, nor
+    1.0 for 1.
+    """
     if not isinstance(order, (list, tuple)):
         raise InputError("order is an array of carrier labels")
+    keys = [(type(x), x) for x in carrier]
     for lab in order:
-        if lab not in carrier:
+        if (type(lab), lab) not in keys:
             raise InputError(f"order label {lab!r} is not in the carrier")
-    return tuple(carrier.index(lab) for lab in order)
+    return tuple(keys.index((type(lab), lab)) for lab in order)
 
 
 def with_order(ms, order_indices=None):
@@ -104,13 +109,6 @@ class MSetMorphism:
     target: MSet
     map: tuple       # target index per source index
     kind: str        # "morphism" | "embedding" | "order-embedding"
-
-    def __call__(self, a):
-        return self.map[a]
-
-    def compose(self, inner):
-        return MSetMorphism(inner.source, self.target,
-                            tuple(self.map[a] for a in inner.map), self.kind)
 
 
 def check_equivariant(f_map, a, b):

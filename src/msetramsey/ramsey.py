@@ -22,15 +22,13 @@ from itertools import count, permutations
 from .chains import enumerate_chain_embeddings
 from .forests import forest_as_mset, height
 from .monoid import truncated_powers
-from .mset import enumerate_embeddings, validate_mset, with_order
+from .mset import MSet, enumerate_embeddings, with_order
 
 DEFAULT_SEARCH_CAP = 10 ** 6
 
 
 class ChainContext:
     """Hom-sets of finite chains (strictly increasing injections)."""
-
-    name = "chains"
 
     def hom(self, a, c):
         return [e.map for e in enumerate_chain_embeddings(a, c)]
@@ -46,7 +44,6 @@ class MSetContext:
     def __init__(self, monoid, ordered=False):
         self.monoid = monoid
         self.ordered = ordered
-        self.name = "ordered_msets" if ordered else "msets"
 
     def hom(self, a, c):
         return [e.map for e in enumerate_embeddings(a, c)]
@@ -58,11 +55,14 @@ class MSetContext:
         return math.factorial(a.size), "order_expansion_sum"
 
     def objects(self, max_size):
-        """All M-sets (with all orders, in the ordered case) up to a size."""
+        """All M-sets (with all orders, in the ordered case) up to a size.
+
+        `_all_actions` emits only tables that satisfy both action axioms.
+        """
         out = []
         for n in range(1, max_size + 1):
             for action in _all_actions(self.monoid, n):
-                ms = validate_mset(self.monoid, tuple(range(n)), action)
+                ms = MSet(self.monoid, tuple(range(n)), action)
                 if self.ordered:
                     out.extend(with_order(ms, p)
                                for p in permutations(range(n)))
@@ -134,7 +134,6 @@ class ForestContext:
 
     def __init__(self, ordered=True):
         self.ordered = ordered
-        self.name = "forests"
 
     def hom(self, a, c):
         m = truncated_powers(max(height(a), height(c)))

@@ -17,8 +17,7 @@ from msetramsey.comonad import (Coalgebra, DistinctListFunctor, ListFunctor,
                                 MonoidActionFunctor, check_comonad_laws,
                                 classify_coalgebra, coalgebra_to_mset,
                                 cofree_coalgebra, mset_to_coalgebra)
-from msetramsey.expansion import (degree_sum_bound, fibers, forget_order,
-                                  order_key)
+from msetramsey.expansion import degree_sum_bound, fibers, forget_order
 from msetramsey.forests import (decode_coalgebra, encode_forest,
                                 enumerate_forests, fig1_forest)
 from msetramsey.monoid import chain_semilattice, trivial_monoid, z2
@@ -309,7 +308,7 @@ def test_criterion_10_degree_machinery(capfd):
     m0 = trivial_monoid()
     two = validate_mset(m0, (0, 1), [(0, 1)])
     probe2 = probe_small_degree(two, MSetContext(m0), budget=SMALL_BUDGET)
-    sum2 = degree_sum_bound(two, {order_key(f): 1 for f in fibers(two)})
+    sum2 = degree_sum_bound(two, {f.order: 1 for f in fibers(two)})
     exact_two = probe2.lower == 2 and probe2.upper == 2 and sum2 == 2
     points_ok = True
     for monoid in (m0, z2()):
@@ -331,7 +330,7 @@ def test_criterion_10_degree_machinery(capfd):
                                         random_coloring(r_size, 2, seed),
                                         2, 5)
                 worst = max(worst, res.colors_used)
-            per_order[order_key(a_star)] = worst
+            per_order[a_star.order] = worst
         agg = unordered_degree_bound(a, per_order)
         aggregates_ok = aggregates_ok and agg.aggregate <= 4 == agg.formula
     elapsed = time.monotonic() - start

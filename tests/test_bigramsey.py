@@ -18,7 +18,7 @@ from msetramsey.chains import Chain, ChainEmbedding, omega
 from msetramsey.cli import main
 from msetramsey.errors import (IncompleteFiber, InputError, NotAnEmbedding,
                                SizeOverflow, TruncationTooSmall)
-from msetramsey.expansion import fibers, forget_order, order_key
+from msetramsey.expansion import fibers, forget_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                truncated_powers, validate_monoid, z2)
@@ -592,7 +592,7 @@ def test_bigramsey_colors_beyond_a_byte(capsys, tmp_path):
 
 def test_unordered_degree_bound():
     a = forget_order(_trivial_pair())
-    degrees = {order_key(f): 2 for f in fibers(a)}
+    degrees = {f.order: 2 for f in fibers(a)}
     agg = unordered_degree_bound(a, degrees)
     assert agg.aggregate == 4 == agg.formula
     assert agg.within_formula

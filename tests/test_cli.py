@@ -454,6 +454,53 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
     pytest.param("validate --chain", [1, True],
                  "input.json: the chain holds 1 and True, which are equal "
                  "labels", id="chain-one-and-true"),
+    pytest.param("validate --mset",
+                 {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                  "carrier": [1, "a"], "action": [[0, 1]],
+                  "order": ["a", True]},
+                 "order label True is not in the carrier",
+                 id="mset-order-true-for-1"),
+    pytest.param("validate --mset",
+                 {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+                  "carrier": [1, "a"], "action": [[0, 1]],
+                  "order": [1.0, "a"]},
+                 "order label 1.0 is not in the carrier",
+                 id="mset-order-float-for-1"),
+    pytest.param("validate --forest",
+                 {"carrier": [1, 2], "parent": {"1": 1, "2": 1},
+                  "order": [True, 2]},
+                 "order label True is not in the carrier",
+                 id="forest-order-true-for-1"),
+    pytest.param("forest --encode",
+                 {"carrier": [1, 2], "parent": {"1": 1, "2": 1},
+                  "order": [1.0, 2]},
+                 "order label 1.0 is not in the carrier",
+                 id="encode-order-float-for-1"),
+    pytest.param("forest --decode",
+                 {"carrier": [1, 2], "structure": [[1], [2, 1]],
+                  "order": [True, 2]},
+                 "order label True is not in the carrier",
+                 id="decode-order-true-for-1"),
+    pytest.param("forest --decode",
+                 {"carrier": [1, 2], "structure": [[1], [2, 1]],
+                  "order": [1, 2.0]},
+                 "order label 2.0 is not in the carrier",
+                 id="decode-order-float-for-2"),
+    pytest.param("validate --unary",
+                 {"alphabet": ["f"], "generator_actions": {"f": [0]},
+                  "order": "not an order"},
+                 "input.json: field 'order' is not part of the unary algebra "
+                 "format", id="unary-order"),
+    pytest.param("validate --unary",
+                 {"alphabet": [["f"]], "generator_actions": {"f": [0]}},
+                 "input.json: field 'alphabet' holds ['f'], which is not a "
+                 "JSON scalar label", id="unary-alphabet-label-array"),
+    pytest.param("forest --decode", {},
+                 "input.json: missing field 'carrier'",
+                 id="decode-missing-carrier"),
+    pytest.param("forest --decode", {"carrier": ["x"]},
+                 "input.json: missing field 'structure'",
+                 id="decode-missing-structure"),
 ])
 def test_malformed_forest_files_exit_1(capsys, tmp_path, command, obj,
                                        message):

@@ -267,6 +267,66 @@ def forest_argv(draw):
     return {"input.json": obj}, argv, bad
 
 
+# any JSON value a field may hold: scalars (booleans included), arrays
+# and objects
+ANY_VALUE = st.one_of(SCALAR, NOT_A_LABEL)
+
+
+def _spoil(draw, obj, fields):
+    """Now and then delete one of `fields` from `obj` or swap its value
+    for any JSON value; return the fields deleted."""
+    deleted = []
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        name = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            obj.pop(name, None)
+            deleted.append(name)
+        else:
+            obj[name] = draw(ANY_VALUE)
+    return [name for name in deleted if name not in obj]
+
+
+@st.composite
+def unary_argv(draw):
+    """(files to write, argv, whether the file must be rejected) for one
+    validate --unary run: up to 3 generators acting on up to 3 elements,
+    now and then with a label swapped for another value, an "order"
+    field, or a field deleted or swapped for any JSON value. A file with
+    a non-scalar alphabet symbol, an "order" field or no alphabet or
+    generator actions must be rejected."""
+    n = draw(st.integers(0, 3))
+    alphabet = _labels(draw, draw(st.integers(0, 3)))
+    rows = {str(x): [draw(st.integers(-1, n)) for _ in range(n)]
+            for x in alphabet if _is_scalar(x)}
+    obj = {"alphabet": alphabet, "generator_actions": rows}
+    if draw(st.booleans()):
+        obj["carrier"] = _labels(draw, n)
+    if draw(st.integers(0, 4)) == 0:
+        obj["order"] = draw(st.one_of(ANY_VALUE, st.permutations(
+            obj.get("carrier", list(range(n))))))
+    deleted = _spoil(draw, obj, ["alphabet", "generator_actions",
+                                 "carrier"])
+    alphabet = obj.get("alphabet")
+    bad = bool(deleted and deleted != ["carrier"]) or "order" in obj or (
+        isinstance(alphabet, list) and not all(map(_is_scalar, alphabet)))
+    return {"input.json": obj}, ["validate", "--unary", "input.json"], bad
+
+
+@st.composite
+def coalgebra_argv(draw):
+    """(files to write, argv, whether a carrier or structure field is
+    missing) for one forest --decode run on the root-path coalgebra of
+    a chain of up to 3 vertices, now and then with a field deleted or
+    swapped for any JSON value."""
+    labels = [f"x{i}" for i in range(draw(st.integers(0, 3)))]
+    obj = {"carrier": labels,
+           "structure": [labels[i::-1] for i in range(len(labels))],
+           "order": draw(st.permutations(labels))}
+    deleted = _spoil(draw, obj, ["carrier", "structure", "order"])
+    missing = bool(set(deleted) & {"carrier", "structure"})
+    return {"input.json": obj}, ["forest", "--decode", "input.json"], missing
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -333,3 +393,19 @@ def test_forest_exits_0_1_or_2_and_rejects_non_labels(case):
     files, argv, has_non_label = case
     code = _run_twice(files, argv)
     assert code == 1 or not has_non_label
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(unary_argv())
+def test_validate_unary_exits_0_1_or_2_and_rejects_bad_fields(case):
+    files, argv, bad = case
+    code = _run_twice(files, argv)
+    assert code == 1 or not bad
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(coalgebra_argv())
+def test_forest_decode_exits_0_1_or_2_and_rejects_missing_fields(case):
+    files, argv, missing = case
+    code = _run_twice(files, argv)
+    assert code == 1 or not missing

@@ -10,11 +10,10 @@ from msetramsey.errors import (InputError, NoChainWitnessInBudget,
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                truncated_powers, validate_monoid, z2)
-from msetramsey.mset import (enumerate_embeddings, validate_morphism,
-                             validate_mset)
+from msetramsey.mset import (check_equivariant, enumerate_embeddings,
+                             validate_morphism, validate_mset)
 from msetramsey.ramsey import MSetContext
-from msetramsey.transport import (_square_violation, check_PA, hat_E,
-                                  hat_E_map, hat_delta,
+from msetramsey.transport import (check_PA, hat_E, hat_E_map, hat_delta,
                                   mset_as_weak_coalgebra, phi,
                                   transport_witness)
 
@@ -121,10 +120,13 @@ def test_hat_delta_matches_its_formula(monoid, n):
 
 
 def test_square_violation_flags_reversed_composition():
-    """h(w * v) in place of h(v * w) breaks the square over left zeros."""
+    """h(w * v) in place of h(v * w) breaks the square over left zeros.
+
+    The weak-EM square of a structure map into hat_E(chain) and the hom
+    square of Phi(u) into hat_E(omega_{2|lift|}) are the equivariance of
+    the map, so check_equivariant decides both."""
     m = left_zero_monoid(2)
     lift = hat_E(omega(2), m)
-    order = lift.lifted.order
     rank_of = lift.lifted.positions
 
     def structure(mul):
@@ -134,17 +136,23 @@ def test_square_violation_flags_reversed_composition():
                   for v in range(m.size))
             for h in lift.functions)
 
+    def square_violation(target, values):
+        table = tuple(target.index[h] for h in values)
+        return check_equivariant(table, lift.lifted, target.lifted)
+
     right = structure(m.mul)
     reversed_ = structure(lambda v, w: m.mul(w, v))
     assert right != reversed_
-    assert _square_violation(m, right, right, order) is None
-    assert _square_violation(m, reversed_, reversed_, order) is not None
+    outer = hat_E(lift.lifted.carrier_chain(), m)
+    assert square_violation(outer, right) is None
+    assert square_violation(outer, reversed_) is not None
     # the hom square of Phi(u) is the same check with values = u . beta
     u = tuple(range(1, 2 * lift.lifted.size, 2))   # increasing
+    lift_c = hat_E(omega(2 * lift.lifted.size), m)
     values = tuple(tuple(u[r] for r in h) for h in right)
-    assert _square_violation(m, right, values, order) is None
+    assert square_violation(lift_c, values) is None
     values = tuple(tuple(u[r] for r in h) for h in reversed_)
-    assert _square_violation(m, reversed_, values, order) is not None
+    assert square_violation(lift_c, values) is not None
 
 
 def test_composition_convention_pinned_by_noncommutative_monoid():
