@@ -18,7 +18,8 @@ array of scalars, read as a tuple); every loader rejects any other
 carrier label, and any two carrier labels Python holds equal, such as
 "a" and "a", 1 and true, or 1 and 1.0. Every loader routes through the
 corresponding validator so malformed files surface the same
-witness-carrying errors as programmatic construction.
+witness-carrying errors as programmatic construction, with the file's
+path put before the message.
 """
 
 import hashlib
@@ -46,6 +47,13 @@ def load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _in_file(exc, where):
+    """Put `where` before the message of `exc`, an InputError a validator
+    raised on a file's contents, and return `exc` to be raised again."""
+    exc.args = (f"{where}: {exc}",)
+    return exc
 
 
 def _require(data, field, where, array=False):
@@ -119,7 +127,10 @@ def monoid_from_json(data, where="monoid"):
     if well_order is not None and not _int_rows([well_order]):
         raise InputError(
             f"{where}: field 'well_order' is not a JSON array of ints")
-    return validate_monoid(size, table, identity, well_order)
+    try:
+        return validate_monoid(size, table, identity, well_order)
+    except InputError as exc:
+        raise _in_file(exc, where)
 
 
 def load_monoid(path):
@@ -134,7 +145,10 @@ def mset_from_json(data, where="mset", base_dir="."):
     carrier = tuple(_require(data, "carrier", where, array=True))
     _require_carrier(carrier, where)
     action = _require_table(data, "action", where)
-    return validate_mset(monoid, carrier, action, data.get("order"))
+    try:
+        return validate_mset(monoid, carrier, action, data.get("order"))
+    except InputError as exc:
+        raise _in_file(exc, where)
 
 
 def load_mset(path):
@@ -161,7 +175,10 @@ def unary_algebra_from_json(data, where="unary algebra"):
     elif not isinstance(carrier, list):
         raise InputError(f"{where}: field 'carrier' is not a JSON array")
     _require_carrier(carrier, where)
-    return UnaryAlgebra(alphabet, tuple(carrier), actions)
+    try:
+        return UnaryAlgebra(alphabet, tuple(carrier), actions)
+    except InputError as exc:
+        raise _in_file(exc, where)
 
 
 def load_unary_algebra(path):
@@ -209,9 +226,12 @@ def forest_from_json(data, where="forest"):
                              f"{x!r} is not in the carrier")
         parent.append(index[str(parent_map[key])])
     order = data.get("order")
-    if order is not None:
-        order = order_positions(carrier, order)
-    return make_forest(carrier, parent, order)
+    try:
+        if order is not None:
+            order = order_positions(carrier, order)
+        return make_forest(carrier, parent, order)
+    except InputError as exc:
+        raise _in_file(exc, where)
 
 
 def load_forest(path):
@@ -233,11 +253,14 @@ def load_coalgebra(path):
     for v in structure:
         _require_labels(v, "structure", path)
     if len(carrier) != len(structure):
-        raise InputError("forest: carrier and structure sizes differ")
+        raise InputError(f"{path}: carrier and structure sizes differ")
     carrier = tuple(carrier)
     order = data.get("order")
     if order is not None:
-        order = order_positions(carrier, order)
+        try:
+            order = order_positions(carrier, order)
+        except InputError as exc:
+            raise _in_file(exc, path)
     coalg = Coalgebra(DistinctListFunctor(), carrier,
                       tuple(tuple(v) for v in structure))
     return coalg, order

@@ -246,6 +246,10 @@ class UnaryAlgebra:
             if len(row) != len(self.carrier) or \
                     any(not (0 <= x < len(self.carrier)) for x in row):
                 raise InputError(f"generator action for {s!r} is malformed")
+        for s in self.actions:
+            if s not in self.alphabet:
+                raise InputError(f"generator action for symbol {s!r}, which "
+                                 "is not in the alphabet")
 
 
 def evaluate_word(algebra, word, a):

@@ -55,13 +55,17 @@ class MSetContext:
         return math.factorial(a.size), "order_expansion_sum"
 
     def objects(self, max_size):
-        """All M-sets (with all orders, in the ordered case) up to a size.
+        """M-sets up to a size: one per isomorphism class, or, in the
+        ordered case, every table under all orders.
 
         `_all_actions` emits only tables that satisfy both action axioms.
         """
         out = []
         for n in range(1, max_size + 1):
-            for action in _all_actions(self.monoid, n):
+            tables = _all_actions(self.monoid, n)
+            if not self.ordered:
+                tables = _lex_least_per_class(tables, n)
+            for action in tables:
                 ms = MSet(self.monoid, tuple(range(n)), action)
                 if self.ordered:
                     out.extend(with_order(ms, p)
@@ -69,6 +73,26 @@ class MSetContext:
                 else:
                     out.append(ms)
         return out
+
+
+def _lex_least_per_class(tables, n):
+    """The lex-least table of each isomorphism class in `tables`.
+
+    `tables` must come in lex order and hold every relabelling of each of
+    its tables, as `_all_actions` does: then the first table of a class
+    is its lex-least one, and the classes come in the order of their
+    first tables. Relabelling by p sends table[m][x] = y to
+    table[m][p[x]] = p[y].
+    """
+    relabellings = [(p, sorted(range(n), key=p.__getitem__))
+                    for p in permutations(range(n))]
+    seen = set()
+    for table in tables:
+        if table not in seen:
+            seen.update(tuple(tuple(p[row[x]] for x in inverse)
+                              for row in table)
+                        for p, inverse in relabellings)
+            yield table
 
 
 def _all_actions(monoid, n):

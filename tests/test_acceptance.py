@@ -140,13 +140,12 @@ def test_criterion_3_arrow_calibration(capfd):
                   "(bad coloring verified, naive oracle agrees)", elapsed)
 
 
-def test_criterion_4_mset_coalgebra_correspondence(capfd):
+def test_criterion_4_mset_coalgebra_correspondence(capfd, every_mset):
     start = time.monotonic()
     mismatches = 0
     checked = 0
     for monoid in (trivial_monoid(), z2()):
-        ctx = MSetContext(monoid)
-        objs = ctx.objects(3)
+        objs = every_mset(monoid, 3)
         coalgs = {}
         for ms in objs:
             c = mset_to_coalgebra(ms)

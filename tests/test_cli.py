@@ -87,7 +87,7 @@ def test_validate_bad_mset_exits_1_with_witness(capsys, files):
     code, report, err = run(capsys, ["validate", "--mset", files["bad_mset"]])
     assert code == 1
     assert report is None
-    assert "composition axiom" in err
+    assert f"{files['bad_mset']}: action composition axiom" in err
 
 
 def test_validate_requires_an_input(capsys, files):
@@ -277,12 +277,20 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
                  id="parent-outside-carrier"),
     pytest.param("validate --forest",
                  {"carrier": ["x"], "parent": {"x": "x"}, "order": ["q"]},
-                 "order label 'q' is not in the carrier",
+                 "input.json: order label 'q' is not in the carrier",
                  id="order-outside-carrier"),
+    pytest.param("validate --forest",
+                 {"carrier": ["x", "y"], "parent": {"x": "y", "y": "x"}},
+                 "input.json: parent map has a non-root cycle",
+                 id="parent-cycle"),
     pytest.param("forest --decode",
                  {"carrier": ["x"], "structure": [["x"]], "order": ["q"]},
-                 "order label 'q' is not in the carrier",
+                 "input.json: order label 'q' is not in the carrier",
                  id="decode-order-outside-carrier"),
+    pytest.param("forest --decode",
+                 {"carrier": ["x"], "structure": [["x"], ["y"]]},
+                 "input.json: carrier and structure sizes differ",
+                 id="decode-sizes-differ"),
     pytest.param("forest --decode", [], "a coalgebra file is a JSON object",
                  id="decode-array"),
     pytest.param("forest --decode",
@@ -495,6 +503,15 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
                  {"alphabet": [["f"]], "generator_actions": {"f": [0]}},
                  "input.json: field 'alphabet' holds ['f'], which is not a "
                  "JSON scalar label", id="unary-alphabet-label-array"),
+    pytest.param("validate --unary",
+                 {"alphabet": [], "generator_actions": {"f": [7, -3]}},
+                 "input.json: generator action for symbol 'f', which is not "
+                 "in the alphabet", id="unary-row-outside-empty-alphabet"),
+    pytest.param("validate --unary",
+                 {"alphabet": ["f"],
+                  "generator_actions": {"f": [0, 1], "g": [5]}},
+                 "input.json: generator action for symbol 'g', which is not "
+                 "in the alphabet", id="unary-row-outside-alphabet"),
     pytest.param("forest --decode", {},
                  "input.json: missing field 'carrier'",
                  id="decode-missing-carrier"),
@@ -519,6 +536,23 @@ def test_arrow_check_non_scalar_chain_label_exits_1(capsys, files):
         "--B", files["chain2"], "--C", files["chain3"], "-k", "2"])
     assert code == 1 and report is None
     assert "bad_chain.json: chain label {'a': 1}" in err
+
+
+def test_arrow_check_names_the_file_of_an_order_label_outside_the_carrier(
+        capsys, files):
+    """The error raised inside validate_mset says which of A, B and C
+    holds the bad order."""
+    path = files["tmp"] / "bad_order.json"
+    path.write_text(json.dumps({
+        "monoid": {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+        "carrier": ["c1", "c2"], "action": [[0, 1], [1, 0]],
+        "order": ["c1", "q"]}))
+    code, report, err = run(capsys, [
+        "arrow-check", "--ctx", "ordered-msets", "--A", files["fixed1"],
+        "--B", files["swap"], "--C", str(path), "-k", "2"])
+    assert code == 1 and report is None
+    assert f"{path}: order label 'q' is not in the carrier" in err
+    assert "Traceback" not in err
 
 
 def test_bigramsey_boolean_coloring_exits_1(capsys, files):

@@ -57,11 +57,9 @@ def test_restrict_along_rejects_non_embeddings():
 
 
 @pytest.mark.parametrize("monoid", [trivial_monoid(), z2()])
-def test_restriction_uniqueness_fiber_sweep(monoid):
+def test_restriction_uniqueness_fiber_sweep(monoid, every_mset):
     """Exhaustive: each embedding admits exactly one ordering of its source."""
-    from msetramsey.ramsey import MSetContext
-    ctx = MSetContext(monoid)
-    objs = ctx.objects(3)
+    objs = every_mset(monoid, 3)
     checked = 0
     for a in objs:
         if a.size > 2:
@@ -75,11 +73,9 @@ def test_restriction_uniqueness_fiber_sweep(monoid):
     assert checked > 0
 
 
-def test_check_reasonable_exhaustive_small():
-    from msetramsey.ramsey import MSetContext
+def test_check_reasonable_exhaustive_small(every_mset):
     for monoid in (trivial_monoid(), z2()):
-        ctx = MSetContext(monoid)
-        objs = ctx.objects(3)
+        objs = every_mset(monoid, 3)
         instances = []
         for a in objs:
             if a.size > 2:

@@ -290,14 +290,19 @@ def _spoil(draw, obj, fields):
 def unary_argv(draw):
     """(files to write, argv, whether the file must be rejected) for one
     validate --unary run: up to 3 generators acting on up to 3 elements,
-    now and then with a label swapped for another value, an "order"
-    field, or a field deleted or swapped for any JSON value. A file with
-    a non-scalar alphabet symbol, an "order" field or no alphabet or
-    generator actions must be rejected."""
+    now and then with a label swapped for another value, a row for a
+    symbol that may lie outside the alphabet, an "order" field, or a
+    field deleted or swapped for any JSON value. A file with a
+    non-scalar alphabet symbol, a row for a symbol outside the alphabet,
+    an "order" field or no alphabet or generator actions must be
+    rejected."""
     n = draw(st.integers(0, 3))
     alphabet = _labels(draw, draw(st.integers(0, 3)))
     rows = {str(x): [draw(st.integers(-1, n)) for _ in range(n)]
             for x in alphabet if _is_scalar(x)}
+    if draw(st.integers(0, 4)) == 0:
+        rows[draw(st.sampled_from(("x0", "g")))] = [
+            draw(st.integers(-1, n)) for _ in range(n)]
     obj = {"alphabet": alphabet, "generator_actions": rows}
     if draw(st.booleans()):
         obj["carrier"] = _labels(draw, n)
@@ -306,10 +311,42 @@ def unary_argv(draw):
             obj.get("carrier", list(range(n))))))
     deleted = _spoil(draw, obj, ["alphabet", "generator_actions",
                                  "carrier"])
-    alphabet = obj.get("alphabet")
+    alphabet, rows = obj.get("alphabet"), obj.get("generator_actions")
+    listed = isinstance(alphabet, list)
     bad = bool(deleted and deleted != ["carrier"]) or "order" in obj or (
-        isinstance(alphabet, list) and not all(map(_is_scalar, alphabet)))
+        listed and not all(map(_is_scalar, alphabet))) or (
+        listed and isinstance(rows, dict)
+        and any(s not in alphabet for s in rows))
     return {"input.json": obj}, ["validate", "--unary", "input.json"], bad
+
+
+@st.composite
+def degree_probe_argv(draw):
+    """(files to write, argv) for one degree-probe --budget tiny run on
+    an M-set file of up to 3 elements, ordered for --ctx ordered-msets.
+    Now and then the file has an order where none belongs or none where
+    one does, a table that is mostly not an action, a label swapped for
+    another value, or a field deleted or swapped for any JSON value."""
+    ctx = draw(st.sampled_from(("msets", "msets", "ordered-msets")))
+    m = draw(st.sampled_from(MONOIDS))
+    n = draw(st.sampled_from((2, 1, 3, 0)))
+    labels = _labels(draw, n)
+    if draw(st.integers(0, 4)):
+        action = draw(st.sampled_from(list(_all_actions(m, n))))
+    else:
+        action = draw(st.lists(st.lists(st.integers(-1, n), min_size=n,
+                                        max_size=n),
+                               min_size=m.size, max_size=m.size))
+    obj = {"monoid": m.to_json(), "carrier": labels,
+           "action": [list(row) for row in action]}
+    if (ctx == "ordered-msets") != (draw(st.integers(0, 4)) == 0):
+        obj["order"] = draw(st.permutations(labels))
+    _spoil(draw, obj, ["monoid", "carrier", "action", "order"])
+    argv = ["degree-probe", "--ctx", ctx, "--budget", "tiny",
+            "--A", "a.json"]
+    if draw(st.integers(0, 4)) == 0:
+        argv += ["--cap", str(draw(st.integers(0, 5)))]
+    return {"a.json": obj}, argv
 
 
 @st.composite
@@ -401,6 +438,12 @@ def test_validate_unary_exits_0_1_or_2_and_rejects_bad_fields(case):
     files, argv, bad = case
     code = _run_twice(files, argv)
     assert code == 1 or not bad
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(degree_probe_argv())
+def test_degree_probe_exits_0_1_or_2_and_reruns_identically(case):
+    _run_twice(*case)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

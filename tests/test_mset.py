@@ -15,7 +15,6 @@ from msetramsey.mset import (MSet, UnaryAlgebra,
                              enumerate_embeddings, evaluate_word,
                              generated_sub_mset, validate_morphism,
                              validate_mset, with_order)
-from msetramsey.ramsey import MSetContext
 from msetramsey.transport import hat_E
 
 
@@ -54,9 +53,9 @@ def test_ordered_mset_positions_and_chain():
         with_order(a, (0, 0, 1))
 
 
-def test_order_is_a_field_that_forgetting_clears():
+def test_order_is_a_field_that_forgetting_clears(every_mset):
     checked = 0
-    for ms in MSetContext(z2()).objects(3):
+    for ms in every_mset(z2(), 3):
         for p in permutations(range(ms.size)):
             ordered = with_order(ms, p)
             assert forget_order(ordered) == ms

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -338,6 +338,84 @@ def test_all_actions_of_cyclic_group_count_permutations(k, n, count):
     assert len(_all_actions(cyclic_group(k), n)) == count
 
 
+def _relabel(table, p):
+    """The table of the M-set on the carrier relabelled by p: p[x] goes
+    to p[table[m][x]]."""
+    out = []
+    for row in table:
+        new = [None] * len(row)
+        for x, y in enumerate(row):
+            new[p[x]] = p[y]
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def _canonical(table):
+    """Reference: the lex-least relabelling of a table, over all n!."""
+    n = len(table[0])
+    return min(_relabel(table, p) for p in permutations(range(n)))
+
+
+CLASS_MONOIDS = [trivial_monoid, z2, lambda: chain_semilattice(3),
+                 lambda: cyclic_group(3), lambda: left_zero_monoid(2)]
+CLASS_IDS = ["trivial", "z2", "chain3", "cyclic3", "left_zero2"]
+
+
+@pytest.mark.parametrize("make", CLASS_MONOIDS, ids=CLASS_IDS)
+def test_mset_context_objects_lists_each_class_once(make):
+    """Against a brute-force canonical form: every table is isomorphic to
+    exactly one listed M-set, and each listed table is its class's
+    lex-least table. The classes come in the lex order of those tables,
+    the order of their first tables in _all_actions."""
+    monoid = make()
+    listed = MSetContext(monoid).objects(4)
+    assert all(ms.carrier == tuple(range(ms.size)) for ms in listed)
+    for n in range(1, 5):
+        reps = [ms.action for ms in listed if ms.size == n]
+        assert all(_canonical(t) == t for t in reps)
+        assert reps == sorted(set(reps))
+        assert {_canonical(t) for t in _all_actions(monoid, n)} == set(reps)
+
+
+@pytest.mark.parametrize("make, n, classes", [
+    (lambda: chain_semilattice(3), 4, 17),
+    (lambda: chain_semilattice(3), 5, 37),
+    (lambda: left_zero_monoid(2), 4, 10),
+    (lambda: left_zero_monoid(2), 5, 24),
+    (z2, 5, 3)],
+    ids=["chain3-4", "chain3-5", "left_zero2-4", "left_zero2-5", "z2-5"])
+def test_mset_context_objects_class_counts(make, n, classes):
+    listed = MSetContext(make()).objects(n)
+    assert sum(ms.size == n for ms in listed) == classes
+
+
+def _bracket(probe):
+    return (probe.lower, probe.upper, probe.evidence["upper_source"],
+            [(d["t"], d["k"], d["B_size"])
+             for d in probe.evidence["defeats"]])
+
+
+@pytest.mark.parametrize("budget", [TINY_BUDGET, SMALL_BUDGET],
+                         ids=["tiny", "small"])
+def test_probe_over_classes_matches_probe_over_every_table(budget,
+                                                          every_mset):
+    """One candidate per isomorphism class gives the same lower, upper and
+    defeats (t, k, B_size) as every action table, for every A of at most
+    2 elements."""
+    checked = defeated = 0
+    for make in CLASS_MONOIDS + [lambda: chain_semilattice(2)]:
+        monoid = make()
+        for a in every_mset(monoid, 2):
+            ctx = MSetContext(monoid)
+            by_class = probe_small_degree(a, ctx, budget=budget)
+            ctx.objects = lambda max_size: every_mset(monoid, max_size)
+            by_table = probe_small_degree(a, ctx, budget=budget)
+            assert _bracket(by_class) == _bracket(by_table)
+            checked += 1
+            defeated += bool(by_table.evidence["defeats"])
+    assert checked == 21 and defeated > 0
+
+
 def test_mset_context_hom_and_arrow():
     m = trivial_monoid()
     one = with_order(validate_mset(m, (0,), [(0,)]))
@@ -454,8 +532,8 @@ def _counting_objects(ctx):
 
 
 @pytest.mark.parametrize("make, candidates", [
-    (lambda: chain_semilattice(3), 159), (lambda: cyclic_group(3), 3),
-    (lambda: left_zero_monoid(2), 147)],
+    (lambda: chain_semilattice(3), 14), (lambda: cyclic_group(3), 3),
+    (lambda: left_zero_monoid(2), 13)],
     ids=["semilattice3", "cyclic3", "left-zero2"])
 def test_probe_fixed_pair_evidence(make, candidates):
     """The degree 2 of a pair of fixed points, defeated by its own B."""
