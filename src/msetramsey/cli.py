@@ -209,7 +209,11 @@ def cmd_forest(args, started):
     if args.decode is not None:
         inputs["coalgebra"] = _input_entry(args.decode)
         coalg, order = io.load_coalgebra(args.decode)
-        verdicts["forest"] = decode_coalgebra(coalg, order).to_json()
+        try:
+            forest = decode_coalgebra(coalg, order)
+        except InputError as exc:
+            raise io._in_file(exc, args.decode)
+        verdicts["forest"] = forest.to_json()
     return _report(args, inputs, {}, verdicts, started)
 
 

@@ -219,6 +219,7 @@ def enumerate_embeddings(a, b):
                 assign[z] = -1
 
     extend(0)
+    del extend   # the closure refers to itself through its cell
     return results
 
 

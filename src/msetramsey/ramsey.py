@@ -58,14 +58,13 @@ class MSetContext:
         """M-sets up to a size: one per isomorphism class, or, in the
         ordered case, every table under all orders.
 
-        `_all_actions` emits only tables that satisfy both action axioms.
+        `_all_actions` emits only tables that satisfy both action axioms;
+        unordered, it emits only the lex-least table of each class.
         """
         out = []
         for n in range(1, max_size + 1):
-            tables = _all_actions(self.monoid, n)
-            if not self.ordered:
-                tables = _lex_least_per_class(tables, n)
-            for action in tables:
+            for action in _all_actions(self.monoid, n,
+                                       one_per_class=not self.ordered):
                 ms = MSet(self.monoid, tuple(range(n)), action)
                 if self.ordered:
                     out.extend(with_order(ms, p)
@@ -75,28 +74,10 @@ class MSetContext:
         return out
 
 
-def _lex_least_per_class(tables, n):
-    """The lex-least table of each isomorphism class in `tables`.
-
-    `tables` must come in lex order and hold every relabelling of each of
-    its tables, as `_all_actions` does: then the first table of a class
-    is its lex-least one, and the classes come in the order of their
-    first tables. Relabelling by p sends table[m][x] = y to
-    table[m][p[x]] = p[y].
-    """
-    relabellings = [(p, sorted(range(n), key=p.__getitem__))
-                    for p in permutations(range(n))]
-    seen = set()
-    for table in tables:
-        if table not in seen:
-            seen.update(tuple(tuple(p[row[x]] for x in inverse)
-                              for row in table)
-                        for p, inverse in relabellings)
-            yield table
-
-
-def _all_actions(monoid, n):
-    """Every valid action table of M on an n-element carrier, in lex order.
+def _all_actions(monoid, n, one_per_class=False):
+    """Every valid action table of M on an n-element carrier, in lex order,
+    or with `one_per_class` only the lex-least table of each isomorphism
+    class.
 
     The rows of the non-identity elements are filled cell by cell, in
     index order, trying values in ascending order. After each assignment
@@ -104,6 +85,16 @@ def _all_actions(monoid, n):
     that pass through the new cell and have all three cells known are
     checked, so a partial table is dropped at its first clash. Every
     instance is checked when the last of its cells is assigned.
+
+    The class cut is the lex-leader rule. Relabelling the carrier by p
+    sends table[m][x] = y to table[m][p[x]] = p[y]. alive[d] holds a
+    triple (p, p^-1, k) for each non-identity p whose image ties with the
+    table on its first k cells, as known before cell d is filled. After a
+    value passes `consistent`, each alive p walks on from k while both
+    the cell and its image are known: an image that is smaller there
+    rejects the value (no completion is lex-least) and one that is
+    larger drops p for the whole subtree. The relabellings alive at a
+    leaf are the table's non-identity automorphisms.
     """
     size, e = monoid.size, monoid.identity
     mul = [[monoid.mul(m2, m1) for m1 in range(size)] for m2 in range(size)]
@@ -114,6 +105,10 @@ def _all_actions(monoid, n):
     table = [[None] * n for _ in range(size)]
     table[e] = list(range(n))
     cells = [(m, x) for m in range(size) if m != e for x in range(n)]
+    alive = [[] for _ in range(len(cells) + 1)]
+    if one_per_class:
+        alive[0] = [(p, tuple(sorted(range(n), key=p.__getitem__)), 0)
+                    for p in permutations(range(n))][1:]   # not the identity
 
     def consistent(m, x, v):
         for m1 in range(size):              # (m2, a) = (m, x)
@@ -131,6 +126,26 @@ def _all_actions(monoid, n):
                 return False
         return True
 
+    def lex_leader(depth):
+        """Fill alive[depth + 1]; False if some relabelling is smaller."""
+        survivors = []
+        for p, inverse, k in alive[depth]:
+            while k <= depth:
+                m, x = cells[k]
+                y = table[m][inverse[x]]
+                if y is None:
+                    survivors.append((p, inverse, k))
+                    break
+                if p[y] < table[m][x]:
+                    return False
+                if p[y] > table[m][x]:
+                    break           # p can never be smaller: drop it
+                k += 1
+            else:
+                survivors.append((p, inverse, k))
+        alive[depth + 1] = survivors
+        return True
+
     out = []
     depth = 0
     while depth >= 0:
@@ -142,7 +157,7 @@ def _all_actions(monoid, n):
         v = 0 if table[m][x] is None else table[m][x] + 1
         while v < n:
             table[m][x] = v
-            if consistent(m, x, v):
+            if consistent(m, x, v) and lex_leader(depth):
                 break
             v += 1
         if v < n:

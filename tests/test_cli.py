@@ -295,7 +295,7 @@ def test_forest_label_collision_exits_1(capsys, tmp_path):
                  id="decode-array"),
     pytest.param("forest --decode",
                  {"carrier": ["x"], "structure": [["x", "q"]]},
-                 "structure value at 'x' is not a root path",
+                 "input.json: structure value at 'x' is not a root path",
                  id="decode-path-outside-carrier"),
     pytest.param("forest --decode", {"carrier": ["x"], "structure": [5]},
                  "the structure is a JSON array of root paths",

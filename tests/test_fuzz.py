@@ -364,6 +364,50 @@ def coalgebra_argv(draw):
     return {"input.json": obj}, ["forest", "--decode", "input.json"], missing
 
 
+@st.composite
+def chain_arrow_argv(draw):
+    """(files to write, argv) for one arrow-check --ctx chains run on
+    chains A, B and C of up to 3, 4 and 7 labels, with a --cap of at
+    most 200 search nodes. Now and then a file has a label swapped for
+    another value or repeated, or is any JSON value instead of a chain."""
+    files = {}
+    for name, most in (("A", 3), ("B", 4), ("C", 7)):
+        labels = _labels(draw, draw(st.integers(0, most)))
+        fault = draw(st.sampled_from((None,) * 8 + ("repeat", "value")))
+        if fault == "repeat" and labels:
+            labels[draw(st.integers(0, len(labels) - 1))] = draw(
+                st.sampled_from(labels))
+        elif fault == "value":
+            labels = draw(ANY_VALUE)
+        files[f"{name}.json"] = labels
+    argv = ["arrow-check", "--ctx", "chains", "--A", "A.json",
+            "--B", "B.json", "--C", "C.json",
+            "-k", str(draw(st.integers(1, 3))),
+            "-t", str(draw(st.integers(0, 2))),
+            "--cap", str(draw(st.integers(0, 200)))]
+    return files, argv
+
+
+@st.composite
+def laws_argv(draw):
+    """(files to write, argv) for one laws --functor monoid_action run
+    over a carrier of up to 4 elements. Now and then the monoid file has
+    an int slot swapped for another value or int, or a field deleted or
+    swapped for any JSON value, or --monoid is left out."""
+    monoid = draw(st.sampled_from(MONOIDS)).to_json()
+    fault = draw(st.sampled_from((None, None, "slot", "field")))
+    if fault == "slot":
+        container, key = draw(st.sampled_from(_int_slots(monoid)))
+        container[key] = draw(st.one_of(NOT_AN_INT, st.integers(-1, 4)))
+    elif fault == "field":
+        _spoil(draw, monoid, ["size", "identity", "table", "well_order"])
+    argv = ["laws", "--functor", "monoid_action",
+            "--size", str(draw(st.integers(0, 4)))]
+    if draw(st.sampled_from((True,) * 9 + (False,))):
+        argv += ["--monoid", "monoid.json"]
+    return {"monoid.json": monoid}, argv
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -452,3 +496,15 @@ def test_forest_decode_exits_0_1_or_2_and_rejects_missing_fields(case):
     files, argv, missing = case
     code = _run_twice(files, argv)
     assert code == 1 or not missing
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chain_arrow_argv())
+def test_arrow_check_on_chains_exits_0_1_or_2_and_reruns_identically(case):
+    _run_twice(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(laws_argv())
+def test_laws_monoid_action_exits_0_1_or_2_and_reruns_identically(case):
+    _run_twice(*case)

@@ -1,5 +1,6 @@
 """M-sets, morphism enumeration, unary algebras and cofree actions."""
 
+import gc
 from itertools import permutations, product
 
 import pytest
@@ -162,6 +163,23 @@ def test_enumerate_embeddings_matches_bruteforce(monoid, ordered):
             assert got == sorted(got)
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_enumerate_embeddings_leaves_no_reference_cycle(ordered):
+    """Reference counting frees all that one call builds, so the cyclic
+    collector finds nothing unreachable after it."""
+    a = swap_pair(ordered)
+    b = hat_E(omega(3), z2()).lifted if ordered else a
+    gc.collect()
+    gc.disable()
+    try:
+        embeddings = enumerate_embeddings(a, b)
+        assert embeddings
+        del embeddings
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_embeddings_rejects_mixed_kinds():

@@ -361,13 +361,11 @@ CLASS_MONOIDS = [trivial_monoid, z2, lambda: chain_semilattice(3),
 CLASS_IDS = ["trivial", "z2", "chain3", "cyclic3", "left_zero2"]
 
 
-@pytest.mark.parametrize("make", CLASS_MONOIDS, ids=CLASS_IDS)
-def test_mset_context_objects_lists_each_class_once(make):
+def _check_one_per_class(monoid):
     """Against a brute-force canonical form: every table is isomorphic to
     exactly one listed M-set, and each listed table is its class's
     lex-least table. The classes come in the lex order of those tables,
-    the order of their first tables in _all_actions."""
-    monoid = make()
+    the order of their first tables in _all_actions. Returns the listing."""
     listed = MSetContext(monoid).objects(4)
     assert all(ms.carrier == tuple(range(ms.size)) for ms in listed)
     for n in range(1, 5):
@@ -375,6 +373,24 @@ def test_mset_context_objects_lists_each_class_once(make):
         assert all(_canonical(t) == t for t in reps)
         assert reps == sorted(set(reps))
         assert {_canonical(t) for t in _all_actions(monoid, n)} == set(reps)
+    return listed
+
+
+@pytest.mark.parametrize("make", CLASS_MONOIDS, ids=CLASS_IDS)
+def test_mset_context_objects_lists_each_class_once(make):
+    _check_one_per_class(make())
+
+
+@pytest.mark.parametrize("make, classes", [
+    (lambda: truncated_powers(3), 9), (lambda: cyclic_group(4), 4),
+    (lambda: chain_semilattice(4), 43), (lambda: left_zero_monoid(3), 27)],
+    ids=["powers3", "cyclic4", "chain4", "left_zero3"])
+def test_lex_leader_listing_on_larger_monoids(make, classes):
+    """The lex-leader cut inside _all_actions on larger monoids than
+    CLASS_MONOIDS, which the probe sweep below uses; `classes` is the
+    number of classes of size 4."""
+    listed = _check_one_per_class(make())
+    assert sum(ms.size == 4 for ms in listed) == classes
 
 
 @pytest.mark.parametrize("make, n, classes", [
