@@ -21,19 +21,21 @@ monochromatic; each run certifies its own instance and fails loudly
 (TruncationTooSmall) when the truncation cannot sustain the tower.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .chains import Chain, ChainEmbedding, omega
-from .errors import (InputError, NotAnEmbedding, SizeOverflow,
-                     TruncationTooSmall)
+from .errors import (CapExceeded, InputError, NotAnEmbedding,
+                     SizeOverflow, TruncationTooSmall)
 from .expansion import degree_sum_bound
 from .mset import MSetMorphism, enumerate_embeddings
 from .transport import hat_E, hat_E_map
 
 DEFAULT_R_CAP = 10 ** 5
+DEFAULT_NODE_CAP = 10 ** 7   # search nodes per pigeonhole step
 
 
 def subchains_containing_min(chain):
@@ -232,7 +234,11 @@ def equivariance_of_pi(u, a_star, lift_src, lift_dst):
     return lhs == rhs
 
 
-def _max_mono_subset(points, arity, colors):
+class _SearchCapReached(Exception):
+    """A monochromatic-subset search would need more nodes than its cap."""
+
+
+def _max_mono_subset(points, arity, colors, cap=None):
     """Largest T within `points` whose arity-subsets share one color.
 
     `colors` lists the colors of the arity-subsets of the sorted points,
@@ -240,15 +246,30 @@ def _max_mono_subset(points, arity, colors):
     largest size first, then the least color, then the lex-least sorted
     set. Vacuous when there are fewer than `arity` points.
 
-    For arity >= 2 this is a branch and bound over candidate bitsets, as
-    in max-clique solvers (Carraghan & Pardalos 1990; San Segundo et al.
-    2011), with only the size bound. Bit y of masks[P] is set when
-    P + (y,) has color c, for each (arity-1)-subset P of point positions
-    and y > P[-1]; those subsets are one contiguous run of `colors`. The
-    search branches on the least candidate, including it before
-    excluding it, so the first set of the largest size it meets is the
-    lex-least; it tries the colors in increasing order and only strict
-    size improvements replace the incumbent.
+    For arity 2 this is a maximum clique in each color's graph, found in
+    two phases. Phase 1 takes the colors in increasing order and finds
+    each one's clique number by MCQ (Tomita & Seki 2003) on bitsets
+    (BBMC, San Segundo et al. 2011): greedy color classes of the
+    candidates bound the clique, branching runs from the highest class
+    down, and the search is seeded with the best size so far, so a color
+    counts only when it beats every earlier one. Phase 2 then takes the
+    least color that reaches the maximum and returns the first set of
+    exactly that size in include-first, least-candidate order, that is,
+    the lex-least: a point joins the set when MCQ finds it extends the
+    set to that size.
+
+    For arity >= 3 it is a branch and bound over candidate bitsets in
+    loop form (Carraghan & Pardalos 1990) with only the size bound. Bit
+    y of masks[P] is set when P + (y,) has color c, for each
+    (arity-1)-subset P of point positions and y > P[-1]; masks is a flat
+    list indexed by the colex rank of P. The search takes the candidates
+    in increasing order, each as the next point of the set, so the first
+    set of the largest size it meets is the lex-least; it tries the
+    colors in increasing order and only strict size improvements replace
+    the incumbent.
+
+    A node is one point tried as the next point of a set; with a `cap`,
+    _SearchCapReached is raised in place of node cap + 1.
     """
     points = sorted(points)
     if len(points) < arity:
@@ -259,38 +280,210 @@ def _max_mono_subset(points, arity, colors):
             classes.setdefault(c, []).append(x)
         best_color = max(classes, key=lambda c: (len(classes[c]), -c))
         return classes[best_color]
+    if arity == 2:
+        best = _max_mono_pairs(len(points), colors, cap)
+    else:
+        best = _max_mono_hyperedges(len(points), arity, colors, cap)
+    return [points[i] for i in best]
 
-    n = len(points)
-    runs = []   # (prefix, least y, its run as a slice of reversed colors)
-    end = len(colors)
-    for prefix in combinations(range(n - 1), arity - 1):
-        lo = prefix[-1] + 1
-        runs.append((prefix, lo, end - (n - lo), end))
-        end -= n - lo
-    best = ()
-    for c in sorted(set(colors)):
-        # the colors read backwards as a binary numeral, 1 where c
-        flags = "".join(["1" if x == c else "0" for x in reversed(colors)])
-        mask_of = {prefix: int(flags[start:stop], 2) << lo
-                   for prefix, lo, start, stop in runs}
-        stack = [((), (1 << n) - 1)]
+
+def _color_flags(colors):
+    """Per color, in increasing order: ASCII 0/1 flags of the entries of
+    `colors` that equal it, as bytes int(..., 2) reads."""
+    palette = sorted(set(colors))
+    if palette[-1] < 256:
+        raw = bytes(colors)
+        for c in palette:
+            table = bytearray(b"0" * 256)
+            table[c] = ord("1")
+            yield raw.translate(table)
+    else:
+        for c in palette:
+            yield bytes([49 if x == c else 48 for x in colors])
+
+
+def _pair_adjacency(n, flags):
+    """Neighbor bitmasks of the graph whose edges are the flagged pairs.
+
+    Row x of an n-by-n square of flags holds the pairs (x, y), y > x;
+    column x of it holds the pairs (y, x), y < x.
+    """
+    rows, start = [], 0
+    for x in range(n):
+        stop = start + n - 1 - x
+        rows.append(b"0" * (x + 1) + flags[start:stop])
+        start = stop
+    square = b"".join(rows)
+    return [int(row[::-1], 2) | int(square[x::n][::-1], 2)
+            for x, row in enumerate(rows)]
+
+
+def _greedy_clique(adj, cand):
+    """The clique that takes the least candidate until none is left."""
+    out = []
+    while cand:
+        x = (cand & -cand).bit_length() - 1
+        out.append(x)
+        cand &= adj[x]
+    return out
+
+
+def _color_classes(cand, anti, least):
+    """Greedy color classes of `cand`, the lowest vertex first (BBMC).
+
+    `anti[v]` holds the vertices other than v that are not adjacent to
+    it. Returns the vertices of the classes numbered above `least` and
+    their class numbers, in class order.
+    """
+    vertices, numbers = [], []
+    k = 0
+    while cand:
+        k += 1
+        q = cand
+        while q:
+            low = q & -q
+            cand ^= low
+            v = low.bit_length() - 1
+            q &= anti[v]
+            if k > least:
+                vertices.append(v)
+                numbers.append(k)
+    return vertices, numbers
+
+
+def _clique_number(adj, anti, cand, best, nodes, cap, stop=None):
+    """max(best, the clique number within `cand`) by MCQ, on a stack.
+
+    A frame holds its candidates, its vertices numbered above what could
+    still beat the incumbent, their class numbers and the size of its
+    clique; it branches on its last vertex and stops once that vertex's
+    class number cannot lift the clique past `best`. The search ends as
+    soon as `best` reaches `stop`. Returns (value, nodes).
+    """
+    stack = [[cand, *_color_classes(cand, anti, best), 0]]
+    while stack:
+        frame = stack[-1]
+        cand, vertices, numbers, size = frame
+        if not vertices or size + numbers[-1] <= best:
+            stack.pop()
+            continue
+        v = vertices.pop()
+        numbers.pop()
+        frame[0] = cand ^ (1 << v)
+        if nodes == cap:
+            raise _SearchCapReached
+        nodes += 1
+        size += 1
+        child = cand & adj[v]
+        if child:
+            vertices, numbers = _color_classes(child, anti, best - size)
+            if vertices:
+                stack.append([child, vertices, numbers, size])
+        elif size > best:
+            best = size
+            if best == stop:
+                break
+    return best, nodes
+
+
+def _max_mono_pairs(n, colors, cap):
+    """The two-phase search of _max_mono_subset for arity 2."""
+    full = (1 << n) - 1
+    best, graph, nodes = 1, None, 0
+    for flags in _color_flags(colors):
+        adj = _pair_adjacency(n, flags)
+        anti = [full ^ row ^ (1 << v) for v, row in enumerate(adj)]
+        lower = max(best, len(_greedy_clique(adj, full)))
+        value, nodes = _clique_number(adj, anti, full, lower, nodes, cap)
+        if value > best:
+            best, graph = value, (adj, anti)
+
+    adj, anti = graph
+    chosen, cand = [], full
+    while True:
+        need = best - len(chosen)
+        greedy = _greedy_clique(adj, cand)
+        if len(greedy) == need:
+            return chosen + greedy
+        low = cand & -cand
+        x = low.bit_length() - 1
+        cand ^= low
+        if nodes == cap:
+            raise _SearchCapReached
+        nodes += 1
+        rest = cand & adj[x]
+        if rest.bit_count() >= need - 1:
+            value, nodes = _clique_number(adj, anti, rest, need - 2, nodes,
+                                          cap, need - 1)
+            if value == need - 1:
+                chosen.append(x)
+                cand = rest
+
+
+def _max_mono_hyperedges(n, arity, colors, cap):
+    """The loop-form search of _max_mono_subset for arity >= 3."""
+    r = arity - 1
+    binom = [[math.comb(x, j) for x in range(n)] for j in range(r + 1)]
+    # the (arity-1)-subsets P of range(n - 1), one column per position
+    columns = list(zip(*combinations(range(n - 1), r)))
+    ranks = map(sum, zip(*(map(binom[j].__getitem__, column)
+                           for j, column in enumerate(columns, 1))))
+    los = [p + 1 for p in columns[-1]]
+    # the run of P + (y,), y >= lo, in the reversed flags, in colex
+    # order of P; the P that hold n - 1 come last and have no run
+    ends = [len(colors) - e
+            for e in accumulate((n - lo for lo in los), initial=0)]
+    runs = [run[1:] for run in sorted(zip(ranks, los, ends[1:], ends))]
+    no_runs = [0] * math.comb(n - 1, r - 1)
+    best, nodes = [], 0
+    for flags in _color_flags(colors):
+        flags = flags[::-1]
+        masks = [int(flags[start:stop], 2) << lo
+                 for lo, start, stop in runs] + no_runs
+        # upper[d][j - 2]: the colex ranks of the j-subsets of chosen[:d]
+        # for 2 <= j < r, built when depth d first branches; a point is
+        # the colex rank of its 1-subset
+        chosen, stack, upper = [], [(1 << n) - 1], [[[]] * (r - 2)]
+        size = len(best)
         while stack:
-            chosen, cand = stack.pop()
-            if len(chosen) + cand.bit_count() <= len(best):
-                continue
-            if not cand:
-                best = chosen
+            cand = stack[-1]
+            depth = len(chosen)
+            if depth + cand.bit_count() <= size:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                    del upper[depth:]
                 continue
             low = cand & -cand
             x = low.bit_length() - 1
-            rest = cand ^ low
-            stack.append((chosen, rest))
-            for sub in combinations(chosen, arity - 2):
-                rest &= mask_of.get(sub + (x,), 0)
-                if not rest:
+            cand ^= low
+            stack[-1] = cand
+            if nodes == cap:
+                raise _SearchCapReached
+            nodes += 1
+            if r == 2:
+                top = chosen
+            else:
+                if len(upper) == depth:
+                    y, levels, lower = chosen[-1], [], chosen[:-1]
+                    for j, level in enumerate(upper[-1], 2):
+                        levels.append(level + [v + binom[j][y]
+                                               for v in lower])
+                        lower = level
+                    upper.append(levels)
+                top = upper[-1][-1]
+            offset = binom[r][x]
+            for rank in top:
+                cand &= masks[rank + offset]
+                if not cand:
                     break
-            stack.append((chosen + (x,), rest))
-    return [points[i] for i in best]
+            if cand:
+                chosen.append(x)
+                stack.append(cand)
+            elif depth >= size:
+                best = chosen + [x]
+                size = depth + 1
+    return best
 
 
 @dataclass
@@ -309,7 +502,8 @@ class ReductionResult:
                 "R_size": self.r_size}
 
 
-def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
+def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP,
+                      cap=DEFAULT_NODE_CAP):
     """Find u with at most 2^(s-1) colors on hat_E(u) . hom(A, hat_E(omega_N)).
 
     `chi` is a sequence of colors of R = hom(A, hat_E(omega_N)) in
@@ -321,12 +515,14 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
     chi in place. One pigeonhole step runs per realized pattern ell, in
     decreasing ell (TruncationTooSmall names step ell + 1), reading its
     colors in combinations order of the images by combinatorial rank, so
-    at most one color per realized pattern survives. The returned
-    colors_used is an independent recount by the generic engine: the
-    copies of A in hat_E(omega_T) of the final truncation are enumerated
-    by enumerate_embeddings and pushed through hat_E(u) coordinatewise,
-    (u.h)(m) = u(h(m)); each pushed copy must be a key of R, and its
-    chi-color is collected directly.
+    at most one color per realized pattern survives. Each step's search
+    for a monochromatic subset may take `cap` nodes; one that would need
+    more raises CapExceeded naming the step, its arity and the nodes.
+    The returned colors_used is an independent recount by the generic
+    engine: the copies of A in hat_E(omega_T) of the final truncation
+    are enumerated by enumerate_embeddings and pushed through hat_E(u)
+    coordinatewise, (u.h)(m) = u(h(m)); each pushed copy must be a key
+    of R, and its chi-color is collected directly.
     """
     m = a_star.monoid
     s = a_star.size
@@ -360,7 +556,12 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
         else:
             colors_i = [color_by_key[pk[_rank(sub, big_n)]]
                         for sub in combinations(outer, arity)]
-        mono = _max_mono_subset(range(len(outer)), arity, colors_i)
+        try:
+            mono = _max_mono_subset(range(len(outer)), arity, colors_i, cap)
+        except _SearchCapReached:
+            raise CapExceeded(
+                f"pigeonhole step {ell + 1} (arity {arity}, {len(outer)} "
+                f"points) used {cap} search nodes, its cap") from None
         if len(mono) < s:
             raise TruncationTooSmall(
                 ell + 1, f"monochromatic subset has size {len(mono)} < {s}")
@@ -392,8 +593,30 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP):
 
 
 def random_coloring(size, k, seed):
+    """`size` colors below k: Random(seed).randrange(k), `size` times.
+
+    randrange(k) takes the top k.bit_length() bits of one 32-bit word
+    and draws another word while they reach k (CPython's _randbelow).
+    For k < 256 those bits lie in the top byte of the word, which
+    randbytes puts fourth in each group of four, so blocks of words are
+    drawn at once and bytes.translate shifts and rejects their top bytes.
+    """
     rng = random.Random(seed)
-    return tuple(rng.randrange(k) for _ in range(size))
+    if not 0 < k < 256:
+        return tuple(rng.randrange(k) for _ in range(size))
+    bits = k.bit_length()
+    table, rejected = _top_bits(bits), bytes(range(k << 8 - bits, 256))
+    out = b""
+    while len(out) < size:
+        words = ((size - len(out)) << bits) // k + 16
+        out += rng.randbytes(4 * words)[3::4].translate(table, rejected)
+    return tuple(out[:size])
+
+
+@functools.cache
+def _top_bits(bits):
+    """The translation of a byte to its top `bits` bits."""
+    return bytes(t >> 8 - bits for t in range(256))
 
 
 @dataclass

@@ -19,8 +19,9 @@ import sys
 import time
 
 from . import io
-from .bigramsey import (DEFAULT_R_CAP, big_ramsey_reduce, lift_hom_size,
-                        random_coloring, unordered_degree_bound)
+from .bigramsey import (DEFAULT_NODE_CAP, DEFAULT_R_CAP, big_ramsey_reduce,
+                        lift_hom_size, random_coloring,
+                        unordered_degree_bound)
 from .comonad import (DistinctListFunctor, ListFunctor, MonoidActionFunctor,
                       check_comonad_laws)
 from .errors import (CapExceeded, InputError, NoChainWitnessInBudget,
@@ -165,7 +166,7 @@ def cmd_bigramsey(args, started):
         inputs["coloring"] = _input_entry(args.coloring)
         chi = io.load_coloring(args.coloring)
         result = big_ramsey_reduce(a_star, chi, args.k, args.N,
-                                   r_cap=args.r_cap)
+                                   r_cap=args.r_cap, cap=args.cap)
         trials.append(dict(result.to_json(), seed=None))
     else:
         r_size = lift_hom_size(a_star, args.N, args.r_cap)
@@ -173,7 +174,7 @@ def cmd_bigramsey(args, started):
             seed = args.seed + t
             result = big_ramsey_reduce(
                 a_star, random_coloring(r_size, args.k, seed), args.k,
-                args.N, r_cap=args.r_cap)
+                args.N, r_cap=args.r_cap, cap=args.cap)
             trials.append(dict(result.to_json(), seed=seed))
     verdicts = {"trials": trials,
                 "max_colors_used": max(t["colors_used"] for t in trials),
@@ -303,6 +304,8 @@ def build_parser():
     p.add_argument("--coloring", default=None,
                    help="JSON coloring file (overrides random trials)")
     p.add_argument("--r-cap", type=_int_at_least(0), default=DEFAULT_R_CAP)
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_NODE_CAP,
+                   help="search nodes per pigeonhole step")
     p.set_defaults(func=cmd_bigramsey)
 
     p = sub.add_parser("degree-bound", parents=[common],

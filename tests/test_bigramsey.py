@@ -8,16 +8,18 @@ from itertools import combinations, permutations
 import pytest
 
 from msetramsey import bigramsey
-from msetramsey.bigramsey import (ReductionResult, _max_mono_subset,
-                                  _pattern_keys, _rank, _reduction_key,
+from msetramsey.bigramsey import (DEFAULT_NODE_CAP, ReductionResult,
+                                  _max_mono_subset, _pattern_keys, _rank,
+                                  _reduction_key, _SearchCapReached,
                                   big_ramsey_reduce, equivariance_of_pi,
                                   lift_hom_size, pi_star, random_coloring,
                                   subchains_containing_min,
                                   unordered_degree_bound)
 from msetramsey.chains import Chain, ChainEmbedding, omega
 from msetramsey.cli import main
-from msetramsey.errors import (IncompleteFiber, InputError, NotAnEmbedding,
-                               SizeOverflow, TruncationTooSmall)
+from msetramsey.errors import (CapExceeded, IncompleteFiber, InputError,
+                               NotAnEmbedding, SizeOverflow,
+                               TruncationTooSmall)
 from msetramsey.expansion import fibers, forget_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
@@ -336,6 +338,165 @@ def test_max_mono_subset_beyond_recursion_depth():
         list(range(1100))
 
 
+def _stack_max_mono_subset(points, arity, colors):
+    """The include/exclude bitset search that the two-phase search (arity
+    2) and the loop-form search (arity >= 3) replaced, kept verbatim as a
+    judge.
+
+    `colors` lists the colors of the arity-subsets of the sorted points,
+    in combinations order. The rule that picks among the candidates: the
+    largest size first, then the least color, then the lex-least sorted
+    set. Vacuous when there are fewer than `arity` points.
+
+    For arity >= 2 this is a branch and bound over candidate bitsets, as
+    in max-clique solvers (Carraghan & Pardalos 1990; San Segundo et al.
+    2011), with only the size bound. Bit y of masks[P] is set when
+    P + (y,) has color c, for each (arity-1)-subset P of point positions
+    and y > P[-1]; those subsets are one contiguous run of `colors`. The
+    search branches on the least candidate, including it before
+    excluding it, so the first set of the largest size it meets is the
+    lex-least; it tries the colors in increasing order and only strict
+    size improvements replace the incumbent.
+    """
+    points = sorted(points)
+    if len(points) < arity:
+        return points
+    if arity == 1:
+        classes = {}
+        for x, c in zip(points, colors):
+            classes.setdefault(c, []).append(x)
+        best_color = max(classes, key=lambda c: (len(classes[c]), -c))
+        return classes[best_color]
+
+    n = len(points)
+    runs = []   # (prefix, least y, its run as a slice of reversed colors)
+    end = len(colors)
+    for prefix in combinations(range(n - 1), arity - 1):
+        lo = prefix[-1] + 1
+        runs.append((prefix, lo, end - (n - lo), end))
+        end -= n - lo
+    best = ()
+    for c in sorted(set(colors)):
+        # the colors read backwards as a binary numeral, 1 where c
+        flags = "".join(["1" if x == c else "0" for x in reversed(colors)])
+        mask_of = {prefix: int(flags[start:stop], 2) << lo
+                   for prefix, lo, start, stop in runs}
+        stack = [((), (1 << n) - 1)]
+        while stack:
+            chosen, cand = stack.pop()
+            if len(chosen) + cand.bit_count() <= len(best):
+                continue
+            if not cand:
+                best = chosen
+                continue
+            low = cand & -cand
+            x = low.bit_length() - 1
+            rest = cand ^ low
+            stack.append((chosen, rest))
+            for sub in combinations(chosen, arity - 2):
+                rest &= mask_of.get(sub + (x,), 0)
+                if not rest:
+                    break
+            stack.append((chosen + (x,), rest))
+    return [points[i] for i in best]
+
+
+def _pair_colors(seed, n, k, skewed):
+    """Seeded colors of the pairs of n points: spread evenly, or, when
+    skewed, color 0 on about three pairs in five and the other colors
+    spread over the rest, so that their graphs are sparse for k = 3."""
+    rng = random.Random(seed)
+    return [0 if skewed and rng.random() < 0.6 else
+            rng.randrange(skewed, k) for _ in range(math.comb(n, 2))]
+
+
+@pytest.mark.parametrize("n,k,skewed", [
+    (180, 2, False), (200, 3, False), (150, 2, True), (150, 3, True)])
+def test_max_mono_subset_pairs_match_stack_search(n, k, skewed):
+    colors = _pair_colors(n, n, k, skewed)
+    assert _max_mono_subset(range(n), 2, colors) == \
+        _stack_max_mono_subset(range(n), 2, colors)
+
+
+def test_max_mono_subset_arity_5():
+    rng = random.Random(5)
+    for _ in range(60):
+        n, k = rng.randint(0, 12), rng.randint(1, 3)
+        points = rng.sample(range(40), n)
+        dense = rng.random() < 0.5
+        colors = [rng.randrange(k) if dense or rng.random() < 0.1 else 0
+                  for _ in range(math.comb(n, 5))]
+        got = _max_mono_subset(points, 5, colors)
+        assert got == _stack_max_mono_subset(points, 5, colors)
+        if n <= 9:
+            table = dict(zip(combinations(sorted(points), 5), colors))
+            assert got == _bruteforce_max_mono_subset(points, 5,
+                                                      table.__getitem__)
+
+
+def _least_cap(points, arity, colors):
+    """The fewest search nodes that _max_mono_subset finishes within."""
+    low, high = 0, 1
+    while True:
+        try:
+            _max_mono_subset(points, arity, colors, cap=high)
+            break
+        except _SearchCapReached:
+            low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            _max_mono_subset(points, arity, colors, cap=mid)
+            high = mid
+        except _SearchCapReached:
+            low = mid + 1
+    return low
+
+
+@pytest.mark.parametrize("n,arity", [(60, 2), (20, 3), (13, 4)])
+def test_max_mono_subset_cap_counts_nodes(n, arity):
+    """Below the nodes it needs the search raises, from there on it
+    returns the uncapped answer."""
+    rng = random.Random(n)
+    colors = [rng.randrange(2) for _ in range(math.comb(n, arity))]
+    want = _max_mono_subset(range(n), arity, colors)
+    nodes = _least_cap(range(n), arity, colors)
+    assert 0 < nodes < DEFAULT_NODE_CAP
+    for cap in (nodes, nodes + 1, None):
+        assert _max_mono_subset(range(n), arity, colors, cap=cap) == want
+    with pytest.raises(_SearchCapReached):
+        _max_mono_subset(range(n), arity, colors, cap=nodes - 1)
+
+
+def test_max_mono_subset_greedy_set_needs_no_nodes():
+    assert _max_mono_subset(range(30), 2, [1] * math.comb(30, 2),
+                            cap=0) == list(range(30))
+
+
+def test_big_ramsey_reduce_cap_names_step(capsys, tmp_path):
+    a = _trivial_pair()
+    chi = random_coloring(lift_hom_size(a, 40), 2, 3)
+    with pytest.raises(CapExceeded, match=r"^pigeonhole step 2 \(arity 2, "
+                       r"40 points\) used 5 search nodes, its cap$"):
+        big_ramsey_reduce(a, chi, 2, 40, cap=5)
+    assert big_ramsey_reduce(a, chi, 2, 40, cap=10 ** 4) == \
+        big_ramsey_reduce(a, chi, 2, 40)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({
+        "monoid": {"size": 1, "identity": 0, "table": [[0]]},
+        "carrier": [0, 1, 2], "action": [[0, 1, 2]], "order": [0, 1, 2]}))
+    argv = ["bigramsey", "--A", str(path), "--N", "12", "--k", "2"]
+    assert main(argv + ["--cap", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "cap exceeded: pigeonhole step 4 (arity 3, 12 points) used 3 search "
+        "nodes, its cap\n")
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    assert main(argv + ["--cap", str(10 ** 4)]) == 0
+    assert capsys.readouterr().out == report
+    assert main(argv + ["--cap", "-1"]) == 1
+
+
 def test_big_ramsey_reduce_single_point():
     a = validate_mset(trivial_monoid(), ("a1",), [[0]], order=("a1",))
     lift = hat_E(omega(4), trivial_monoid())
@@ -603,9 +764,13 @@ def test_unordered_degree_bound():
     assert agg1.aggregate == 1 == agg1.formula
 
 
-def test_random_coloring_deterministic():
-    assert random_coloring(10, 3, 7) == random_coloring(10, 3, 7)
-    assert all(0 <= c < 3 for c in random_coloring(10, 3, 7))
+def test_random_coloring_is_the_randrange_stream():
+    for k in (1, 2, 3, 7, 8, 255, 256, 257, 300):
+        for size in (0, 1, 7, 3000):
+            for seed in (0, 1, 11, 2 ** 31 - 1):
+                rng = random.Random(seed)
+                assert random_coloring(size, k, seed) == tuple(
+                    rng.randrange(k) for _ in range(size))
 
 
 # The six configurations of the benchmark's bigramsey workload at smaller

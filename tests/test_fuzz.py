@@ -226,19 +226,20 @@ def chain_argv(draw):
 
 
 @st.composite
-def forest_argv(draw):
+def forest_argv(draw, validate=False):
     """(files to write, argv, whether a carrier label, parent or root-path
     entry is not a scalar) for one forest --encode or --decode run: a
     forest of up to 4 vertices (a parent choice may close a cycle), as a
     forest file or as its root-path coalgebra, now and then with a label
-    swapped for another value."""
+    swapped for another value. With `validate`, one validate --forest
+    run on the forest file."""
     n = draw(st.integers(0, 4))
     labels = _labels(draw, n)
     parent = [draw(st.integers(0, i)) for i in range(n)]
     if n and draw(st.integers(0, 4)) == 0:
         parent[0] = n - 1   # may close a cycle through vertex 0
     order = draw(st.permutations(labels))
-    if draw(st.booleans()):
+    if not validate and draw(st.booleans()):
         paths = []
         for i in range(n):
             path, seen = [i], {i}
@@ -261,7 +262,8 @@ def forest_argv(draw):
         obj = {"carrier": labels, "order": order,
                "parent": {str(x): y for x, y in zip(labels, values)}}
         bad = not all(map(_is_scalar, labels + values))
-        argv = ["forest", "--encode", "input.json"]
+        argv = ["validate", "--forest", "input.json"] if validate else [
+            "forest", "--encode", "input.json"]
     if draw(st.integers(0, 4)) == 0:
         del obj["order"]
     return {"input.json": obj}, argv, bad
@@ -408,6 +410,64 @@ def laws_argv(draw):
     return {"monoid.json": monoid}, argv
 
 
+@st.composite
+def laws_list_argv(draw):
+    """(files to write, argv) for one laws --functor list or
+    duplicate_free_list run over a carrier of up to 5 elements, lists of
+    up to 5 entries; now and then a number is out of range or not an
+    int, or a stray --monoid file is given."""
+    functor = draw(st.sampled_from(("list", "duplicate_free_list")))
+    number = st.one_of(st.integers(0, 4), st.integers(0, 4),
+                       st.integers(-2, 5), st.sampled_from(("x", "2.5", "")))
+    argv = ["laws", "--functor", functor, "--size", str(draw(number))]
+    if draw(st.booleans()):
+        argv += ["--max-length", str(draw(number))]
+    files = {}
+    if draw(st.integers(0, 4)) == 0:
+        files["monoid.json"] = draw(st.sampled_from(MONOIDS)).to_json()
+        argv += ["--monoid", "monoid.json"]
+    return files, argv
+
+
+@st.composite
+def transport_argv(draw):
+    """(files to write, argv) for one transport run on ordered M-set
+    files U and V of up to 2 elements, with a chain witness budget of at
+    most 4 and caps of at most 200 search nodes and lift elements. Now
+    and then one file has a fault: no order, an order label outside the
+    carrier, a table that is mostly not an action, or another monoid."""
+    m = draw(st.sampled_from(MONOIDS))
+    faulty = draw(st.sampled_from((None, None, None, "U", "V")))
+    fault = draw(st.sampled_from(("unordered", "outside", "action",
+                                  "monoid")))
+    files = {}
+    for name, sizes in (("U", (1, 2, 0)), ("V", (2, 1, 0))):
+        here = fault if name == faulty else None
+        mc = draw(st.sampled_from(MONOIDS)) if here == "monoid" else m
+        n = draw(st.sampled_from(sizes))
+        labels = [f"x{i}" for i in range(n)]
+        if here == "action":
+            action = draw(st.lists(st.lists(st.integers(-1, n), min_size=n,
+                                            max_size=n),
+                                   min_size=mc.size, max_size=mc.size))
+        else:
+            action = draw(st.sampled_from(list(_all_actions(mc, n))))
+        obj = {"monoid": mc.to_json(), "carrier": labels,
+               "action": [list(row) for row in action]}
+        if here != "unordered":
+            obj["order"] = draw(st.permutations(labels))
+            if here == "outside":
+                obj["order"].insert(draw(st.integers(0, n)), "y")
+        files[f"{name}.json"] = obj
+    argv = ["transport", "--U", "U.json", "--V", "V.json",
+            "-k", str(draw(st.integers(1, 3))),
+            "--budget", str(draw(st.integers(0, 4))),
+            "--certify-cap", str(draw(st.integers(0, 200)))]
+    if draw(st.integers(0, 2)) == 0:
+        argv += ["--lift-cap", str(draw(st.integers(0, 200)))]
+    return files, argv
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -508,3 +568,23 @@ def test_arrow_check_on_chains_exits_0_1_or_2_and_reruns_identically(case):
 @given(laws_argv())
 def test_laws_monoid_action_exits_0_1_or_2_and_reruns_identically(case):
     _run_twice(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(laws_list_argv())
+def test_laws_list_functors_exit_0_1_or_2_and_rerun_identically(case):
+    _run_twice(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(transport_argv())
+def test_transport_exits_0_1_or_2_and_reruns_identically(case):
+    _run_twice(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(forest_argv(validate=True))
+def test_validate_forest_exits_0_1_or_2_and_rejects_non_labels(case):
+    files, argv, has_non_label = case
+    code = _run_twice(files, argv)
+    assert code == 1 or not has_non_label
