@@ -7,7 +7,7 @@ embeddings, lexicographic combinations, and the monoids whose actions
 the rest of the workbench studies.
 """
 
-from msetramsey import (WordTruncation, chain_semilattice, cyclic_group,
+from msetramsey import (chain_semilattice, cyclic_group,
                         enumerate_chain_embeddings, left_zero_monoid,
                         lex_product, omega, ordinal_sum)
 
@@ -35,11 +35,6 @@ def main():
 
     lz = left_zero_monoid(2)
     print("left-zero monoid: 1*2 =", lz.mul(1, 2), " but 2*1 =", lz.mul(2, 1))
-
-    print("\n== word truncation ==")
-    words = WordTruncation(("f", "g"), 2)
-    print(f"words of length <= 2 over {{f, g}}: {words.size}")
-    print("length-lex order:", words.words)
 
 
 if __name__ == "__main__":

@@ -11,9 +11,8 @@ bound at finite scale.
 from .chains import (Chain, ChainEmbedding, enumerate_chain_embeddings,
                      identity_embedding, lex_compare, lex_product, omega,
                      ordinal_sum)
-from .monoid import (FiniteMonoid, WordTruncation, chain_semilattice,
-                     cyclic_group, left_zero_monoid, trivial_monoid,
-                     validate_monoid, z2)
+from .monoid import (FiniteMonoid, chain_semilattice, cyclic_group,
+                     left_zero_monoid, trivial_monoid, validate_monoid, z2)
 from .mset import (MSet, MSetMorphism, UnaryAlgebra, cofree_mset,
                    enumerate_embeddings, evaluate_word, generated_sub_mset,
                    validate_morphism, validate_mset, with_order)

@@ -29,7 +29,7 @@ from itertools import accumulate, combinations
 
 from .chains import Chain, ChainEmbedding, omega
 from .errors import (CapExceeded, InputError, NotAnEmbedding,
-                     SizeOverflow, TruncationTooSmall)
+                     SizeOverflow, TruncationTooSmall, _SearchCapReached)
 from .expansion import degree_sum_bound
 from .mset import MSetMorphism, enumerate_embeddings
 from .transport import hat_E, hat_E_map
@@ -232,10 +232,6 @@ def equivariance_of_pi(u, a_star, lift_src, lift_dst):
         lhs.add((rec_g.ell, rec_g.f_star.map))
         rhs.add((rec_f.ell, pushed))
     return lhs == rhs
-
-
-class _SearchCapReached(Exception):
-    """A monochromatic-subset search would need more nodes than its cap."""
 
 
 def _max_mono_subset(points, arity, colors, cap=None):

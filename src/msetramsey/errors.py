@@ -17,6 +17,14 @@ class CapExceeded(WorkbenchError):
     """A configured size cap would be exceeded (CLI exit code 2)."""
 
 
+class _SearchCapReached(Exception):
+    """A bounded search would need more nodes than its cap.
+
+    Raised inside the arrow and monochromatic-subset searches; their
+    callers turn it into an inconclusive verdict or a CapExceeded.
+    """
+
+
 class NotAssociative(InputError):
     def __init__(self, i, j, k):
         self.witness = (i, j, k)
@@ -51,15 +59,6 @@ class UnknownSymbol(InputError):
     def __init__(self, symbol):
         self.symbol = symbol
         super().__init__(f"unknown unary symbol {symbol!r}")
-
-
-class DepthOverflow(CapExceeded):
-    """A word product exceeds the depth of a word truncation."""
-
-    def __init__(self, u, v, depth):
-        self.words = (u, v)
-        self.depth = depth
-        super().__init__(f"word product {u!r}*{v!r} exceeds depth {depth}")
 
 
 class SizeOverflow(CapExceeded):

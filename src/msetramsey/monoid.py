@@ -1,14 +1,14 @@
-"""Finite monoids given by multiplication table, and word truncations.
+"""Finite monoids given by multiplication table.
 
 The well-order attached to a monoid always lists the identity first; the
 lexicographic lift machinery depends on that and nothing else.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import BadIdentity, DepthOverflow, InputError, NotAssociative
+from .errors import BadIdentity, InputError, NotAssociative
 
 
 @dataclass(frozen=True)
@@ -100,57 +100,3 @@ def left_zero_monoid(n):
     size = n + 1
     table = [list(range(size))] + [[i] * size for i in range(1, size)]
     return validate_monoid(size, table, 0)
-
-
-def _words_up_to(alphabet, depth):
-    words = [()]
-    layer = [()]
-    for _ in range(depth):
-        layer = [w + (s,) for w in layer for s in alphabet]
-        words.extend(layer)
-    return words
-
-
-@dataclass(frozen=True)
-class WordTruncation:
-    """All words of length <= depth over a unary alphabet, in length-lex order.
-
-    Presents the same surface as FiniteMonoid (size / identity / mul /
-    well_order) so the lex-lift code can index by words, but mul raises
-    DepthOverflow instead of wrapping around.
-    """
-
-    alphabet: tuple
-    depth: int
-    words: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(
-            self, "words", tuple(_words_up_to(self.alphabet, self.depth)))
-
-    @property
-    def size(self):
-        return len(self.words)
-
-    @property
-    def identity(self):
-        return 0
-
-    @property
-    def well_order(self):
-        # words are generated in length-lex order, empty word first
-        return tuple(range(self.size))
-
-    def word_index(self, word):
-        word = tuple(word)
-        try:
-            return self.words.index(word)
-        except ValueError:
-            raise InputError(f"word {word!r} not in the truncation") from None
-
-    def mul(self, i, j):
-        u, v = self.words[i], self.words[j]
-        if len(u) + len(v) > self.depth:
-            raise DepthOverflow(u, v, self.depth)
-        return self.words.index(u + v)

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from itertools import count, permutations
 
 from .chains import enumerate_chain_embeddings
+from .errors import _SearchCapReached
 from .forests import forest_as_mset, height
 from .monoid import truncated_powers
-from .mset import MSet, enumerate_embeddings, with_order
+from .mset import MSet, enumerate_embeddings
 
 DEFAULT_SEARCH_CAP = 10 ** 6
 
@@ -55,29 +56,26 @@ class MSetContext:
         return math.factorial(a.size), "order_expansion_sum"
 
     def objects(self, max_size):
-        """M-sets up to a size: one per isomorphism class, or, in the
-        ordered case, every table under all orders.
+        """M-sets up to a size, one per isomorphism class, on range(n).
 
-        `_all_actions` emits only tables that satisfy both action axioms;
-        unordered, it emits only the lex-least table of each class.
+        Unordered, `_all_actions` emits the lex-least table of each class.
+        Ordered, every valid table is listed once under the identity
+        order: relabelling the carrier by rank turns any order into the
+        identity, and the only order-preserving bijection between two
+        identity-ordered carriers is the identity.
         """
-        out = []
-        for n in range(1, max_size + 1):
-            for action in _all_actions(self.monoid, n,
-                                       one_per_class=not self.ordered):
-                ms = MSet(self.monoid, tuple(range(n)), action)
-                if self.ordered:
-                    out.extend(with_order(ms, p)
-                               for p in permutations(range(n)))
-                else:
-                    out.append(ms)
-        return out
+        return [MSet(self.monoid, tuple(range(n)), action,
+                     tuple(range(n)) if self.ordered else None)
+                for n in range(1, max_size + 1)
+                for action in _all_actions(self.monoid, n,
+                                           one_per_class=not self.ordered)]
 
 
 def _all_actions(monoid, n, one_per_class=False):
     """Every valid action table of M on an n-element carrier, in lex order,
     or with `one_per_class` only the lex-least table of each isomorphism
-    class.
+    class. Without it, each table under the identity order is the one
+    ordered M-set of its ordered isomorphism class on range(n).
 
     The rows of the non-identity elements are filled cell by cell, in
     index order, trying values in ascending order. After each assignment
@@ -232,10 +230,6 @@ def composite_images(a, b, c, ctx):
 def coloring_is_bad(colors, images, t):
     """Naive oracle: every w sees more than t colors on its composites."""
     return all(len({colors[i] for i in image}) > t for image in images)
-
-
-class _SearchCapReached(Exception):
-    """The bad-coloring search would need more nodes than its cap."""
 
 
 def _search_bad_coloring(n, k, t, images, cap=None):

@@ -8,7 +8,8 @@ from msetramsey.errors import IncompleteFiber, NotAnEmbedding
 from msetramsey.expansion import (check_reasonable, degree_sum_bound, fibers,
                                   forget_order, restrict_along)
 from msetramsey.monoid import trivial_monoid, z2
-from msetramsey.mset import (enumerate_embeddings, validate_mset, with_order)
+from msetramsey.mset import (enumerate_embeddings, order_violation,
+                             validate_mset, with_order)
 
 
 def _trivial_set(n, order=None):
@@ -69,6 +70,9 @@ def test_restriction_uniqueness_fiber_sweep(monoid, every_mset):
                 for e in enumerate_embeddings(a, b):
                     a_star = restrict_along(b_star, e.map, a)
                     assert forget_order(a_star) == a
+                    admitting = [f for f in fibers(a) if
+                                 order_violation(e.map, f, b_star) is None]
+                    assert admitting == [a_star]
                     checked += 1
     assert checked > 0
 

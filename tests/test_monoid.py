@@ -1,13 +1,12 @@
-"""Finite monoids, constructors and word truncations."""
+"""Finite monoids and their constructors."""
 
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from msetramsey.errors import (BadIdentity, DepthOverflow, InputError,
-                               NotAssociative)
-from msetramsey.monoid import (WordTruncation, chain_semilattice, cyclic_group,
+from msetramsey.errors import BadIdentity, InputError, NotAssociative
+from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                validate_monoid)
 
@@ -86,27 +85,6 @@ def test_validate_agrees_with_oracle_on_2x2_tables(table):
         else:
             with pytest.raises(InputError):
                 validate_monoid(2, table, identity)
-
-
-def test_word_truncation_length_lex_order():
-    t = WordTruncation(("f", "g"), 2)
-    assert t.size == 1 + 2 + 4
-    assert t.words[0] == ()
-    assert t.words[:3] == ((), ("f",), ("g",))
-    lengths = [len(w) for w in t.words]
-    assert lengths == sorted(lengths)
-    assert t.identity == 0
-    assert t.well_order == tuple(range(t.size))
-
-
-def test_word_truncation_multiplication_and_overflow():
-    t = WordTruncation(("f", "g"), 2)
-    fi, gi = t.word_index(("f",)), t.word_index(("g",))
-    assert t.words[t.mul(fi, gi)] == ("f", "g")
-    with pytest.raises(DepthOverflow):
-        t.mul(t.word_index(("f", "g")), fi)
-    with pytest.raises(InputError):
-        t.word_index(("h",))
 
 
 def test_trivial_monoid():

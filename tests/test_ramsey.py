@@ -405,6 +405,30 @@ def test_mset_context_objects_class_counts(make, n, classes):
     assert sum(ms.size == n for ms in listed) == classes
 
 
+@pytest.mark.parametrize("make, classes", [
+    (trivial_monoid, 4), (z2, 17), (lambda: chain_semilattice(2), 55),
+    (lambda: chain_semilattice(3), 274), (lambda: cyclic_group(3), 14),
+    (lambda: left_zero_monoid(2), 157)],
+    ids=["trivial", "z2", "chain2", "chain3", "cyclic3", "left_zero2"])
+def test_ordered_objects_list_each_class_once(make, classes):
+    """Against a brute-force canonical form, each (table, order)
+    relabelled by rank: the ordered listing holds every canonical form
+    once, under the identity order. `classes` counts sizes 1..4."""
+    monoid = make()
+    listed = MSetContext(monoid, ordered=True).objects(4)
+    assert all(ms.carrier == ms.order == tuple(range(ms.size))
+               for ms in listed)
+    canonical = set()
+    for n in range(1, 5):
+        for table in _brute_all_actions(monoid, n):
+            for order in permutations(range(n)):
+                rank = sorted(range(n), key=order.__getitem__)
+                canonical.add(_relabel(table, rank))
+    actions = [ms.action for ms in listed]
+    assert len(set(actions)) == len(actions) == classes
+    assert set(actions) == canonical
+
+
 def _bracket(probe):
     return (probe.lower, probe.upper, probe.evidence["upper_source"],
             [(d["t"], d["k"], d["B_size"])

@@ -7,6 +7,7 @@ import pytest
 from msetramsey.chains import ChainEmbedding, omega
 from msetramsey.errors import (InputError, NoChainWitnessInBudget,
                                SizeOverflow)
+from msetramsey.expansion import fibers, forget_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                truncated_powers, validate_monoid, z2)
@@ -205,9 +206,10 @@ def test_phi_rejects_wrong_source_chain():
 
 
 def test_check_pa_exhaustive_small_z2():
-    """(PA) with v = f for all small ordered Z2-sets and chain targets."""
-    ctx = MSetContext(z2(), ordered=True)
-    objs = [o for o in ctx.objects(2)]
+    """(PA) with v = f for every ordered Z2-set of size <= 2 (each class
+    under all orders) and chain targets."""
+    objs = [f for x in MSetContext(z2(), ordered=True).objects(2)
+            for f in fibers(forget_order(x))]
     checked = 0
     for a_star in objs:
         for b_star in objs:
@@ -224,7 +226,7 @@ def test_check_pa_exhaustive_small_z2():
                         ok, v = check_PA(u, f.map, a_coalg, b_coalg)
                         assert ok and v == f.map
                         checked += 1
-    assert checked > 0
+    assert checked == 54
 
 
 def _increasing_maps(n, m):
@@ -259,14 +261,16 @@ def test_transport_witness_must_contain_v():
         transport_witness(pair, four, 2)
 
 
-@pytest.mark.parametrize("make", [trivial_monoid, z2,
-                                  lambda: chain_semilattice(2)],
-                         ids=["trivial", "z2", "semilattice2"])
-def test_certified_lifts_contain_a_copy_of_v(make):
+@pytest.mark.parametrize("make, lifts", [
+    (trivial_monoid, 18), (z2, 72), (lambda: chain_semilattice(2), 264)],
+    ids=["trivial", "z2", "semilattice2"])
+def test_certified_lifts_contain_a_copy_of_v(make, lifts):
     """A lift that certifies hat_E(W) -> (V)^U_2 must contain V: the arrow
-    is not met vacuously by a W too small to hold a copy of U."""
+    is not met vacuously by a W too small to hold a copy of U. U and V
+    range over every ordered M-set of size <= 3, each class under all
+    orders; `lifts` is the number certified."""
     ctx = MSetContext(make(), ordered=True)
-    objs = ctx.objects(3)
+    objs = [f for x in ctx.objects(3) for f in fibers(forget_order(x))]
     certified = 0
     for u_star in (u for u in objs if u.size <= 2):
         for v_star in (v for v in objs if v.size > 2):
@@ -276,4 +280,4 @@ def test_certified_lifts_contain_a_copy_of_v(make):
             if result.certified == "holds":
                 assert ctx.hom(v_star, result.lift.lifted)
                 certified += 1
-    assert certified > 0
+    assert certified == lifts
