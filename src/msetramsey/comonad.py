@@ -139,9 +139,19 @@ def check_comonad_laws(functor, elements, delta=None, epsilon=None,
     """Exhaustively check functor + comultiplication (+ counit) laws.
 
     `delta`/`epsilon` override the functor's own maps, which is how the
-    mutation tests inject corrupted structure.
+    mutation tests inject corrupted structure. For the monoid-action
+    functor, SizeOverflow is raised before the sweep when its work, the
+    |A|^|M| elements h times the |M|^3 entries of delta(delta(h)) that
+    coassociativity builds, exceeds DEFAULT_CAP.
     """
     elements = list(elements)
+    if isinstance(functor, MonoidActionFunctor):
+        size = functor.monoid.size
+        work = len(elements) ** size * size ** 3
+        if work > DEFAULT_CAP:
+            raise SizeOverflow(
+                "comonad law sweep (|A|^|M| elements x |M|^3 entries)",
+                work, DEFAULT_CAP)
     delta = delta or functor.delta
     epsilon = epsilon or functor.epsilon
     ea = functor.carrier(elements)

@@ -150,7 +150,15 @@ def validate_morphism(source, target, f_map, kind="morphism"):
 
 
 def enumerate_embeddings(a, b):
-    """All embeddings a -> b (order-embeddings when both are ordered).
+    """All embeddings a -> b (order-embeddings when both are ordered),
+    as morphisms in the order of `embedding_maps`."""
+    kind = "order-embedding" if a.order is not None else "embedding"
+    return [MSetMorphism(a, b, f, kind) for f in embedding_maps(a, b)]
+
+
+def embedding_maps(a, b):
+    """The maps (target index per source index) of all embeddings a -> b,
+    order-embeddings when both are ordered.
 
     Sending x to y forces exactly m.x -> m.y for m in M, since the orbit
     of m.x lies inside the orbit of x; one pass over M places it. The
@@ -166,7 +174,6 @@ def enumerate_embeddings(a, b):
     n, msize = a.size, a.monoid.size
     if ordered:
         spos, tpos = a.positions, b.positions
-    kind = "order-embedding" if ordered else "embedding"
     results = []
     assign = [-1] * n
     used = [False] * b.size
@@ -194,7 +201,7 @@ def enumerate_embeddings(a, b):
         while x < n and assign[x] != -1:
             x += 1
         if x == n:
-            results.append(MSetMorphism(a, b, tuple(assign), kind))
+            results.append(tuple(assign))
             return
         targets = range(b.size)
         if ordered:

@@ -17,13 +17,13 @@ bounds the work; a search that runs out is "inconclusive".
 
 import math
 from dataclasses import dataclass, field
-from itertools import count, permutations
+from itertools import combinations, count, permutations
+from operator import itemgetter
 
-from .chains import enumerate_chain_embeddings
 from .errors import _SearchCapReached
 from .forests import forest_as_mset, height
 from .monoid import truncated_powers
-from .mset import MSet, enumerate_embeddings
+from .mset import MSet, embedding_maps
 
 DEFAULT_SEARCH_CAP = 10 ** 6
 
@@ -32,7 +32,7 @@ class ChainContext:
     """Hom-sets of finite chains (strictly increasing injections)."""
 
     def hom(self, a, c):
-        return [e.map for e in enumerate_chain_embeddings(a, c)]
+        return list(combinations(range(len(c)), len(a)))
 
     def theory_degree_upper(self, a):
         # chains are a Ramsey category (Finite Ramsey Theorem)
@@ -47,7 +47,7 @@ class MSetContext:
         self.ordered = ordered
 
     def hom(self, a, c):
-        return [e.map for e in enumerate_embeddings(a, c)]
+        return embedding_maps(a, c)
 
     def theory_degree_upper(self, a):
         if self.ordered:
@@ -174,9 +174,8 @@ class ForestContext:
 
     def hom(self, a, c):
         m = truncated_powers(max(height(a), height(c)))
-        return [e.map for e in enumerate_embeddings(
-            forest_as_mset(a, m, self.ordered),
-            forest_as_mset(c, m, self.ordered))]
+        return embedding_maps(forest_as_mset(a, m, self.ordered),
+                              forest_as_mset(c, m, self.ordered))
 
     def theory_degree_upper(self, a):
         if self.ordered:
@@ -215,15 +214,23 @@ class ArrowVerdict:
 
 
 def composite_images(a, b, c, ctx):
-    """For each w in hom(B,C): indices of {w . f : f in hom(A,B)} in hom(A,C)."""
+    """For each w in hom(B,C): indices of {w . f : f in hom(A,B)} in hom(A,C).
+
+    w . f is itemgetter(*f)(w), one getter per f; itemgetter() rejects
+    no index and itemgetter(i) returns a scalar, so |A| <= 1 composes
+    with compose_map.
+    """
     hom_ac = ctx.hom(a, c)
-    index = {f: i for i, f in enumerate(hom_ac)}
+    index = {f: i for i, f in enumerate(hom_ac)}.__getitem__
     hom_ab = ctx.hom(a, b)
     hom_bc = ctx.hom(b, c)
-    images = []
-    for w in hom_bc:
-        images.append(tuple(sorted({index[compose_map(w, f)]
-                                    for f in hom_ab})))
+    if hom_ab and len(hom_ab[0]) > 1:
+        getters = [itemgetter(*f) for f in hom_ab]
+        images = [tuple(sorted(set(map(index, [g(w) for g in getters]))))
+                  for w in hom_bc]
+    else:
+        images = [tuple(sorted({index(compose_map(w, f)) for f in hom_ab}))
+                  for w in hom_bc]
     return hom_ac, hom_ab, hom_bc, images
 
 

@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import msetramsey.cli
+from msetramsey.forests import fig1_forest
+from msetramsey.ramsey import ForestContext
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,11 +52,16 @@ def test_tracer_finds_every_target_and_counts_every_result(
         # through the module, as the benchmark calls it, so that the
         # wrapped main is the one called
         codes = [msetramsey.cli.main(argv) for argv in runs]
+        # no subcommand reaches the forest hom-set; the benchmark calls it
+        forest = fig1_forest()
+        assert ForestContext().hom(forest, forest)
     capsys.readouterr()
     assert codes == [0] * len(runs)
     assert tracer.count_failures == set()
     assert tracer.calls["cli.main"] == len(runs)
     for metric in ("mset.enumerate_embeddings", "ramsey._all_actions",
+                   "ramsey.hom", "ramsey.ForestContext.hom",
+                   "ramsey.composite_images",
                    "ramsey._search_bad_coloring",
                    "bigramsey.big_ramsey_reduce", "transport.hat_E"):
         assert tracer.calls[metric] > 0, metric

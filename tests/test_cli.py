@@ -1,10 +1,14 @@
 """The command-line interface: reports, exit codes, determinism."""
 
+import hashlib
 import json
+import time
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
+from msetramsey import ramsey
 from msetramsey.cli import main
 
 
@@ -153,6 +157,25 @@ def test_laws_monoid_action(capsys, files):
     assert report["verdicts"]["all_pass"] is True
 
 
+@pytest.mark.parametrize("size,work", [(34, 34 ** 3 * 27),
+                                       (100, 100 ** 3 * 27)])
+def test_laws_monoid_action_work_over_cap_exits_2(capsys, files, size,
+                                                  work):
+    """|A|^|M| elements times the |M|^3 entries of delta(delta(h)) are
+    checked against the cap before the sweep: over Z3, size 33 is the
+    largest that runs."""
+    z3 = files["tmp"] / "z3.json"
+    z3.write_text(json.dumps({"size": 3, "identity": 0, "table": [
+        [0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    start = time.monotonic()
+    code, report, err = run(capsys, ["laws", "--functor", "monoid_action",
+                                     "--monoid", str(z3),
+                                     "--size", str(size)])
+    assert time.monotonic() - start < 1
+    assert code == 2 and report is None
+    assert f"has size {work}, exceeding cap 1000000" in err
+
+
 def test_laws_duplicate_free_list_skips_counit(capsys, files):
     code, report, _ = run(capsys, ["laws", "--functor",
                                    "duplicate_free_list", "--size", "3"])
@@ -171,6 +194,58 @@ def test_arrow_check_holds_and_refuted_both_exit_0(capsys, files):
         "--C", files["chain5"], "-k", "2", "-t", "1"])
     assert code == 0 and report["verdicts"]["status"] == "refuted"
     assert report["verdicts"]["bad_coloring"]
+
+
+_Z2 = {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]]}
+_NO_POINT = {"monoid": _Z2, "carrier": [], "action": [[], []], "order": []}
+_FIXED1 = {"monoid": _Z2, "carrier": ["u"], "action": [[0], [0]],
+           "order": ["u"]}
+_FIXED2 = {"monoid": _Z2, "carrier": ["v0", "v1"],
+           "action": [[0, 1], [0, 1]], "order": ["v0", "v1"]}
+# fixed points u < v < w around the swap pair a1 < a2
+_AROUND_SWAP = {"monoid": _Z2, "carrier": ["u", "a1", "v", "a2", "w"],
+                "action": [[0, 1, 2, 3, 4], [0, 3, 2, 1, 4]],
+                "order": ["u", "a1", "v", "a2", "w"]}
+
+
+@pytest.mark.parametrize("ctx,a,b,c,verdicts,digest", [
+    ("chains", [], [0, 1, 2], [0, 1, 2, 3, 4],
+     {"reason": "exhausted_with_pruning", "status": "holds",
+      "witness_stats": {"hom_AB": 1, "hom_AC": 1, "hom_BC": 10}},
+     "2c0615f8"),
+    ("chains", [0], [0, 1, 2], [0, 1, 2, 3],
+     {"bad_coloring": [0, 0, 1, 1], "reason": "bad_coloring_found",
+      "status": "refuted", "witness_stats": {}},
+     "affd636e"),
+    ("ordered-msets", _NO_POINT, _FIXED2, _AROUND_SWAP,
+     {"reason": "exhausted_with_pruning", "status": "holds",
+      "witness_stats": {"hom_AB": 1, "hom_AC": 1, "hom_BC": 3}},
+     "65542aa6"),
+    ("ordered-msets", _FIXED1, _FIXED2, _AROUND_SWAP,
+     {"reason": "exhausted_with_pruning", "status": "holds",
+      "witness_stats": {"hom_AB": 2, "hom_AC": 3, "hom_BC": 3}},
+     "6d95c207"),
+], ids=["chains-empty", "chains-point", "ordered-msets-empty",
+        "ordered-msets-point"])
+def test_arrow_check_with_at_most_one_point_in_a(
+        capsys, tmp_path, monkeypatch, ctx, a, b, c, verdicts, digest):
+    """|A| <= 1 composes without itemgetter, which rejects no index and
+    returns a scalar for one; the report bytes are pinned."""
+    def getter(*positions):
+        assert len(positions) > 1
+        return itemgetter(*positions)
+
+    monkeypatch.setattr(ramsey, "itemgetter", getter, raising=False)
+    argv = ["arrow-check", "--ctx", ctx, "-k", "2", "-t", "1"]
+    for name, obj in zip("ABC", (a, b, c)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["verdicts"] == verdicts
+    masked = out.replace(str(tmp_path), "<tmp>")
+    assert hashlib.sha256(masked.encode()).hexdigest()[:8] == digest
 
 
 def test_arrow_check_ctx_mismatch(capsys, files):

@@ -12,7 +12,7 @@ from msetramsey.expansion import forget_order
 from msetramsey.monoid import (left_zero_monoid, trivial_monoid,
                                truncated_powers, z2)
 from msetramsey.mset import (MSet, UnaryAlgebra,
-                             check_equivariant, cofree_mset,
+                             check_equivariant, cofree_mset, embedding_maps,
                              enumerate_embeddings, evaluate_word,
                              generated_sub_mset, validate_morphism,
                              validate_mset, with_order)
@@ -165,8 +165,29 @@ def test_enumerate_embeddings_matches_bruteforce(monoid, ordered):
     assert checked > 0
 
 
-@pytest.mark.parametrize("ordered", [False, True])
-def test_enumerate_embeddings_leaves_no_reference_cycle(ordered):
+@pytest.mark.parametrize("monoid,ordered", [
+    (trivial_monoid(), False), (trivial_monoid(), True),
+    (z2(), False), (z2(), True),
+    (left_zero_monoid(2), False), (left_zero_monoid(2), True)])
+def test_embedding_maps_are_the_maps_of_enumerate_embeddings(monoid,
+                                                             ordered):
+    objs = _all_small_msets(monoid, 3, ordered)
+    empty = MSet(monoid, (), ((),) * monoid.size, () if ordered else None)
+    lifts = [hat_E(omega(3), monoid).lifted] if ordered else []
+    kind = "order-embedding" if ordered else "embedding"
+    found = 0
+    for a in [empty] + objs:
+        for b in [empty] + objs + lifts:
+            maps = embedding_maps(a, b)
+            morphisms = enumerate_embeddings(a, b)
+            assert maps == [f.map for f in morphisms]
+            assert all((f.source, f.target, f.kind) == (a, b, kind)
+                       for f in morphisms)
+            found += bool(maps)
+    assert found > 0
+
+
+def _assert_no_reference_cycle(enumerate_maps, ordered):
     """Reference counting frees all that one call builds, so the cyclic
     collector finds nothing unreachable after it."""
     a = swap_pair(ordered)
@@ -174,12 +195,22 @@ def test_enumerate_embeddings_leaves_no_reference_cycle(ordered):
     gc.collect()
     gc.disable()
     try:
-        embeddings = enumerate_embeddings(a, b)
+        embeddings = enumerate_maps(a, b)
         assert embeddings
         del embeddings
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_enumerate_embeddings_leaves_no_reference_cycle(ordered):
+    _assert_no_reference_cycle(enumerate_embeddings, ordered)
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_embedding_maps_leaves_no_reference_cycle(ordered):
+    _assert_no_reference_cycle(embedding_maps, ordered)
 
 
 def test_enumerate_embeddings_rejects_mixed_kinds():

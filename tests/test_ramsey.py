@@ -8,7 +8,7 @@ import pytest
 
 from msetramsey.chains import omega
 from msetramsey.errors import InputError
-from msetramsey.mset import validate_mset, with_order
+from msetramsey.mset import MSet, validate_mset, with_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                truncated_powers, z2)
@@ -39,6 +39,58 @@ def test_composite_images_small_chain_instance():
     # w = {0,1}: its copies of the point are positions 0 and 1
     w_index = hom_bc.index((0, 1))
     assert images[w_index] == (0, 1)
+
+
+def _small_objects(ctx_name):
+    """A context and families of its small objects, |A| <= 3 among them;
+    objects of one family share a monoid."""
+    from msetramsey.forests import enumerate_forests, fig1_forest
+    if ctx_name == "chains":
+        return ChainContext(), [[omega(n) for n in range(7)]]
+    if ctx_name.endswith("forests"):
+        ordered = ctx_name == "ordered-forests"
+        objs = [f for n in range(5)
+                for f in enumerate_forests(n, ordered=ordered)]
+        if ordered:
+            objs.append(fig1_forest())
+        return ForestContext(ordered=ordered), [objs]
+    ordered = ctx_name == "ordered-msets"
+    rng = random.Random(ctx_name)
+    families = []
+    for monoid in (z2(), left_zero_monoid(2)):
+        family = []
+        for n in range(5):
+            for action in _all_actions(monoid, n):
+                order = list(range(n))
+                rng.shuffle(order)
+                family.append(MSet(monoid, tuple(range(n)), action,
+                                   tuple(order) if ordered else None))
+        families.append(family)
+    return MSetContext(None, ordered=ordered), families
+
+
+@pytest.mark.parametrize("ctx_name", ["chains", "msets", "ordered-msets",
+                                      "forests", "ordered-forests"])
+def test_composite_images_match_compose_map_reference(ctx_name):
+    """Random triples with |A| in {0, 1, 2, 3}: the images equal the
+    index sets of compose_map(w, f) over hom(A, B). Every other triple
+    has A in B in C, so that most images are not empty."""
+    ctx, families = _small_objects(ctx_name)
+    rng = random.Random(ctx_name)
+    nonempty = dict.fromkeys(range(4), 0)
+    for trial in range(300):
+        objs = rng.choice(families)
+        size = rng.randrange(4)
+        a = rng.choice([x for x in objs if x.size == size])
+        b = rng.choice([x for x in objs if trial % 2 or ctx.hom(a, x)])
+        c = rng.choice([x for x in objs if trial % 2 or ctx.hom(b, x)])
+        hom_ac, hom_ab, hom_bc, images = composite_images(a, b, c, ctx)
+        index = {f: i for i, f in enumerate(hom_ac)}
+        assert images == [
+            tuple(sorted({index[compose_map(w, f)] for f in hom_ab}))
+            for w in hom_bc]
+        nonempty[size] += any(images)
+    assert all(nonempty.values()), nonempty
 
 
 def _oracle_has_bad_coloring(n, k, t, images):
