@@ -8,9 +8,13 @@ only included when --timing is passed, since it would break that
 guarantee.
 
 Exit codes: 0 for a completed run (even when the mathematical verdict is
-"refuted"), 1 for input errors (usage errors and out-of-range parameters
-included), 2 for cap overflows and for a truncation or witness budget
-that is too small.
+"refuted"), 1 for input errors (usage errors, out-of-range parameters and
+input or --out paths that cannot be read or written included), 2 for cap
+overflows and for a truncation or witness budget that is too small.
+
+Each subcommand `cmd_x(args, load)` returns (parameters, verdicts) and
+reads its files through `load`, so `main` alone records the inputs and
+writes the report.
 """
 
 import argparse
@@ -27,58 +31,33 @@ from .comonad import (DistinctListFunctor, ListFunctor, MonoidActionFunctor,
 from .errors import (CapExceeded, InputError, NoChainWitnessInBudget,
                      TruncationTooSmall)
 from .expansion import degree_sum_bound, fibers, forget_order
-from .forests import decode_coalgebra, encode_forest
+from .forests import encode_forest
 from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
                      SMALL_BUDGET, TINY_BUDGET, holds_arrow,
                      probe_small_degree)
 from .transport import DEFAULT_LIFT_CAP, transport_witness
 
 
-def _input_entry(path):
-    return {"path": path, "sha256": io.file_sha256(path)}
+LOADERS = {"monoid": io.load_monoid, "mset": io.load_mset,
+           "chain": io.load_chain, "forest": io.load_forest,
+           "unary": io.load_unary_algebra}
 
 
-def _report(args, inputs, parameters, verdicts, started):
-    report = {"command": args.command,
-              "inputs": inputs,
-              "parameters": parameters,
-              "verdicts": verdicts}
-    if args.timing:
-        report["timing_seconds"] = round(time.monotonic() - started, 3)
-    io.dump_report(report, args.out)
-    return 0
-
-
-def _load_object(kind, path):
-    loaders = {"monoid": io.load_monoid, "mset": io.load_mset,
-               "chain": io.load_chain, "forest": io.load_forest,
-               "unary": io.load_unary_algebra}
-    return loaders[kind](path)
-
-
-def cmd_validate(args, started):
-    kinds = [k for k in ("monoid", "mset", "chain", "forest", "unary")
-             if getattr(args, k) is not None]
+def cmd_validate(args, load):
+    kinds = [k for k in LOADERS if getattr(args, k) is not None]
     if not kinds:
         raise InputError("validate: give one of --monoid/--mset/--chain/"
                          "--forest/--unary")
-    inputs, verdicts = {}, {}
-    for kind in kinds:
-        path = getattr(args, kind)
-        inputs[kind] = _input_entry(path)
-        obj = _load_object(kind, path)
-        verdicts[kind] = {"valid": True, "size": obj.size}
-    return _report(args, inputs, {}, verdicts, started)
+    return {}, {kind: {"valid": True, "size": load(kind, LOADERS[kind]).size}
+                for kind in kinds}
 
 
-def cmd_laws(args, started):
-    inputs = {}
+def cmd_laws(args, load):
     with_counit = True
     if args.functor == "monoid_action":
         if args.monoid is None:
             raise InputError("laws: monoid_action requires --monoid")
-        inputs["monoid"] = _input_entry(args.monoid)
-        functor = MonoidActionFunctor(io.load_monoid(args.monoid))
+        functor = MonoidActionFunctor(load("monoid", io.load_monoid))
     elif args.functor == "duplicate_free_list":
         functor = DistinctListFunctor()
         with_counit = False   # no counit claim for this functor
@@ -86,85 +65,71 @@ def cmd_laws(args, started):
         functor = ListFunctor(max_length=args.max_length)
     report = check_comonad_laws(functor, range(args.size),
                                 with_counit=with_counit)
-    verdicts = {"all_pass": report.all_pass, "laws": report.to_json()}
     params = {"functor": args.functor, "size": args.size}
     if args.functor == "list":
         params["max_length"] = args.max_length
-    return _report(args, inputs, params, verdicts, started)
+    return params, {"all_pass": report.all_pass, "laws": report.to_json()}
 
 
-def _arrow_context(args, objects):
+def _load_arrow_objects(args, load, names):
+    """The context --ctx names and the objects, which must fit it."""
     if args.ctx == "chains":
-        return ChainContext()
-    a = objects[0]
-    ordered = a.order is not None
-    want_ordered = args.ctx == "ordered-msets"
-    if ordered != want_ordered:
+        return ChainContext(), [load(name, io.load_chain) for name in names]
+    objects = [load(name, io.load_mset) for name in names]
+    ordered = objects[0].order is not None
+    if ordered != (args.ctx == "ordered-msets"):
         raise InputError(
             f"--ctx {args.ctx} but the loaded objects are "
             f"{'ordered' if ordered else 'unordered'}")
-    return MSetContext(a.monoid, ordered=ordered)
+    return MSetContext(objects[0].monoid, ordered=ordered), objects
 
 
-def _load_arrow_objects(args, names):
-    loader = io.load_chain if args.ctx == "chains" else io.load_mset
-    inputs, objects = {}, []
-    for name in names:
-        path = getattr(args, name)
-        inputs[name] = _input_entry(path)
-        objects.append(loader(path))
-    return inputs, objects
+def _load_ordered_mset(args, load, name):
+    obj = load(name, io.load_mset)
+    if obj.order is None:
+        raise InputError(f"{args.command}: {name} must carry an order, but "
+                         f"{getattr(args, name)} has none")
+    return obj
 
 
-def cmd_arrow_check(args, started):
-    inputs, (a, b, c) = _load_arrow_objects(args, ("A", "B", "C"))
-    ctx = _arrow_context(args, (a, b, c))
+def cmd_arrow_check(args, load):
+    ctx, (a, b, c) = _load_arrow_objects(args, load, ("A", "B", "C"))
     verdict = holds_arrow(a, b, c, args.k, args.t, ctx, cap=args.cap)
     params = {"k": args.k, "t": args.t, "ctx": args.ctx, "cap": args.cap}
-    return _report(args, inputs, params, verdict.to_json(), started)
+    return params, verdict.to_json()
 
 
-def cmd_degree_probe(args, started):
-    inputs, (a,) = _load_arrow_objects(args, ("A",))
-    ctx = _arrow_context(args, (a,))
+def cmd_degree_probe(args, load):
+    ctx, (a,) = _load_arrow_objects(args, load, ("A",))
     budget = SMALL_BUDGET if args.budget == "small" else TINY_BUDGET
     probe = probe_small_degree(a, ctx, budget=budget, cap=args.cap)
-    verdicts = {"lower": probe.lower, "upper": probe.upper,
-                "evidence": probe.evidence}
     params = {"ctx": args.ctx, "budget": args.budget, "cap": args.cap}
-    return _report(args, inputs, params, verdicts, started)
+    return params, {"lower": probe.lower, "upper": probe.upper,
+                    "evidence": probe.evidence}
 
 
-def cmd_transport(args, started):
-    inputs = {"U": _input_entry(args.U), "V": _input_entry(args.V)}
-    u_star, v_star = io.load_mset(args.U), io.load_mset(args.V)
-    for name, obj in (("U", u_star), ("V", v_star)):
-        if obj.order is None:
-            raise InputError(f"transport: {name} must carry an order")
+def cmd_transport(args, load):
+    u_star = _load_ordered_mset(args, load, "U")
+    v_star = _load_ordered_mset(args, load, "V")
     result = transport_witness(u_star, v_star, args.k,
                                chain_witness_budget=args.budget,
                                certify_cap=args.certify_cap,
                                lift_cap=args.lift_cap)
-    verdicts = {"chain_witness_size": len(result.chain_witness),
-                "lift_size": result.lift.lifted.size,
-                "certified": result.certified,
-                "verdict": result.verdict.to_json()}
     params = {"k": args.k, "budget": args.budget,
               "certify_cap": args.certify_cap, "lift_cap": args.lift_cap}
-    return _report(args, inputs, params, verdicts, started)
+    return params, {"chain_witness_size": len(result.chain_witness),
+                    "lift_size": result.lift.lifted.size,
+                    "certified": result.certified,
+                    "verdict": result.verdict.to_json()}
 
 
-def cmd_bigramsey(args, started):
-    inputs = {"A": _input_entry(args.A)}
-    a_star = io.load_mset(args.A)
-    if a_star.order is None:
-        raise InputError("bigramsey: A must carry an order")
+def cmd_bigramsey(args, load):
+    a_star = _load_ordered_mset(args, load, "A")
     params = {"N": args.N, "k": args.k, "trials": args.trials,
               "seed": args.seed, "r_cap": args.r_cap}
     trials = []
     if args.coloring is not None:
-        inputs["coloring"] = _input_entry(args.coloring)
-        chi = io.load_coloring(args.coloring)
+        chi = load("coloring", io.load_coloring)
         result = big_ramsey_reduce(a_star, chi, args.k, args.N,
                                    r_cap=args.r_cap, cap=args.cap)
         trials.append(dict(result.to_json(), seed=None))
@@ -176,46 +141,35 @@ def cmd_bigramsey(args, started):
                 a_star, random_coloring(r_size, args.k, seed), args.k,
                 args.N, r_cap=args.r_cap, cap=args.cap)
             trials.append(dict(result.to_json(), seed=seed))
-    verdicts = {"trials": trials,
-                "max_colors_used": max(t["colors_used"] for t in trials),
-                "bound": trials[0]["bound"],
-                "all_within_bound": all(
-                    t["colors_used"] <= t["bound"] for t in trials)}
-    return _report(args, inputs, params, verdicts, started)
+    return params, {"trials": trials,
+                    "max_colors_used": max(t["colors_used"] for t in trials),
+                    "bound": trials[0]["bound"],
+                    "all_within_bound": all(
+                        t["colors_used"] <= t["bound"] for t in trials)}
 
 
-def cmd_degree_bound(args, started):
-    inputs = {"A": _input_entry(args.A),
-              "ordered_degrees": _input_entry(args.ordered_degrees)}
-    a = forget_order(io.load_mset(args.A))
-    degrees = io.load_degrees(args.ordered_degrees)
+def cmd_degree_bound(args, load):
+    a = forget_order(load("A", io.load_mset))
+    degrees = load("ordered_degrees", io.load_degrees)
     if args.big:
         verdicts = unordered_degree_bound(a, degrees).to_json()
     else:
         verdicts = {"bound": degree_sum_bound(a, degrees),
                     "fiber_size": len(fibers(a))}
-    params = {"big": args.big}
-    return _report(args, inputs, params, verdicts, started)
+    return {"big": args.big}, verdicts
 
 
-def cmd_forest(args, started):
-    inputs, verdicts = {}, {}
+def cmd_forest(args, load):
     if args.encode is None and args.decode is None:
         raise InputError("forest: give --encode or --decode")
+    verdicts = {}
     if args.encode is not None:
-        inputs["forest"] = _input_entry(args.encode)
-        forest = io.load_forest(args.encode)
-        coalg = encode_forest(forest)
-        verdicts["coalgebra"] = coalg.to_json()
+        forest = load("forest", io.load_forest, args.encode)
+        verdicts["coalgebra"] = encode_forest(forest).to_json()
     if args.decode is not None:
-        inputs["coalgebra"] = _input_entry(args.decode)
-        coalg, order = io.load_coalgebra(args.decode)
-        try:
-            forest = decode_coalgebra(coalg, order)
-        except InputError as exc:
-            raise io._in_file(exc, args.decode)
+        forest = load("coalgebra", io.load_coalgebra_forest, args.decode)
         verdicts["forest"] = forest.to_json()
-    return _report(args, inputs, {}, verdicts, started)
+    return {}, verdicts
 
 
 def _int_at_least(low):
@@ -246,7 +200,7 @@ def build_parser():
 
     p = sub.add_parser("validate", parents=[common],
                        help="validate an input file")
-    for kind in ("monoid", "mset", "chain", "forest", "unary"):
+    for kind in LOADERS:
         p.add_argument(f"--{kind}")
     p.set_defaults(func=cmd_validate)
 
@@ -333,8 +287,19 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on a usage error, but 2 means cap overflow here
         return 1 if exc.code else 0
+    inputs = {}
+
+    def load(name, loader, path=None):
+        """Load `path`, by default option `name`'s, and record its path
+        and hash under `name` in the report's inputs."""
+        path = getattr(args, name) if path is None else path
+        # load first, so an unreadable path is the loader's InputError
+        obj = loader(path)
+        inputs[name] = {"path": path, "sha256": io.file_sha256(path)}
+        return obj
+
     try:
-        return args.func(args, started)
+        parameters, verdicts = args.func(args, load)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
@@ -344,6 +309,17 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    report = {"command": args.command, "inputs": inputs,
+              "parameters": parameters, "verdicts": verdicts}
+    if args.timing:
+        report["timing_seconds"] = round(time.monotonic() - started, 3)
+    try:
+        io.dump_report(report, args.out)
+    except OSError as exc:
+        print(f"output error: cannot write {args.out}: {exc}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ reversed order breaks the Eilenberg-Moore square for noncommutative
 monoids; both agree on commutative ones.
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
@@ -38,9 +39,8 @@ class MonoidActionFunctor:
         return tuple(f(x) for x in h)
 
     def delta(self, h):
-        m = self.monoid
-        return tuple(tuple(h[m.mul(m1, m2)] for m2 in range(m.size))
-                     for m1 in range(m.size))
+        return tuple(tuple(map(h.__getitem__, row))
+                     for row in self.monoid.table)
 
     def epsilon(self, h):
         return h[self.monoid.identity]
@@ -57,11 +57,13 @@ class DistinctListFunctor:
 
     def carrier(self, elements, cap=DEFAULT_CAP):
         elements = list(elements)
+        n = len(elements)
+        size = sum(math.perm(n, r) for r in range(n + 1))
+        if size > cap:
+            raise SizeOverflow("E(A)", size, cap)
         out = [()]
-        for r in range(1, len(elements) + 1):
+        for r in range(1, n + 1):
             out.extend(permutations(elements, r))
-        if len(out) > cap:
-            raise SizeOverflow("E(A)", len(out), cap)
         return out
 
     def lift(self, f, seq):
@@ -86,11 +88,12 @@ class ListFunctor:
 
     def carrier(self, elements, cap=DEFAULT_CAP):
         elements = list(elements)
+        size = sum(len(elements) ** r for r in range(1, self.max_length + 1))
+        if size > cap:
+            raise SizeOverflow("E(A)", size, cap)
         out = []
         for r in range(1, self.max_length + 1):
             out.extend(product(elements, repeat=r))
-        if len(out) > cap:
-            raise SizeOverflow("E(A)", len(out), cap)
         return out
 
     def lift(self, f, seq):

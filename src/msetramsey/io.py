@@ -29,7 +29,7 @@ import os
 from .chains import Chain
 from .comonad import Coalgebra, DistinctListFunctor
 from .errors import InputError
-from .forests import make_forest
+from .forests import decode_coalgebra, make_forest
 from .monoid import validate_monoid
 from .mset import UnaryAlgebra, order_positions, validate_mset
 
@@ -238,8 +238,8 @@ def load_forest(path):
     return forest_from_json(load_json(path), where=path)
 
 
-def load_coalgebra(path):
-    """A forest's coalgebra file: (coalgebra, order positions or None)."""
+def load_coalgebra_forest(path):
+    """The forest that a coalgebra file (a forest's encoding) decodes to."""
     data = load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: a coalgebra file is a JSON object")
@@ -256,14 +256,14 @@ def load_coalgebra(path):
         raise InputError(f"{path}: carrier and structure sizes differ")
     carrier = tuple(carrier)
     order = data.get("order")
-    if order is not None:
-        try:
-            order = order_positions(carrier, order)
-        except InputError as exc:
-            raise _in_file(exc, path)
     coalg = Coalgebra(DistinctListFunctor(), carrier,
                       tuple(tuple(v) for v in structure))
-    return coalg, order
+    try:
+        if order is not None:
+            order = order_positions(carrier, order)
+        return decode_coalgebra(coalg, order)
+    except InputError as exc:
+        raise _in_file(exc, path)
 
 
 def load_coloring(path):

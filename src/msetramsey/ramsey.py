@@ -177,11 +177,6 @@ class ForestContext:
         return embedding_maps(forest_as_mset(a, m, self.ordered),
                               forest_as_mset(c, m, self.ordered))
 
-    def theory_degree_upper(self, a):
-        if self.ordered:
-            return 1, "ordered_forests_ramsey"
-        return math.factorial(a.size), "order_expansion_sum"
-
 
 def compose_map(w, f):
     """(w . f)[x] = w[f[x]] for positional map tables."""
@@ -428,6 +423,9 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     candidate C that contains B. upper: the context's theory bound.
     The candidates are listed once, and only if upper and max_k leave
     lower room to rise; B ranges over those of size <= max_b_size.
+    `ctx` must provide `theory_degree_upper(a)` and, when that bound
+    leaves room, `objects(max_size)`: MSetContext provides both, the
+    bound of ChainContext is 1, and ForestContext provides neither.
     """
     upper, upper_src = ctx.theory_degree_upper(a)
     evidence = {"upper_source": upper_src, "defeats": []}

@@ -134,7 +134,7 @@ def check_PA(u, f_map, a_coalg, b_coalg):
 class TransportedWitness:
     chain_witness: Chain
     lift: LexLift
-    certified: str        # "holds" | "refuted" | "inconclusive" | "skipped"
+    certified: str        # "holds" | "refuted" | "inconclusive"
     verdict: object = None
 
 

@@ -39,6 +39,12 @@ def test_tracer_finds_every_target_and_counts_every_result(
                        for n in (1, 2, 3))
     pair = write("pair.json", _fixed_points(2, TRIVIAL))
     points = write("points.json", _fixed_points(2, ordered=False))
+    z2 = write("z2.json", Z2)
+    forest = write("forest.json", {"carrier": ["x", "y"],
+                                   "parent": {"x": "x", "y": "x"},
+                                   "order": ["x", "y"]})
+    coalgebra = write("coalgebra.json", {"carrier": ["x", "y"],
+                                         "structure": [["x"], ["y", "x"]]})
     runs = (
         ["arrow-check", "--ctx", "ordered-msets", "--A", one, "--B", two,
          "--C", three, "-k", "2"],
@@ -46,6 +52,10 @@ def test_tracer_finds_every_target_and_counts_every_result(
          "tiny"],
         ["bigramsey", "--A", pair, "--N", "4", "--k", "2"],
         ["transport", "--U", one, "--V", two, "-k", "2"],
+        ["laws", "--functor", "monoid_action", "--monoid", z2, "--size",
+         "2"],
+        ["forest", "--encode", forest],
+        ["forest", "--decode", coalgebra],
     )
     with layertrace.Tracer() as tracer:
         assert tracer.missing == []
@@ -53,8 +63,8 @@ def test_tracer_finds_every_target_and_counts_every_result(
         # wrapped main is the one called
         codes = [msetramsey.cli.main(argv) for argv in runs]
         # no subcommand reaches the forest hom-set; the benchmark calls it
-        forest = fig1_forest()
-        assert ForestContext().hom(forest, forest)
+        fig1 = fig1_forest()
+        assert ForestContext().hom(fig1, fig1)
     capsys.readouterr()
     assert codes == [0] * len(runs)
     assert tracer.count_failures == set()
@@ -63,5 +73,8 @@ def test_tracer_finds_every_target_and_counts_every_result(
                    "ramsey.hom", "ramsey.ForestContext.hom",
                    "ramsey.composite_images",
                    "ramsey._search_bad_coloring",
-                   "bigramsey.big_ramsey_reduce", "transport.hat_E"):
+                   "bigramsey.big_ramsey_reduce", "transport.hat_E",
+                   "comonad.check_comonad_laws", "forests.encode_forest",
+                   "forests.decode_coalgebra", "io.file_sha256",
+                   "io.dump_report"):
         assert tracer.calls[metric] > 0, metric

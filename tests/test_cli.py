@@ -176,6 +176,20 @@ def test_laws_monoid_action_work_over_cap_exits_2(capsys, files, size,
     assert f"has size {work}, exceeding cap 1000000" in err
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["--functor", "duplicate_free_list", "--size", "11"], 108505112),
+    (["--functor", "list", "--size", "30", "--max-length", "6"], 754137930),
+])
+def test_laws_list_carrier_over_cap_exits_2(capsys, argv, size):
+    """The carrier's count is checked against the cap before a sequence
+    is built."""
+    start = time.monotonic()
+    code, report, err = run(capsys, ["laws"] + argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and report is None
+    assert f"has size {size}, exceeding cap 1000000" in err
+
+
 def test_laws_duplicate_free_list_skips_counit(capsys, files):
     code, report, _ = run(capsys, ["laws", "--functor",
                                    "duplicate_free_list", "--size", "3"])
@@ -752,3 +766,108 @@ def test_timing_flag_is_opt_in(capsys, files):
     _, report, _ = run(capsys, ["validate", "--chain", files["chain3"],
                                 "--timing"])
     assert "timing_seconds" in report
+
+
+# Every file option of every subcommand, with the other options valid;
+# FILE marks the option under test.
+FILE = object()
+_FILE_OPTIONS = {
+    "validate-monoid": ["validate", "--monoid", FILE],
+    "validate-mset": ["validate", "--mset", FILE],
+    "validate-chain": ["validate", "--chain", FILE],
+    "validate-forest": ["validate", "--forest", FILE],
+    "validate-unary": ["validate", "--unary", FILE],
+    "laws-monoid": ["laws", "--functor", "monoid_action", "--size", "2",
+                    "--monoid", FILE],
+    "arrow-check-A": ["arrow-check", "--A", FILE, "--B", "chain3",
+                      "--C", "chain5", "-k", "2"],
+    "arrow-check-B": ["arrow-check", "--A", "chain2", "--B", FILE,
+                      "--C", "chain5", "-k", "2"],
+    "arrow-check-C": ["arrow-check", "--A", "chain2", "--B", "chain3",
+                      "--C", FILE, "-k", "2"],
+    "degree-probe-A": ["degree-probe", "--A", FILE, "--budget", "tiny"],
+    "transport-U": ["transport", "--U", FILE, "--V", "fixed2", "-k", "2"],
+    "transport-V": ["transport", "--U", "fixed1", "--V", FILE, "-k", "2"],
+    "bigramsey-A": ["bigramsey", "--A", FILE, "--N", "4", "--k", "2"],
+    "bigramsey-coloring": ["bigramsey", "--A", "pair", "--N", "4",
+                           "--k", "2", "--coloring", FILE],
+    "degree-bound-A": ["degree-bound", "--A", FILE,
+                       "--ordered-degrees", "degrees"],
+    "degree-bound-ordered-degrees": ["degree-bound", "--A", "pair_unordered",
+                                     "--ordered-degrees", FILE],
+    "forest-encode": ["forest", "--encode", FILE],
+    "forest-decode": ["forest", "--decode", FILE],
+}
+
+
+def _with_file(files, argv, path):
+    """`argv` with FILE replaced by `path` and file names by their paths;
+    the subcommand, argv[0], is kept as it is."""
+    return argv[:1] + [str(path) if arg is FILE else files.get(arg, arg)
+                       for arg in argv[1:]]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("argv", _FILE_OPTIONS.values(), ids=_FILE_OPTIONS)
+def test_unreadable_input_path_exits_1_naming_it(capsys, files, argv, kind):
+    path = files["tmp"] / kind
+    if kind == "directory":
+        path.mkdir()
+    code, report, err = run(capsys, _with_file(files, argv, path))
+    assert code == 1 and report is None
+    assert f"input error: cannot read {path}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["in-missing-directory", "directory"])
+def test_unwritable_out_exits_1_naming_it_and_writes_nothing(
+        capsys, files, kind):
+    out = files["tmp"] / "missing" / "report.json"
+    if kind == "directory":
+        out = files["tmp"] / "reports"
+        out.mkdir()
+    code, report, err = run(capsys, ["validate", "--chain", files["chain3"],
+                                     "--out", str(out)])
+    assert code == 1 and report is None
+    assert f"output error: cannot write {out}: " in err
+    assert "Traceback" not in err
+    if kind == "directory":
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(["bigramsey", "--A", FILE, "--N", "4", "--k", "2"],
+                 None, "bigramsey: A must carry an order, but {} has none",
+                 id="bigramsey-unordered-A"),
+    pytest.param(["validate", "--chain", FILE], "[0, 1",
+                 "{} is not valid JSON", id="not-json"),
+    pytest.param(["validate", "--forest", FILE],
+                 '{"carrier": ["x"], "parent": ["x"]}',
+                 "{}: parent is a JSON object", id="parent-not-object"),
+    pytest.param(["forest", "--encode", FILE],
+                 '{"carrier": ["x", "y"], "parent": {"x": "x"}}',
+                 "{}: no parent for element 'y'", id="parent-lacks-element"),
+    pytest.param(["degree-bound", "--A", "pair_unordered",
+                  "--ordered-degrees", FILE],
+                 '{"order": [0, 1], "degree": 1}',
+                 "{}: the degrees file is a JSON array",
+                 id="degrees-not-array"),
+])
+def test_input_errors_exit_1_naming_the_file(capsys, files, argv, text,
+                                             message):
+    if text is None:
+        path = files["pair_unordered"]
+    else:
+        path = files["tmp"] / "input.json"
+        path.write_text(text)
+    code, report, err = run(capsys, _with_file(files, argv, path))
+    assert code == 1 and report is None
+    assert f"input error: {message.format(path)}" in err
+
+
+def test_forest_without_encode_or_decode_exits_1(capsys):
+    code, report, err = run(capsys, ["forest"])
+    assert code == 1 and report is None
+    assert "input error: forest: give --encode or --decode" in err

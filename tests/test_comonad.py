@@ -1,5 +1,6 @@
 """Comonad law checking, coalgebra classification and sharp lifts."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -74,6 +75,47 @@ def test_mutated_epsilon_is_caught_with_witness():
 def test_carrier_cap_overflow():
     with pytest.raises(SizeOverflow):
         MonoidActionFunctor(z2()).carrier(range(4), cap=10)
+
+
+@pytest.mark.parametrize("monoid", [z2(), chain_semilattice(3),
+                                    left_zero_monoid(2)])
+def test_monoid_action_delta_is_h_of_the_product(monoid):
+    """delta(h)[m1][m2] = h[m1 * m2], written from the formula; the
+    left-zero monoid is not commutative, so a transposed table fails."""
+    functor = MonoidActionFunctor(monoid)
+    n = monoid.size
+    for h in product("xyz", repeat=n):
+        assert functor.delta(h) == tuple(
+            tuple(h[monoid.mul(m1, m2)] for m2 in range(n))
+            for m1 in range(n))
+
+
+@pytest.mark.parametrize("functor, elements, size", [
+    (DistinctListFunctor(), range(8), 109601),
+    (ListFunctor(max_length=6), range(9), 597870),
+])
+def test_list_carrier_cap_is_checked_before_building(functor, elements,
+                                                     size):
+    """The count's closed form is compared with the cap before a single
+    sequence is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflow, match=f"has size {size},"):
+            functor.carrier(elements, cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
+@pytest.mark.parametrize("functor, size", [
+    (DistinctListFunctor(), 1 + 3 + 6 + 6),
+    (ListFunctor(max_length=2), 3 + 9),
+])
+def test_list_carrier_at_the_cap_is_built(functor, size):
+    assert len(functor.carrier(range(3), cap=size)) == size
+    with pytest.raises(SizeOverflow):
+        functor.carrier(range(3), cap=size - 1)
 
 
 def test_mset_coalgebra_roundtrip():
