@@ -535,7 +535,9 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP,
         raise InputError(
             f"coloring has {len(colors)} entries for {len(keys)} embeddings")
     if colors and not (0 <= min(colors) and max(colors) < k):
-        raise InputError("coloring value out of range")
+        i, c = next((i, c) for i, c in enumerate(colors) if not 0 <= c < k)
+        raise InputError(
+            f"coloring value {c} at index {i} is out of range for k = {k}")
     color_by_key = dict(zip(keys, colors))
     if len(color_by_key) != len(keys):
         raise InputError("reduction is not injective")

@@ -72,23 +72,34 @@ def cmd_laws(args, load):
 
 
 def _load_arrow_objects(args, load, names):
-    """The context --ctx names and the objects, which must fit it."""
+    """The context --ctx names and the objects, which must fit it and
+    live over the first object's monoid."""
     if args.ctx == "chains":
         return ChainContext(), [load(name, io.load_chain) for name in names]
-    objects = [load(name, io.load_mset) for name in names]
-    ordered = objects[0].order is not None
-    if ordered != (args.ctx == "ordered-msets"):
-        raise InputError(
-            f"--ctx {args.ctx} but the loaded objects are "
-            f"{'ordered' if ordered else 'unordered'}")
+    ordered = args.ctx == "ordered-msets"
+    objects = []
+    for name in names:
+        obj = load(name, io.load_mset)
+        path = getattr(args, name)
+        if (obj.order is not None) != ordered:
+            raise InputError(
+                f"--ctx {args.ctx} but {name} ({path}) is "
+                f"{'unordered' if ordered else 'ordered'}")
+        if objects and obj.monoid != objects[0].monoid:
+            raise InputError(
+                f"{name} ({path}) lives over another monoid than "
+                f"{names[0]} ({getattr(args, names[0])})")
+        objects.append(obj)
     return MSetContext(objects[0].monoid, ordered=ordered), objects
 
 
-def _load_ordered_mset(args, load, name):
-    obj = load(name, io.load_mset)
+def _load_ordered(args, load, name, loader, path=None):
+    """Load as `load` does an object that must carry an order."""
+    path = getattr(args, name) if path is None else path
+    obj = load(name, loader, path)
     if obj.order is None:
         raise InputError(f"{args.command}: {name} must carry an order, but "
-                         f"{getattr(args, name)} has none")
+                         f"{path} has none")
     return obj
 
 
@@ -109,8 +120,8 @@ def cmd_degree_probe(args, load):
 
 
 def cmd_transport(args, load):
-    u_star = _load_ordered_mset(args, load, "U")
-    v_star = _load_ordered_mset(args, load, "V")
+    u_star = _load_ordered(args, load, "U", io.load_mset)
+    v_star = _load_ordered(args, load, "V", io.load_mset)
     result = transport_witness(u_star, v_star, args.k,
                                chain_witness_budget=args.budget,
                                certify_cap=args.certify_cap,
@@ -124,7 +135,7 @@ def cmd_transport(args, load):
 
 
 def cmd_bigramsey(args, load):
-    a_star = _load_ordered_mset(args, load, "A")
+    a_star = _load_ordered(args, load, "A", io.load_mset)
     params = {"N": args.N, "k": args.k, "trials": args.trials,
               "seed": args.seed, "r_cap": args.r_cap}
     trials = []
@@ -164,7 +175,8 @@ def cmd_forest(args, load):
         raise InputError("forest: give --encode or --decode")
     verdicts = {}
     if args.encode is not None:
-        forest = load("forest", io.load_forest, args.encode)
+        forest = _load_ordered(args, load, "forest", io.load_forest,
+                               args.encode)
         verdicts["coalgebra"] = encode_forest(forest).to_json()
     if args.decode is not None:
         forest = load("coalgebra", io.load_coalgebra_forest, args.decode)

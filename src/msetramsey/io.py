@@ -2,7 +2,7 @@
 
 Formats:
   monoid: { "size": n, "identity": i, "table": [[...]], "well_order": [...]? }
-  mset:   { "monoid": <monoid object or path string>, "carrier": [...],
+  mset:   { "monoid": <monoid object>, "carrier": [...],
             "action": [[...]], "order": [...]? }
   unary algebra: { "alphabet": [...], "carrier": [...]?,
                    "generator_actions": { "f": [...] } }
@@ -18,13 +18,14 @@ array of scalars, read as a tuple); every loader rejects any other
 carrier label, and any two carrier labels Python holds equal, such as
 "a" and "a", 1 and true, or 1 and 1.0. Every loader routes through the
 corresponding validator so malformed files surface the same
-witness-carrying errors as programmatic construction, with the file's
-path put before the message.
+witness-carrying errors as programmatic construction. An M-set's monoid
+is an inline object, so that every file a verdict reads is one that the
+report hashes. Each load_x is _from_file(parser), the one place that
+puts the file's path before the message of an error on its contents.
 """
 
 import hashlib
 import json
-import os
 
 from .chains import Chain
 from .comonad import Coalgebra, DistinctListFunctor
@@ -49,18 +50,24 @@ def load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _in_file(exc, where):
-    """Put `where` before the message of `exc`, an InputError a validator
-    raised on a file's contents, and return `exc` to be raised again."""
-    exc.args = (f"{where}: {exc}",)
-    return exc
+def _from_file(parse):
+    """load_x(path): `parse` run on the file's JSON data, with the path
+    put before the message of any InputError it raises on that data."""
+    def load(path):
+        data = load_json(path)
+        try:
+            return parse(data)
+        except InputError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+    return load
 
 
-def _require(data, field, where, array=False):
+def _require(data, field, array=False):
     if not isinstance(data, dict) or field not in data:
-        raise InputError(f"{where}: missing field {field!r}")
+        raise InputError(f"missing field {field!r}")
     if array and not isinstance(data[field], list):
-        raise InputError(f"{where}: field {field!r} is not a JSON array")
+        raise InputError(f"field {field!r} is not a JSON array")
     return data[field]
 
 
@@ -74,30 +81,30 @@ def _is_label(x):
     return x is None or isinstance(x, (str, int, float))
 
 
-def _require_labels(labels, field, where):
+def _require_labels(labels, field):
     """InputError on the first of `labels`, read from `field`, that is not
     a label."""
     for x in labels:
         if not _is_label(x):
-            raise InputError(f"{where}: field {field!r} holds {x!r}, which "
-                             "is not a JSON scalar label")
+            raise InputError(f"field {field!r} holds {x!r}, which is not a "
+                             "JSON scalar label")
 
 
-def _require_distinct(labels, what, where):
+def _require_distinct(labels, what):
     """InputError on the first two of `labels`, read from `what`, that
     Python holds equal."""
     first = {}
     for x in labels:
         if x in first:
-            raise InputError(f"{where}: {what} holds {first[x]!r} and {x!r}, "
-                             "which are equal labels")
+            raise InputError(f"{what} holds {first[x]!r} and {x!r}, which "
+                             "are equal labels")
         first[x] = x
 
 
-def _require_carrier(carrier, where):
+def _require_carrier(carrier):
     """InputError unless `carrier` holds distinct labels."""
-    _require_labels(carrier, "carrier", where)
-    _require_distinct(carrier, "field 'carrier'", where)
+    _require_labels(carrier, "carrier")
+    _require_distinct(carrier, "field 'carrier'")
 
 
 def _int_rows(rows):
@@ -105,180 +112,137 @@ def _int_rows(rows):
                for row in rows)
 
 
-def _require_table(data, field, where):
+def _require_table(data, field):
     """A field that holds a JSON array of arrays of ints."""
-    table = _require(data, field, where, array=True)
+    table = _require(data, field, array=True)
     if not _int_rows(table):
-        raise InputError(
-            f"{where}: field {field!r} is not a JSON array of int arrays")
+        raise InputError(f"field {field!r} is not a JSON array of int arrays")
     return table
 
 
-def monoid_from_json(data, where="monoid"):
-    if isinstance(data, str):
-        return monoid_from_json(load_json(data), where=data)
-    size = _require(data, "size", where)
-    table = _require_table(data, "table", where)
-    identity = _require(data, "identity", where)
+def _monoid(data):
+    size = _require(data, "size")
+    table = _require_table(data, "table")
+    identity = _require(data, "identity")
     for name, value in (("size", size), ("identity", identity)):
         if not _is_int(value):
-            raise InputError(f"{where}: field {name!r} is not an int")
+            raise InputError(f"field {name!r} is not an int")
     well_order = data.get("well_order")
     if well_order is not None and not _int_rows([well_order]):
-        raise InputError(
-            f"{where}: field 'well_order' is not a JSON array of ints")
-    try:
-        return validate_monoid(size, table, identity, well_order)
-    except InputError as exc:
-        raise _in_file(exc, where)
+        raise InputError("field 'well_order' is not a JSON array of ints")
+    return validate_monoid(size, table, identity, well_order)
 
 
-def load_monoid(path):
-    return monoid_from_json(load_json(path), where=path)
+def _mset(data):
+    monoid = _require(data, "monoid")
+    if not isinstance(monoid, dict):
+        raise InputError("field 'monoid' is not a JSON object")
+    monoid = _monoid(monoid)
+    carrier = tuple(_require(data, "carrier", array=True))
+    _require_carrier(carrier)
+    action = _require_table(data, "action")
+    return validate_mset(monoid, carrier, action, data.get("order"))
 
 
-def mset_from_json(data, where="mset", base_dir="."):
-    monoid = _require(data, "monoid", where)
-    if isinstance(monoid, str):
-        monoid = os.path.join(base_dir, monoid)
-    monoid = monoid_from_json(monoid, where=f"{where}.monoid")
-    carrier = tuple(_require(data, "carrier", where, array=True))
-    _require_carrier(carrier, where)
-    action = _require_table(data, "action", where)
-    try:
-        return validate_mset(monoid, carrier, action, data.get("order"))
-    except InputError as exc:
-        raise _in_file(exc, where)
-
-
-def load_mset(path):
-    return mset_from_json(load_json(path), where=path,
-                          base_dir=os.path.dirname(path) or ".")
-
-
-def unary_algebra_from_json(data, where="unary algebra"):
-    alphabet = tuple(_require(data, "alphabet", where, array=True))
-    _require_labels(alphabet, "alphabet", where)
+def _unary_algebra(data):
+    alphabet = tuple(_require(data, "alphabet", array=True))
+    _require_labels(alphabet, "alphabet")
     if "order" in data:
-        raise InputError(f"{where}: field 'order' is not part of the unary "
-                         "algebra format")
-    rows = _require(data, "generator_actions", where)
+        raise InputError("field 'order' is not part of the unary algebra "
+                         "format")
+    rows = _require(data, "generator_actions")
     if not isinstance(rows, dict) or not _int_rows(rows.values()):
-        raise InputError(f"{where}: field 'generator_actions' is not a "
-                         "JSON object of int arrays")
+        raise InputError("field 'generator_actions' is not a JSON object of "
+                         "int arrays")
     actions = {s: tuple(row) for s, row in rows.items()}
     if not actions:
-        raise InputError(f"{where}: no generator actions")
+        raise InputError("no generator actions")
     carrier = data.get("carrier")
     if carrier is None:
         carrier = list(range(len(next(iter(actions.values())))))
     elif not isinstance(carrier, list):
-        raise InputError(f"{where}: field 'carrier' is not a JSON array")
-    _require_carrier(carrier, where)
-    try:
-        return UnaryAlgebra(alphabet, tuple(carrier), actions)
-    except InputError as exc:
-        raise _in_file(exc, where)
+        raise InputError("field 'carrier' is not a JSON array")
+    _require_carrier(carrier)
+    return UnaryAlgebra(alphabet, tuple(carrier), actions)
 
 
-def load_unary_algebra(path):
-    return unary_algebra_from_json(load_json(path), where=path)
-
-
-def chain_from_json(data, where="chain"):
+def _chain(data):
     if not isinstance(data, list):
-        raise InputError(f"{where}: a chain file is a JSON array")
+        raise InputError("a chain file is a JSON array")
     for x in data:   # a flat array of scalars is one label, read as a tuple
         if not (_is_label(x)
                 or isinstance(x, list) and all(map(_is_label, x))):
-            raise InputError(f"{where}: chain label {x!r} is neither a JSON "
-                             "scalar nor a JSON array of scalars")
+            raise InputError(f"chain label {x!r} is neither a JSON scalar "
+                             "nor a JSON array of scalars")
     labels = tuple(tuple(x) if isinstance(x, list) else x for x in data)
-    _require_distinct(labels, "the chain", where)
+    _require_distinct(labels, "the chain")
     return Chain(labels)
 
 
-def load_chain(path):
-    return chain_from_json(load_json(path), where=path)
-
-
-def forest_from_json(data, where="forest"):
-    carrier = tuple(_require(data, "carrier", where, array=True))
-    _require_carrier(carrier, where)
-    parent_map = _require(data, "parent", where)
+def _forest(data):
+    carrier = tuple(_require(data, "carrier", array=True))
+    _require_carrier(carrier)
+    parent_map = _require(data, "parent")
     if not isinstance(parent_map, dict):
-        raise InputError(f"{where}: parent is a JSON object")
-    _require_labels(parent_map.values(), "parent", where)
+        raise InputError("parent is a JSON object")
+    _require_labels(parent_map.values(), "parent")
     index = {}   # JSON object keys are strings, so labels are keyed by str()
     for i, x in enumerate(carrier):
         if str(x) in index:
             raise InputError(
-                f"{where}: carrier labels {carrier[index[str(x)]]!r} and "
-                f"{x!r} have the same JSON key {str(x)!r}")
+                f"carrier labels {carrier[index[str(x)]]!r} and {x!r} have "
+                f"the same JSON key {str(x)!r}")
         index[str(x)] = i
     parent = []
     for x in carrier:
         key = str(x)
         if key not in parent_map:
-            raise InputError(f"{where}: no parent for element {x!r}")
+            raise InputError(f"no parent for element {x!r}")
         if str(parent_map[key]) not in index:
-            raise InputError(f"{where}: parent {parent_map[key]!r} of "
-                             f"{x!r} is not in the carrier")
+            raise InputError(f"parent {parent_map[key]!r} of {x!r} is not in "
+                             "the carrier")
         parent.append(index[str(parent_map[key])])
     order = data.get("order")
-    try:
-        if order is not None:
-            order = order_positions(carrier, order)
-        return make_forest(carrier, parent, order)
-    except InputError as exc:
-        raise _in_file(exc, where)
+    if order is not None:
+        order = order_positions(carrier, order)
+    return make_forest(carrier, parent, order)
 
 
-def load_forest(path):
-    return forest_from_json(load_json(path), where=path)
-
-
-def load_coalgebra_forest(path):
+def _coalgebra_forest(data):
     """The forest that a coalgebra file (a forest's encoding) decodes to."""
-    data = load_json(path)
     if not isinstance(data, dict):
-        raise InputError(f"{path}: a coalgebra file is a JSON object")
-    carrier = _require(data, "carrier", path)
-    structure = _require(data, "structure", path)
+        raise InputError("a coalgebra file is a JSON object")
+    carrier = _require(data, "carrier")
+    structure = _require(data, "structure")
     if not isinstance(carrier, list) or not isinstance(structure, list) \
             or any(not isinstance(v, list) for v in structure):
-        raise InputError(f"{path}: the carrier is a JSON array and the "
-                         "structure is a JSON array of root paths")
-    _require_carrier(carrier, path)
+        raise InputError("the carrier is a JSON array and the structure is "
+                         "a JSON array of root paths")
+    _require_carrier(carrier)
     for v in structure:
-        _require_labels(v, "structure", path)
+        _require_labels(v, "structure")
     if len(carrier) != len(structure):
-        raise InputError(f"{path}: carrier and structure sizes differ")
+        raise InputError("carrier and structure sizes differ")
     carrier = tuple(carrier)
     order = data.get("order")
     coalg = Coalgebra(DistinctListFunctor(), carrier,
                       tuple(tuple(v) for v in structure))
-    try:
-        if order is not None:
-            order = order_positions(carrier, order)
-        return decode_coalgebra(coalg, order)
-    except InputError as exc:
-        raise _in_file(exc, path)
+    if order is not None:
+        order = order_positions(carrier, order)
+    return decode_coalgebra(coalg, order)
 
 
-def load_coloring(path):
-    data = load_json(path)
+def _coloring(data):
     if not _int_rows([data]):
-        raise InputError(f"{path}: a coloring file is a JSON array of ints")
+        raise InputError("a coloring file is a JSON array of ints")
     return tuple(data)
 
 
-def load_degrees(path):
+def _degrees(entries):
     """The ordered degrees file: order key -> degree (None if unknown)."""
-    entries = load_json(path)
     if not isinstance(entries, list):
-        raise InputError(f"{path}: the degrees file is a JSON array of "
-                         '{"order": [int, ...], "degree": n} objects')
+        raise InputError('the degrees file is a JSON array of {"order": '
+                         '[int, ...], "degree": n} objects')
     degrees = {}
     for entry in entries:
         if not (isinstance(entry, dict)
@@ -286,10 +250,20 @@ def load_degrees(path):
                 and "degree" in entry
                 and (entry["degree"] is None
                      or _is_int(entry["degree"]) and entry["degree"] >= 1)):
-            raise InputError(f"{path}: entry {entry!r} is not an "
+            raise InputError(f"entry {entry!r} is not an "
                              '{"order": [int, ...], "degree": n} object')
         degrees[tuple(entry["order"])] = entry["degree"]
     return degrees
+
+
+load_monoid = _from_file(_monoid)
+load_mset = _from_file(_mset)
+load_unary_algebra = _from_file(_unary_algebra)
+load_chain = _from_file(_chain)
+load_forest = _from_file(_forest)
+load_coalgebra_forest = _from_file(_coalgebra_forest)
+load_coloring = _from_file(_coloring)
+load_degrees = _from_file(_degrees)
 
 
 def dump_report(report, out=None):

@@ -270,7 +270,10 @@ def evaluate_word(algebra, word, a):
 
 
 def _getter(positions):
-    """itemgetter over `positions` that returns a tuple even for one."""
+    """itemgetter over `positions` that returns a tuple even for none or
+    one: itemgetter() rejects no index and itemgetter(i) gives a scalar."""
+    if not positions:
+        return lambda h: ()
     if len(positions) == 1:
         p, = positions
         return lambda h: (h[p],)

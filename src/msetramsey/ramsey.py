@@ -18,12 +18,11 @@ bounds the work; a search that runs out is "inconclusive".
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, count, permutations
-from operator import itemgetter
 
 from .errors import _SearchCapReached
 from .forests import forest_as_mset, height
 from .monoid import truncated_powers
-from .mset import MSet, embedding_maps
+from .mset import MSet, _getter, embedding_maps
 
 DEFAULT_SEARCH_CAP = 10 ** 6
 
@@ -179,7 +178,8 @@ class ForestContext:
 
 
 def compose_map(w, f):
-    """(w . f)[x] = w[f[x]] for positional map tables."""
+    """(w . f)[x] = w[f[x]] for positional map tables; the reference
+    that composite_images is tested against."""
     return tuple(w[x] for x in f)
 
 
@@ -211,21 +211,15 @@ class ArrowVerdict:
 def composite_images(a, b, c, ctx):
     """For each w in hom(B,C): indices of {w . f : f in hom(A,B)} in hom(A,C).
 
-    w . f is itemgetter(*f)(w), one getter per f; itemgetter() rejects
-    no index and itemgetter(i) returns a scalar, so |A| <= 1 composes
-    with compose_map.
+    w . f is _getter(f)(w), one getter per f.
     """
     hom_ac = ctx.hom(a, c)
     index = {f: i for i, f in enumerate(hom_ac)}.__getitem__
     hom_ab = ctx.hom(a, b)
     hom_bc = ctx.hom(b, c)
-    if hom_ab and len(hom_ab[0]) > 1:
-        getters = [itemgetter(*f) for f in hom_ab]
-        images = [tuple(sorted(set(map(index, [g(w) for g in getters]))))
-                  for w in hom_bc]
-    else:
-        images = [tuple(sorted({index(compose_map(w, f)) for f in hom_ab}))
-                  for w in hom_bc]
+    getters = [_getter(f) for f in hom_ab]
+    images = [tuple(sorted(set(map(index, [g(w) for g in getters]))))
+              for w in hom_bc]
     return hom_ac, hom_ab, hom_bc, images
 
 

@@ -8,7 +8,7 @@ from operator import itemgetter
 
 import pytest
 
-from msetramsey import ramsey
+from msetramsey import mset
 from msetramsey.cli import main
 
 
@@ -249,7 +249,7 @@ def test_arrow_check_with_at_most_one_point_in_a(
         assert len(positions) > 1
         return itemgetter(*positions)
 
-    monkeypatch.setattr(ramsey, "itemgetter", getter, raising=False)
+    monkeypatch.setattr(mset, "itemgetter", getter)
     argv = ["arrow-check", "--ctx", ctx, "-k", "2", "-t", "1"]
     for name, obj in zip("ABC", (a, b, c)):
         path = tmp_path / f"{name}.json"
@@ -854,6 +854,26 @@ def test_unwritable_out_exits_1_naming_it_and_writes_nothing(
                  '{"order": [0, 1], "degree": 1}',
                  "{}: the degrees file is a JSON array",
                  id="degrees-not-array"),
+    pytest.param(["forest", "--encode", FILE],
+                 '{"carrier": ["x"], "parent": {"x": "x"}}',
+                 "forest: forest must carry an order, but {} has none",
+                 id="forest-encode-unordered"),
+    pytest.param(["validate", "--mset", FILE],
+                 '{"monoid": "z2.json", "carrier": [], "action": [[]]}',
+                 "{}: field 'monoid' is not a JSON object",
+                 id="mset-monoid-path"),
+    pytest.param(["arrow-check", "--ctx", "ordered-msets", "--A", "pair",
+                  "--B", "pair", "--C", FILE, "-k", "2"],
+                 None, "--ctx ordered-msets but C ({}) is unordered",
+                 id="arrow-check-unordered-C"),
+    pytest.param(["arrow-check", "--ctx", "ordered-msets", "--A", "pair",
+                  "--B", "pair", "--C", FILE, "-k", "2"],
+                 json.dumps({"monoid": {"size": 2, "identity": 0,
+                                        "table": [[0, 1], [1, 0]]},
+                             "carrier": ["c"], "action": [[0], [0]],
+                             "order": ["c"]}),
+                 "C ({}) lives over another monoid than A",
+                 id="arrow-check-C-over-another-monoid"),
 ])
 def test_input_errors_exit_1_naming_the_file(capsys, files, argv, text,
                                              message):
@@ -865,6 +885,44 @@ def test_input_errors_exit_1_naming_the_file(capsys, files, argv, text,
     code, report, err = run(capsys, _with_file(files, argv, path))
     assert code == 1 and report is None
     assert f"input error: {message.format(path)}" in err
+
+
+# One content fault per loader, each raised below the loader's parser.
+_ONE_FAULT = {
+    "validate-monoid": '{"size": 2, "identity": 1, "table": [[0, 1], [1, 0]]}',
+    "validate-mset": '{"monoid": {"size": true, "identity": 0, '
+                     '"table": [[0]]}, "carrier": [], "action": [[]]}',
+    "validate-unary": '{"alphabet": ["f"], "generator_actions": {"g": [0]}}',
+    "validate-chain": "[0, 1, 0]",
+    "validate-forest": '{"carrier": ["x", "y"], '
+                       '"parent": {"x": "y", "y": "x"}}',
+    "forest-decode": '{"carrier": ["x"], "structure": [["y"]]}',
+    "bigramsey-coloring": '[0, 1, "2"]',
+    "degree-bound-ordered-degrees": '[{"order": [0, 1]}]',
+}
+
+
+@pytest.mark.parametrize("option", _ONE_FAULT)
+def test_a_content_error_names_its_file_once(capsys, files, option):
+    path = files["tmp"] / "input.json"
+    path.write_text(_ONE_FAULT[option])
+    code, report, err = run(capsys, _with_file(
+        files, _FILE_OPTIONS[option], path))
+    assert code == 1 and report is None
+    assert err.startswith(f"input error: {path}: ")
+    assert err.count(str(path)) == 1
+
+
+def test_bigramsey_coloring_out_of_range_names_index_and_value(capsys,
+                                                                files):
+    path = files["tmp"] / "coloring.json"
+    path.write_text(json.dumps([0, 1, 5, 0, -1, 1]))   # |R| = C(4, 2)
+    code, report, err = run(capsys, [
+        "bigramsey", "--A", files["pair"], "--N", "4", "--k", "2",
+        "--coloring", str(path)])
+    assert code == 1 and report is None
+    assert err == ("input error: coloring value 5 at index 2 is out of "
+                   "range for k = 2\n")
 
 
 def test_forest_without_encode_or_decode_exits_1(capsys):

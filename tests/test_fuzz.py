@@ -475,10 +475,11 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _run_twice(files, argv):
+def _run_twice(files, argv, named=False):
     """Write `files` to a fresh directory and run argv on them twice; the
     run exits 0, 1 or 2, reports iff it exits 0, prints no traceback and
-    reruns to the same bytes. Returns its exit code."""
+    reruns to the same bytes. With `named`, an exit 1 prints the path of
+    the one input file. Returns its exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in files.items():
             with open(os.path.join(tmp, name), "w") as fh:
@@ -487,8 +488,12 @@ def _run_twice(files, argv):
         first = _run(argv)
         assert first[0] in (0, 1, 2)
         assert first == _run(argv)
+        paths = [os.path.join(tmp, name) for name in files]
     code, out, err = first
     assert (code == 0) == bool(out) and "Traceback" not in err
+    if named and code == 1:
+        path, = paths
+        assert path in err
     return code
 
 
@@ -508,7 +513,7 @@ def test_arrow_check_on_msets_exits_0_1_or_2_and_reruns_identically(case):
 @given(validate_argv())
 def test_validate_exits_0_1_or_2_and_rejects_booleans(case):
     files, argv, has_bool = case
-    code = _run_twice(files, argv)
+    code = _run_twice(files, argv, named=True)
     assert code == 1 or not has_bool
 
 
@@ -524,7 +529,7 @@ def test_degree_bound_exits_0_1_or_2_and_rejects_degrees_below_1(case):
 @given(chain_argv())
 def test_validate_chain_exits_0_1_or_2_and_rejects_non_labels(case):
     files, argv, has_non_label = case
-    code = _run_twice(files, argv)
+    code = _run_twice(files, argv, named=True)
     assert code == 1 or not has_non_label
 
 
@@ -532,7 +537,7 @@ def test_validate_chain_exits_0_1_or_2_and_rejects_non_labels(case):
 @given(forest_argv())
 def test_forest_exits_0_1_or_2_and_rejects_non_labels(case):
     files, argv, has_non_label = case
-    code = _run_twice(files, argv)
+    code = _run_twice(files, argv, named=True)
     assert code == 1 or not has_non_label
 
 
@@ -540,7 +545,7 @@ def test_forest_exits_0_1_or_2_and_rejects_non_labels(case):
 @given(unary_argv())
 def test_validate_unary_exits_0_1_or_2_and_rejects_bad_fields(case):
     files, argv, bad = case
-    code = _run_twice(files, argv)
+    code = _run_twice(files, argv, named=True)
     assert code == 1 or not bad
 
 
@@ -554,7 +559,7 @@ def test_degree_probe_exits_0_1_or_2_and_reruns_identically(case):
 @given(coalgebra_argv())
 def test_forest_decode_exits_0_1_or_2_and_rejects_missing_fields(case):
     files, argv, missing = case
-    code = _run_twice(files, argv)
+    code = _run_twice(files, argv, named=True)
     assert code == 1 or not missing
 
 
@@ -586,5 +591,5 @@ def test_transport_exits_0_1_or_2_and_reruns_identically(case):
 @given(forest_argv(validate=True))
 def test_validate_forest_exits_0_1_or_2_and_rejects_non_labels(case):
     files, argv, has_non_label = case
-    code = _run_twice(files, argv)
+    code = _run_twice(files, argv, named=True)
     assert code == 1 or not has_non_label
