@@ -37,7 +37,7 @@ def main():
           alg.carrier[evaluate_word(alg, ("g", "f"), 0)])
 
     print("\n== cofree M-set ==")
-    cof = cofree_mset(omega(2), m, ordered=True)
+    cof = cofree_mset(omega(2), m)
     print("cofree Z2-set on a 2-chain: carrier", cof.carrier)
     print("lex order:", [cof.carrier[i] for i in cof.order])
 

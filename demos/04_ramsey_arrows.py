@@ -29,7 +29,7 @@ def main():
     print("\n== probing a small Ramsey degree ==")
     m = trivial_monoid()
     two = validate_mset(m, (0, 1), [(0, 1)])
-    probe = probe_small_degree(two, MSetContext(m), budget=SMALL_BUDGET)
+    probe = probe_small_degree(two, MSetContext(), budget=SMALL_BUDGET)
     print(f"2-element set with trivial action: degree in "
           f"[{probe.lower}, {probe.upper}]")
     print("defeats found on the way up:", probe.evidence["defeats"])

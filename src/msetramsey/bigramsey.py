@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .chains import Chain, ChainEmbedding, omega
-from .errors import (CapExceeded, InputError, NotAnEmbedding,
+from .errors import (CapExceeded, ColoringError, InputError, NotAnEmbedding,
                      SizeOverflow, TruncationTooSmall, _SearchCapReached)
 from .expansion import degree_sum_bound
 from .mset import MSetMorphism, enumerate_embeddings
@@ -207,7 +207,7 @@ def pi_star(f, lift):
     a_star = f.source
     s = a_star.size
     ell, image = _reduction_key(f.map, a_star.order, lift.functions,
-                                lift.monoid.identity)
+                                lift.lifted.monoid.identity)
     reps = [i for i in range(s) if i == 0 or ell >> (i - 1) & 1]
     blocks = tuple(tuple(range(r, stop))
                    for r, stop in zip(reps, reps[1:] + [s]))
@@ -532,11 +532,11 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP,
     keys.sort()
     colors = tuple(chi)
     if len(colors) != len(keys):
-        raise InputError(
+        raise ColoringError(
             f"coloring has {len(colors)} entries for {len(keys)} embeddings")
     if colors and not (0 <= min(colors) and max(colors) < k):
         i, c = next((i, c) for i, c in enumerate(colors) if not 0 <= c < k)
-        raise InputError(
+        raise ColoringError(
             f"coloring value {c} at index {i} is out of range for k = {k}")
     color_by_key = dict(zip(keys, colors))
     if len(color_by_key) != len(keys):
@@ -632,8 +632,8 @@ def unordered_degree_bound(a, per_ordering):
     """Sum certified per-ordering color counts against n! * 2^(n-1).
 
     `per_ordering` maps A*.order -> the certified bound for that
-    ordering (from big_ramsey_reduce runs); the whole fiber of A must be
-    covered (degree_sum_bound raises IncompleteFiber otherwise).
+    ordering (from big_ramsey_reduce runs); its keys must be exactly the
+    fiber of A (degree_sum_bound raises IncompleteFiber otherwise).
     """
     if not a.size:
         raise InputError("the empty M-set has no least element")

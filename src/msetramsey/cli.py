@@ -28,8 +28,8 @@ from .bigramsey import (DEFAULT_NODE_CAP, DEFAULT_R_CAP, big_ramsey_reduce,
                         unordered_degree_bound)
 from .comonad import (DistinctListFunctor, ListFunctor, MonoidActionFunctor,
                       check_comonad_laws)
-from .errors import (CapExceeded, InputError, NoChainWitnessInBudget,
-                     TruncationTooSmall)
+from .errors import (CapExceeded, ColoringError, IncompleteFiber,
+                     InputError, NoChainWitnessInBudget, TruncationTooSmall)
 from .expansion import degree_sum_bound, fibers, forget_order
 from .forests import encode_forest
 from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
@@ -53,18 +53,15 @@ def cmd_validate(args, load):
 
 
 def cmd_laws(args, load):
-    with_counit = True
     if args.functor == "monoid_action":
         if args.monoid is None:
             raise InputError("laws: monoid_action requires --monoid")
         functor = MonoidActionFunctor(load("monoid", io.load_monoid))
     elif args.functor == "duplicate_free_list":
         functor = DistinctListFunctor()
-        with_counit = False   # no counit claim for this functor
     else:
         functor = ListFunctor(max_length=args.max_length)
-    report = check_comonad_laws(functor, range(args.size),
-                                with_counit=with_counit)
+    report = check_comonad_laws(functor, range(args.size))
     params = {"functor": args.functor, "size": args.size}
     if args.functor == "list":
         params["max_length"] = args.max_length
@@ -90,7 +87,7 @@ def _load_arrow_objects(args, load, names):
                 f"{name} ({path}) lives over another monoid than "
                 f"{names[0]} ({getattr(args, names[0])})")
         objects.append(obj)
-    return MSetContext(objects[0].monoid, ordered=ordered), objects
+    return MSetContext(), objects
 
 
 def _load_ordered(args, load, name, loader, path=None):
@@ -141,8 +138,9 @@ def cmd_bigramsey(args, load):
     trials = []
     if args.coloring is not None:
         chi = load("coloring", io.load_coloring)
-        result = big_ramsey_reduce(a_star, chi, args.k, args.N,
-                                   r_cap=args.r_cap, cap=args.cap)
+        with io.naming(args.coloring, ColoringError):
+            result = big_ramsey_reduce(a_star, chi, args.k, args.N,
+                                       r_cap=args.r_cap, cap=args.cap)
         trials.append(dict(result.to_json(), seed=None))
     else:
         r_size = lift_hom_size(a_star, args.N, args.r_cap)
@@ -162,11 +160,12 @@ def cmd_bigramsey(args, load):
 def cmd_degree_bound(args, load):
     a = forget_order(load("A", io.load_mset))
     degrees = load("ordered_degrees", io.load_degrees)
-    if args.big:
-        verdicts = unordered_degree_bound(a, degrees).to_json()
-    else:
-        verdicts = {"bound": degree_sum_bound(a, degrees),
-                    "fiber_size": len(fibers(a))}
+    with io.naming(args.ordered_degrees, IncompleteFiber):
+        if args.big:
+            verdicts = unordered_degree_bound(a, degrees).to_json()
+        else:
+            verdicts = {"bound": degree_sum_bound(a, degrees),
+                        "fiber_size": len(fibers(a))}
     return {"big": args.big}, verdicts
 
 

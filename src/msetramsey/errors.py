@@ -109,5 +109,9 @@ class NoChainWitnessInBudget(WorkbenchError):
 
 
 class IncompleteFiber(InputError):
-    pass
+    """Ordered degrees that miss an ordering of A or hold another key."""
+
+
+class ColoringError(InputError):
+    """A coloring that does not fit the hom-set it colors."""
 

@@ -62,14 +62,16 @@ def check_reasonable(instances):
 
 
 def degree_sum_bound(a, ordered_degrees):
-    """Sum the fiber degrees; the whole fiber must be covered.
+    """Sum the fiber degrees; the keys must be exactly the fiber.
 
     `ordered_degrees` maps A*.order -> degree of that ordering.
     """
+    for key in ordered_degrees:
+        if sorted(key) != list(range(a.size)):
+            raise IncompleteFiber(f"degree for {key}, not an ordering of A")
     total = 0
     for a_star in fibers(a):
-        key = a_star.order
-        if key not in ordered_degrees or ordered_degrees[key] is None:
-            raise IncompleteFiber(f"no degree for ordering {key}")
-        total += ordered_degrees[key]
+        if ordered_degrees.get(a_star.order) is None:
+            raise IncompleteFiber(f"no degree for ordering {a_star.order}")
+        total += ordered_degrees[a_star.order]
     return total

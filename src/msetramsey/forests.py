@@ -81,19 +81,15 @@ def height(forest):
                default=0)
 
 
-def forest_as_mset(forest, monoid, ordered):
+def forest_as_mset(forest, monoid):
     """The forest as an M-set over truncated_powers(d), d >= its height.
 
-    p^i acts as the parent map iterated i times; ordered=True attaches
-    the forest's vertex order.
+    p^i acts as the parent map iterated i times; the order is the forest's.
     """
-    if ordered and forest.order is None:
-        raise InputError("the forest has no order; use an unordered context")
     rows = [tuple(range(forest.size))]
     for _ in range(1, monoid.size):
         rows.append(tuple(forest.parent[x] for x in rows[-1]))
-    return MSet(monoid, forest.carrier, tuple(rows),
-                forest.order if ordered else None)
+    return MSet(monoid, forest.carrier, tuple(rows), forest.order)
 
 
 def encode_forest(forest):

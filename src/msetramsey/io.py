@@ -20,10 +20,11 @@ carrier label, and any two carrier labels Python holds equal, such as
 corresponding validator so malformed files surface the same
 witness-carrying errors as programmatic construction. An M-set's monoid
 is an inline object, so that every file a verdict reads is one that the
-report hashes. Each load_x is _from_file(parser), the one place that
-puts the file's path before the message of an error on its contents.
+report hashes. `naming` is the one place that puts a file's path before
+an error on its contents, for each load_x = _from_file(parser) and the CLI.
 """
 
+import contextlib
 import hashlib
 import json
 
@@ -50,16 +51,22 @@ def load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
+@contextlib.contextmanager
+def naming(path, error=InputError):
+    """Put `path` before the message of an `error` raised inside."""
+    try:
+        yield
+    except error as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _from_file(parse):
-    """load_x(path): `parse` run on the file's JSON data, with the path
-    put before the message of any InputError it raises on that data."""
+    """load_x(path): `parse` run on the file's JSON data, under `naming`."""
     def load(path):
         data = load_json(path)
-        try:
+        with naming(path):
             return parse(data)
-        except InputError as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
     return load
 
 

@@ -280,8 +280,8 @@ def _getter(positions):
     return itemgetter(*positions)
 
 
-def cofree_tables(x, m, ordered=False):
-    """cofree_mset(x, m, ordered) with its function table and its inverse.
+def cofree_tables(x, m):
+    """cofree_mset(x, m) with its function table and its inverse.
 
     functions[i] is carrier element i as the tuple of value positions
     (h[m'] for m' in M), in product order; index[h] = i.
@@ -296,20 +296,20 @@ def cofree_tables(x, m, ordered=False):
                       functions)))
         for g in range(nm))
     order = None
-    if ordered:
+    if isinstance(x, Chain):
         lex = list(map(_getter(m.well_order), functions))
         order = tuple(sorted(range(len(functions)), key=lex.__getitem__))
     ms = MSet(m, tuple(product(labels, repeat=nm)), action, order)
     return ms, functions, index
 
 
-def cofree_mset(x, m, ordered=False):
+def cofree_mset(x, m):
     """The cofree M-set on generators x: carrier x^M, gamma(m,h)(m') = h(m m').
 
-    `x` is a Chain (ordered=True orders the carrier lexicographically by
-    the monoid's well-order) or any sized collection.
+    `x` is a Chain, whose order gives the carrier the lex order by the
+    monoid's well-order, or any sized collection (an unordered M-set).
     """
-    return cofree_tables(x, m, ordered)[0]
+    return cofree_tables(x, m)[0]
 
 
 def generated_sub_mset(b, seed):

@@ -39,23 +39,20 @@ class ChainContext:
 
 
 class MSetContext:
-    """Hom-sets of (ordered) M-sets over a fixed monoid."""
-
-    def __init__(self, monoid, ordered=False):
-        self.monoid = monoid
-        self.ordered = ordered
+    """Hom-sets of M-sets, order-embeddings when the M-sets are ordered."""
 
     def hom(self, a, c):
         return embedding_maps(a, c)
 
     def theory_degree_upper(self, a):
-        if self.ordered:
+        if a.order is not None:
             # ordered finite M-sets form a Ramsey category
             return 1, "ordered_msets_ramsey"
         return math.factorial(a.size), "order_expansion_sum"
 
-    def objects(self, max_size):
-        """M-sets up to a size, one per isomorphism class, on range(n).
+    def objects(self, a, max_size):
+        """M-sets over a's monoid up to a size, ordered iff `a` is, one
+        per isomorphism class, on range(n).
 
         Unordered, `_all_actions` emits the lex-least table of each class.
         Ordered, every valid table is listed once under the identity
@@ -63,11 +60,11 @@ class MSetContext:
         identity, and the only order-preserving bijection between two
         identity-ordered carriers is the identity.
         """
-        return [MSet(self.monoid, tuple(range(n)), action,
-                     tuple(range(n)) if self.ordered else None)
+        return [MSet(a.monoid, tuple(range(n)), action,
+                     None if a.order is None else tuple(range(n)))
                 for n in range(1, max_size + 1)
-                for action in _all_actions(self.monoid, n,
-                                           one_per_class=not self.ordered)]
+                for action in _all_actions(a.monoid, n,
+                                           one_per_class=a.order is None)]
 
 
 def _all_actions(monoid, n, one_per_class=False):
@@ -168,13 +165,9 @@ def _all_actions(monoid, n, one_per_class=False):
 class ForestContext:
     """Hom-sets of (ordered) rooted forests: injective parent-preserving maps."""
 
-    def __init__(self, ordered=True):
-        self.ordered = ordered
-
     def hom(self, a, c):
         m = truncated_powers(max(height(a), height(c)))
-        return embedding_maps(forest_as_mset(a, m, self.ordered),
-                              forest_as_mset(c, m, self.ordered))
+        return embedding_maps(forest_as_mset(a, m), forest_as_mset(c, m))
 
 
 def compose_map(w, f):
@@ -417,16 +410,16 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     candidate C that contains B. upper: the context's theory bound.
     The candidates are listed once, and only if upper and max_k leave
     lower room to rise; B ranges over those of size <= max_b_size.
-    `ctx` must provide `theory_degree_upper(a)` and, when that bound
-    leaves room, `objects(max_size)`: MSetContext provides both, the
-    bound of ChainContext is 1, and ForestContext provides neither.
+    `ctx` provides `theory_degree_upper(a)` and, if that leaves room,
+    `objects(a, max_size)`, both read off `a`: MSetContext provides both,
+    ChainContext's bound is 1, and ForestContext provides neither.
     """
     upper, upper_src = ctx.theory_degree_upper(a)
     evidence = {"upper_source": upper_src, "defeats": []}
     top = min(upper, budget.max_k)
     if top <= 1:
         return DegreeProbe(1, upper, evidence)
-    candidates = ctx.objects(budget.max_c_size)
+    candidates = ctx.objects(a, budget.max_c_size)
     bs = [(b, len(ctx.hom(a, b))) for b in candidates
           if b.size <= budget.max_b_size]
     lower = 1

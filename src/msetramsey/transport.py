@@ -23,7 +23,6 @@ DEFAULT_LIFT_CAP = 10 ** 5
 
 @dataclass(frozen=True)
 class LexLift:
-    monoid: object
     base: Chain
     lifted: MSet
     functions: tuple   # functions[i] = h as a tuple of base positions
@@ -35,7 +34,7 @@ def hat_E(base, m, cap=DEFAULT_LIFT_CAP):
     size = len(base) ** m.size
     if size > cap:
         raise SizeOverflow("hat_E carrier", size, cap)
-    return LexLift(m, base, *cofree_tables(base, m, ordered=True))
+    return LexLift(base, *cofree_tables(base, m))
 
 
 def hat_E_map(h_emb, lift_src, lift_dst):
@@ -148,13 +147,11 @@ def transport_witness(u_star, v_star, k, chain_witness_budget=8,
     at most `certify_cap` nodes.
     """
     fu, fv = len(u_star.carrier_chain()), len(v_star.carrier_chain())
-    chain_ctx = ChainContext()
-    w, _ = find_witness(omega(fu), omega(fv), k, 1, chain_ctx,
+    w, _ = find_witness(omega(fu), omega(fv), k, 1, ChainContext(),
                         (omega(n) for n in range(1, chain_witness_budget + 1)))
     if w is None:
         raise NoChainWitnessInBudget(chain_witness_budget)
     lift = hat_E(w, u_star.monoid, cap=lift_cap)
-    ctx = MSetContext(u_star.monoid, ordered=True)
-    verdict = holds_arrow(u_star, v_star, lift.lifted, k, 1, ctx,
-                          cap=certify_cap)
+    verdict = holds_arrow(u_star, v_star, lift.lifted, k, 1,
+                          MSetContext(), cap=certify_cap)
     return TransportedWitness(w, lift, verdict.status, verdict)

@@ -57,8 +57,7 @@ def test_criterion_1_comonad_laws(capfd):
                                      range(size))
             ok = ok and rep.all_pass
     for size in (1, 2, 3):
-        rep = check_comonad_laws(DistinctListFunctor(), range(size),
-                                 with_counit=False)
+        rep = check_comonad_laws(DistinctListFunctor(), range(size))
         ok = ok and rep.all_pass
         rep = check_comonad_laws(ListFunctor(max_length=3), range(size))
         ok = ok and rep.all_pass
@@ -204,7 +203,7 @@ def test_criterion_5_forest_encoding(capfd):
 def test_criterion_6_pre_adjunction(capfd):
     start = time.monotonic()
     # every ordered Z2-set of size <= 2: each class under all orders
-    objs = [f for x in MSetContext(z2(), ordered=True).objects(2)
+    objs = [f for x in MSetContext().objects(_swap_pair(), 2)
             for f in fibers(forget_order(x))]
     checked = 0
     failures = 0
@@ -240,7 +239,7 @@ def test_criterion_7_witness_transport(capfd):
     result = transport_witness(u_star, v_star, 2)
     hom_u = enumerate_embeddings(u_star, result.lift.lifted)
     # exhaustive certification by the naive oracle over all 2^3 colorings
-    ctx = MSetContext(z2(), ordered=True)
+    ctx = MSetContext()
     _, _, _, images = composite_images(u_star, v_star, result.lift.lifted,
                                        ctx)
     naive_holds = not any(coloring_is_bad(c, images, 1)
@@ -307,14 +306,14 @@ def test_criterion_10_degree_machinery(capfd):
     start = time.monotonic()
     m0 = trivial_monoid()
     two = validate_mset(m0, (0, 1), [(0, 1)])
-    probe2 = probe_small_degree(two, MSetContext(m0), budget=SMALL_BUDGET)
+    probe2 = probe_small_degree(two, MSetContext(), budget=SMALL_BUDGET)
     sum2 = degree_sum_bound(two, {f.order: 1 for f in fibers(two)})
     exact_two = probe2.lower == 2 and probe2.upper == 2 and sum2 == 2
     points_ok = True
     for monoid in (m0, z2()):
         one = validate_mset(monoid, (0,),
                             [(0,)] * monoid.size)
-        probe1 = probe_small_degree(one, MSetContext(monoid),
+        probe1 = probe_small_degree(one, MSetContext(),
                                     budget=SMALL_BUDGET)
         points_ok = points_ok and probe1.lower == 1 and probe1.upper == 1
     # aggregate big bound on n = 2 instances from actual reduction runs

@@ -94,7 +94,7 @@ def test_pi_star_rejects_nonmonotone_and_noninjective():
 def _shadow(f, lift):
     """Oracle for the reduction: rho blocks grown one rank at a time."""
     a = f.source
-    e = lift.monoid.identity
+    e = lift.lifted.monoid.identity
     eps = [lift.functions[f.map[x]][e] for x in a.order]
     blocks = []
     for i, v in enumerate(eps):

@@ -807,6 +807,21 @@ def _with_file(files, argv, path):
                        for arg in argv[1:]]
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["degree-probe", "--ctx", "msets", "--A", "pair_unordered"], "57c4c390"),
+    (["degree-probe", "--ctx", "ordered-msets", "--A", "swap"], "d37bbc15"),
+    (["transport", "--U", "fixed1", "--V", "fixed2", "-k", "2"], "64347d5d"),
+    (["laws", "--functor", "duplicate_free_list", "--size", "3"],
+     "beb2104e"),
+], ids=["degree-probe-msets", "degree-probe-ordered-msets", "transport",
+        "laws-duplicate-free-list"])
+def test_report_bytes_are_pinned(capsys, files, argv, digest):
+    """The report bytes, with the input directory masked."""
+    assert main(_with_file(files, argv, None)) == 0
+    masked = capsys.readouterr().out.replace(str(files["tmp"]), "<tmp>")
+    assert hashlib.sha256(masked.encode()).hexdigest()[:8] == digest
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 @pytest.mark.parametrize("argv", _FILE_OPTIONS.values(), ids=_FILE_OPTIONS)
 def test_unreadable_input_path_exits_1_naming_it(capsys, files, argv, kind):
@@ -874,6 +889,22 @@ def test_unwritable_out_exits_1_naming_it_and_writes_nothing(
                              "order": ["c"]}),
                  "C ({}) lives over another monoid than A",
                  id="arrow-check-C-over-another-monoid"),
+    pytest.param(_FILE_OPTIONS["bigramsey-coloring"], "[0, 1, 0]",
+                 "{}: coloring has 3 entries for 6 embeddings",
+                 id="coloring-length"),
+    pytest.param(_FILE_OPTIONS["bigramsey-coloring"], "[0, 1, 0, 5, 0, 1]",
+                 "{}: coloring value 5 at index 3 is out of range for k = 2",
+                 id="coloring-value"),
+    pytest.param(_FILE_OPTIONS["degree-bound-ordered-degrees"],
+                 '[{"order": [0, 1], "degree": null}, '
+                 '{"order": [1, 0], "degree": 1}]',
+                 "{}: no degree for ordering (0, 1)", id="degrees-null"),
+    pytest.param(_FILE_OPTIONS["degree-bound-ordered-degrees"] + ["--big"],
+                 '[{"order": [0, 1], "degree": 1}, '
+                 '{"order": [1, 0], "degree": 1}, '
+                 '{"order": [5], "degree": 2}]',
+                 "{}: degree for (5,), not an ordering of A",
+                 id="degrees-stray-ordering"),
 ])
 def test_input_errors_exit_1_naming_the_file(capsys, files, argv, text,
                                              message):
@@ -921,8 +952,8 @@ def test_bigramsey_coloring_out_of_range_names_index_and_value(capsys,
         "bigramsey", "--A", files["pair"], "--N", "4", "--k", "2",
         "--coloring", str(path)])
     assert code == 1 and report is None
-    assert err == ("input error: coloring value 5 at index 2 is out of "
-                   "range for k = 2\n")
+    assert err == (f"input error: {path}: coloring value 5 at index 2 is "
+                   "out of range for k = 2\n")
 
 
 def test_forest_without_encode_or_decode_exits_1(capsys):

@@ -246,9 +246,10 @@ def test_cofree_mset_satisfies_action_axioms():
 
 
 def test_cofree_mset_ordered_lex_by_well_order():
-    ms = cofree_mset(omega(2), z2(), ordered=True)
+    ms = cofree_mset(omega(2), z2())
     ordered_labels = [ms.carrier[i] for i in ms.order]
     assert ordered_labels == sorted(ordered_labels)
+    assert cofree_mset((0, 1), z2()).order is None
 
 
 def test_generated_sub_mset_is_minimal_closure():

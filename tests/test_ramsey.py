@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -19,6 +20,11 @@ from msetramsey.ramsey import (ChainContext, Coloring, ForestContext,
                                coloring_is_bad, composite_images,
                                compose_map, find_witness, holds_arrow,
                                probe_small_degree)
+
+
+def _point(monoid, ordered=False):
+    """The one-point M-set over `monoid`."""
+    return MSet(monoid, (0,), ((0,),) * monoid.size, (0,) if ordered else None)
 
 
 def test_compose_map_is_pointwise():
@@ -53,7 +59,7 @@ def _small_objects(ctx_name):
                 for f in enumerate_forests(n, ordered=ordered)]
         if ordered:
             objs.append(fig1_forest())
-        return ForestContext(ordered=ordered), [objs]
+        return ForestContext(), [objs]
     ordered = ctx_name == "ordered-msets"
     rng = random.Random(ctx_name)
     families = []
@@ -66,7 +72,7 @@ def _small_objects(ctx_name):
                 family.append(MSet(monoid, tuple(range(n)), action,
                                    tuple(order) if ordered else None))
         families.append(family)
-    return MSetContext(None, ordered=ordered), families
+    return MSetContext(), families
 
 
 @pytest.mark.parametrize("ctx_name", ["chains", "msets", "ordered-msets",
@@ -350,11 +356,11 @@ def test_find_witness_first_success():
 
 
 def test_mset_context_objects_counts():
-    ctx = MSetContext(trivial_monoid())
-    assert len(ctx.objects(2)) == 2  # one object per carrier size
-    ctx2 = MSetContext(z2())
+    ctx = MSetContext()
+    # one object per carrier size
+    assert len(ctx.objects(_point(trivial_monoid()), 2)) == 2
     # carrier 1: identity action only; carrier 2: the two involutions
-    sizes = [ms.size for ms in ctx2.objects(2)]
+    sizes = [ms.size for ms in ctx.objects(_point(z2()), 2)]
     assert sizes.count(1) == 1 and sizes.count(2) == 2
 
 
@@ -418,7 +424,7 @@ def _check_one_per_class(monoid):
     exactly one listed M-set, and each listed table is its class's
     lex-least table. The classes come in the lex order of those tables,
     the order of their first tables in _all_actions. Returns the listing."""
-    listed = MSetContext(monoid).objects(4)
+    listed = MSetContext().objects(_point(monoid), 4)
     assert all(ms.carrier == tuple(range(ms.size)) for ms in listed)
     for n in range(1, 5):
         reps = [ms.action for ms in listed if ms.size == n]
@@ -453,7 +459,7 @@ def test_lex_leader_listing_on_larger_monoids(make, classes):
     (z2, 5, 3)],
     ids=["chain3-4", "chain3-5", "left_zero2-4", "left_zero2-5", "z2-5"])
 def test_mset_context_objects_class_counts(make, n, classes):
-    listed = MSetContext(make()).objects(n)
+    listed = MSetContext().objects(_point(make()), n)
     assert sum(ms.size == n for ms in listed) == classes
 
 
@@ -467,7 +473,7 @@ def test_ordered_objects_list_each_class_once(make, classes):
     relabelled by rank: the ordered listing holds every canonical form
     once, under the identity order. `classes` counts sizes 1..4."""
     monoid = make()
-    listed = MSetContext(monoid, ordered=True).objects(4)
+    listed = MSetContext().objects(_point(monoid, ordered=True), 4)
     assert all(ms.carrier == ms.order == tuple(range(ms.size))
                for ms in listed)
     canonical = set()
@@ -498,9 +504,9 @@ def test_probe_over_classes_matches_probe_over_every_table(budget,
     for make in CLASS_MONOIDS + [lambda: chain_semilattice(2)]:
         monoid = make()
         for a in every_mset(monoid, 2):
-            ctx = MSetContext(monoid)
+            ctx = MSetContext()
             by_class = probe_small_degree(a, ctx, budget=budget)
-            ctx.objects = lambda max_size: every_mset(monoid, max_size)
+            ctx.objects = lambda a, max_size: every_mset(a.monoid, max_size)
             by_table = probe_small_degree(a, ctx, budget=budget)
             assert _bracket(by_class) == _bracket(by_table)
             checked += 1
@@ -513,14 +519,14 @@ def test_mset_context_hom_and_arrow():
     one = with_order(validate_mset(m, (0,), [(0,)]))
     two = with_order(validate_mset(m, (0, 1), [(0, 1)]))
     three = with_order(validate_mset(m, (0, 1, 2), [(0, 1, 2)]))
-    ctx = MSetContext(m, ordered=True)
+    ctx = MSetContext()
     assert len(ctx.hom(one, three)) == 3
     assert holds_arrow(one, two, three, 2, 1, ctx).status == "holds"
 
 
 def test_forest_context_hom():
     from msetramsey.forests import make_forest
-    ctx = ForestContext(ordered=True)
+    ctx = ForestContext()
     single = make_forest(("r",), (0,), (0,))
     path2 = make_forest(("r", "s"), (0, 0), (0, 1))
     homs = ctx.hom(single, path2)
@@ -530,9 +536,11 @@ def test_forest_context_hom():
 
 def test_ordered_forest_context_rejects_unordered_forest():
     from msetramsey.forests import enumerate_forests
-    forest = enumerate_forests(2, ordered=False)[0]
-    with pytest.raises(InputError, match="no order"):
-        ForestContext(ordered=True).hom(forest, forest)
+    ordered, unordered = (enumerate_forests(2, ordered=o)[0]
+                          for o in (True, False))
+    for a, c in ((ordered, unordered), (unordered, ordered)):
+        with pytest.raises(InputError, match="cannot mix"):
+            ForestContext().hom(a, c)
 
 
 def _brute_forest_homs(a, c, ordered):
@@ -554,11 +562,13 @@ def _brute_forest_homs(a, c, ordered):
 @pytest.mark.parametrize("ordered", [True, False])
 def test_forest_context_hom_matches_bruteforce(ordered):
     from msetramsey.forests import enumerate_forests, fig1_forest
-    ctx = ForestContext(ordered=ordered)
-    targets = [c for n in range(5) for c in enumerate_forests(n)]
-    targets.append(fig1_forest())
+    ctx = ForestContext()
+    targets = [c for n in range(5)
+               for c in enumerate_forests(n, ordered=ordered)]
+    fig1 = fig1_forest()
+    targets.append(fig1 if ordered else replace(fig1, order=None))
     for n in range(4):
-        for a in enumerate_forests(n):
+        for a in enumerate_forests(n, ordered=ordered):
             for c in targets:
                 assert ctx.hom(a, c) == _brute_forest_homs(a, c, ordered)
 
@@ -566,14 +576,14 @@ def test_forest_context_hom_matches_bruteforce(ordered):
 def test_probe_small_degree_point_mset():
     m = trivial_monoid()
     one = validate_mset(m, (0,), [(0,)])
-    probe = probe_small_degree(one, MSetContext(m), budget=TINY_BUDGET)
+    probe = probe_small_degree(one, MSetContext(), budget=TINY_BUDGET)
     assert probe.lower == 1 and probe.upper == 1
 
 
 def test_probe_small_degree_two_point_mset():
     m = trivial_monoid()
     two = validate_mset(m, (0, 1), [(0, 1)])
-    probe = probe_small_degree(two, MSetContext(m), budget=SMALL_BUDGET)
+    probe = probe_small_degree(two, MSetContext(), budget=SMALL_BUDGET)
     assert probe.lower == 2 and probe.upper == 2
     assert probe.evidence["defeats"]
 
@@ -581,31 +591,29 @@ def test_probe_small_degree_two_point_mset():
 def test_probe_small_degree_lower_stops_at_max_k():
     m = trivial_monoid()
     three = validate_mset(m, (0, 1, 2), [(0, 1, 2)])
-    probe = probe_small_degree(three, MSetContext(m), budget=SMALL_BUDGET)
+    probe = probe_small_degree(three, MSetContext(), budget=SMALL_BUDGET)
     assert (probe.lower, probe.upper) == (3, 6)
     assert probe.evidence["defeats"] == [
         {"t": 1, "k": 2, "B_size": 3, "candidates": 2},
         {"t": 2, "k": 3, "B_size": 3, "candidates": 2}]
 
 
-def _never_listed(max_size):
+def _never_listed(a, max_size):
     raise AssertionError("candidates listed although the bound is met")
 
 
 @pytest.mark.parametrize("make, a", [
-    (lambda: MSetContext(chain_semilattice(3)), None),
-    (lambda: MSetContext(cyclic_group(3)), None),
-    (lambda: MSetContext(left_zero_monoid(2)), None),
-    (lambda: MSetContext(trivial_monoid(), ordered=True),
+    (MSetContext, _point(chain_semilattice(3))),
+    (MSetContext, _point(cyclic_group(3))),
+    (MSetContext, _point(left_zero_monoid(2))),
+    (MSetContext,
      with_order(validate_mset(trivial_monoid(), (0, 1), [(0, 1)]))),
+    (MSetContext, with_order(validate_mset(z2(), (0, 1), [(0, 1)] * 2))),
     (ChainContext, omega(3)),
 ], ids=["semilattice3-point", "cyclic3-point", "left-zero2-point",
-        "ordered-pair", "chain3"])
+        "ordered-pair", "ordered-z2-fixed-pair", "chain3"])
 def test_probe_lists_no_candidates_when_the_bound_is_met(make, a):
     ctx = make()
-    if a is None:
-        m = ctx.monoid
-        a = validate_mset(m, (0,), [(0,)] * m.size)
     ctx.objects = _never_listed
     probe = probe_small_degree(a, ctx, budget=SMALL_BUDGET)
     assert (probe.lower, probe.upper) == (1, 1)
@@ -616,21 +624,21 @@ def _counting_objects(ctx):
     calls = []
     listed = ctx.objects
 
-    def objects(max_size):
+    def objects(a, max_size):
         calls.append(max_size)
-        return listed(max_size)
+        return listed(a, max_size)
     ctx.objects = objects
     return calls
 
 
 @pytest.mark.parametrize("make, candidates", [
     (lambda: chain_semilattice(3), 14), (lambda: cyclic_group(3), 3),
-    (lambda: left_zero_monoid(2), 13)],
-    ids=["semilattice3", "cyclic3", "left-zero2"])
+    (lambda: left_zero_monoid(2), 13), (z2, 4)],
+    ids=["semilattice3", "cyclic3", "left-zero2", "z2"])
 def test_probe_fixed_pair_evidence(make, candidates):
     """The degree 2 of a pair of fixed points, defeated by its own B."""
     m = make()
-    ctx = MSetContext(m)
+    ctx = MSetContext()
     calls = _counting_objects(ctx)
     pair = validate_mset(m, (0, 1), [(0, 1)] * m.size)
     probe = probe_small_degree(pair, ctx, budget=SMALL_BUDGET)
@@ -648,11 +656,11 @@ def test_probe_b_larger_than_every_candidate_c():
     m = trivial_monoid()
     budget = ProbeBudget(3, 2, 3)
     pair = validate_mset(m, (0, 1), [(0, 1)])
-    probe = probe_small_degree(pair, MSetContext(m), budget=budget)
+    probe = probe_small_degree(pair, MSetContext(), budget=budget)
     assert (probe.lower, probe.upper) == (2, 2)
     assert probe.evidence["defeats"] == [
         {"t": 1, "k": 2, "B_size": 2, "candidates": 1}]
     three = validate_mset(m, (0, 1, 2), [(0, 1, 2)])
-    probe = probe_small_degree(three, MSetContext(m), budget=budget)
+    probe = probe_small_degree(three, MSetContext(), budget=budget)
     assert (probe.lower, probe.upper) == (1, 6)
     assert probe.evidence["defeats"] == []

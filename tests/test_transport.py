@@ -93,7 +93,7 @@ def test_hat_delta_is_a_validated_order_embedding(monoid):
 
 def _reference_hat_delta(lift):
     """hat_delta built from its formula: delta(h)(v) = rank of h(v * .)."""
-    m = lift.monoid
+    m = lift.lifted.monoid
     outer = hat_E(lift.lifted.carrier_chain(), m)
     rank_of = lift.lifted.positions
 
@@ -208,7 +208,7 @@ def test_phi_rejects_wrong_source_chain():
 def test_check_pa_exhaustive_small_z2():
     """(PA) with v = f for every ordered Z2-set of size <= 2 (each class
     under all orders) and chain targets."""
-    objs = [f for x in MSetContext(z2(), ordered=True).objects(2)
+    objs = [f for x in MSetContext().objects(_fixed_point(), 2)
             for f in fibers(forget_order(x))]
     checked = 0
     for a_star in objs:
@@ -269,8 +269,10 @@ def test_certified_lifts_contain_a_copy_of_v(make, lifts):
     is not met vacuously by a W too small to hold a copy of U. U and V
     range over every ordered M-set of size <= 3, each class under all
     orders; `lifts` is the number certified."""
-    ctx = MSetContext(make(), ordered=True)
-    objs = [f for x in ctx.objects(3) for f in fibers(forget_order(x))]
+    m = make()
+    ctx = MSetContext()
+    point = validate_mset(m, (0,), [(0,)] * m.size, order=(0,))
+    objs = [f for x in ctx.objects(point, 3) for f in fibers(forget_order(x))]
     certified = 0
     for u_star in (u for u in objs if u.size <= 2):
         for v_star in (v for v in objs if v.size > 2):
