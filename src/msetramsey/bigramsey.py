@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .chains import Chain, ChainEmbedding, omega
-from .errors import (CapExceeded, ColoringError, InputError, NotAnEmbedding,
-                     SizeOverflow, TruncationTooSmall, _SearchCapReached)
+from .errors import (CapExceeded, ColoringError, InputError, NoLeastElement,
+                     NotAnEmbedding, SizeOverflow, TruncationTooSmall,
+                     _SearchCapReached)
 from .expansion import degree_sum_bound
 from .mset import MSetMorphism, enumerate_embeddings
 from .transport import hat_E, hat_E_map
@@ -46,7 +47,7 @@ def subchains_containing_min(chain):
     """
     labels = chain.labels
     if not labels:
-        raise InputError("the empty chain has no least element")
+        raise NoLeastElement("the empty chain has no least element")
     rest = labels[1:]
     out = []
     for mask in range(1 << len(rest)):
@@ -524,7 +525,7 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP,
     s = a_star.size
     lift_hom_size(a_star, big_n, r_cap)
     if not s:
-        raise InputError("the empty chain has no least element")
+        raise NoLeastElement("the empty chain has no least element")
     patterns = _pattern_keys(a_star, big_n, m.size)
     keys = []
     for _, pk in patterns:
@@ -636,7 +637,7 @@ def unordered_degree_bound(a, per_ordering):
     fiber of A (degree_sum_bound raises IncompleteFiber otherwise).
     """
     if not a.size:
-        raise InputError("the empty M-set has no least element")
+        raise NoLeastElement("the empty M-set has no least element")
     total = degree_sum_bound(a, per_ordering)
     formula = math.factorial(a.size) * 2 ** (a.size - 1)
     return AggregateBound(total, formula, total <= formula)

@@ -29,7 +29,8 @@ from .bigramsey import (DEFAULT_NODE_CAP, DEFAULT_R_CAP, big_ramsey_reduce,
 from .comonad import (DistinctListFunctor, ListFunctor, MonoidActionFunctor,
                       check_comonad_laws)
 from .errors import (CapExceeded, ColoringError, IncompleteFiber,
-                     InputError, NoChainWitnessInBudget, TruncationTooSmall)
+                     InputError, NoChainWitnessInBudget, NoLeastElement,
+                     TruncationTooSmall)
 from .expansion import degree_sum_bound, fibers, forget_order
 from .forests import encode_forest
 from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
@@ -136,20 +137,21 @@ def cmd_bigramsey(args, load):
     params = {"N": args.N, "k": args.k, "trials": args.trials,
               "seed": args.seed, "r_cap": args.r_cap}
     trials = []
-    if args.coloring is not None:
-        chi = load("coloring", io.load_coloring)
-        with io.naming(args.coloring, ColoringError):
-            result = big_ramsey_reduce(a_star, chi, args.k, args.N,
-                                       r_cap=args.r_cap, cap=args.cap)
-        trials.append(dict(result.to_json(), seed=None))
-    else:
-        r_size = lift_hom_size(a_star, args.N, args.r_cap)
-        for t in range(args.trials):
-            seed = args.seed + t
-            result = big_ramsey_reduce(
-                a_star, random_coloring(r_size, args.k, seed), args.k,
-                args.N, r_cap=args.r_cap, cap=args.cap)
-            trials.append(dict(result.to_json(), seed=seed))
+    with io.naming(args.A, NoLeastElement):
+        if args.coloring is not None:
+            chi = load("coloring", io.load_coloring)
+            with io.naming(args.coloring, ColoringError):
+                result = big_ramsey_reduce(a_star, chi, args.k, args.N,
+                                           r_cap=args.r_cap, cap=args.cap)
+            trials.append(dict(result.to_json(), seed=None))
+        else:
+            r_size = lift_hom_size(a_star, args.N, args.r_cap)
+            for t in range(args.trials):
+                seed = args.seed + t
+                result = big_ramsey_reduce(
+                    a_star, random_coloring(r_size, args.k, seed), args.k,
+                    args.N, r_cap=args.r_cap, cap=args.cap)
+                trials.append(dict(result.to_json(), seed=seed))
     return params, {"trials": trials,
                     "max_colors_used": max(t["colors_used"] for t in trials),
                     "bound": trials[0]["bound"],
@@ -160,7 +162,8 @@ def cmd_bigramsey(args, load):
 def cmd_degree_bound(args, load):
     a = forget_order(load("A", io.load_mset))
     degrees = load("ordered_degrees", io.load_degrees)
-    with io.naming(args.ordered_degrees, IncompleteFiber):
+    with io.naming(args.A, NoLeastElement), \
+            io.naming(args.ordered_degrees, IncompleteFiber):
         if args.big:
             verdicts = unordered_degree_bound(a, degrees).to_json()
         else:
@@ -198,7 +201,8 @@ def _int_at_least(low):
 
 
 @functools.cache
-def build_parser():
+def _parsers():
+    """The top-level parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="msetramsey",
         description="Finite-scale Ramsey workbench for monoid actions")
@@ -287,14 +291,31 @@ def build_parser():
     p.add_argument("--decode", default=None)
     p.set_defaults(func=cmd_forest)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser():
+    return _parsers()[0]
+
+
+def _parse_args(argv):
+    """`build_parser().parse_args(argv)`. An argv that starts with a
+    subcommand name goes to that subcommand's parser alone, which takes
+    about half the time; the rest are left to the top-level parser."""
+    parser, subparsers = _parsers()
+    if not argv or argv[0] not in subparsers:
+        return parser.parse_args(argv)
+    args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
     started = time.monotonic()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on a usage error, but 2 means cap overflow here
         return 1 if exc.code else 0

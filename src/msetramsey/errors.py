@@ -108,6 +108,10 @@ class NoChainWitnessInBudget(WorkbenchError):
         super().__init__(f"no chain witness found up to size {bound}")
 
 
+class NoLeastElement(InputError):
+    """An empty chain or M-set where a least element is needed."""
+
+
 class IncompleteFiber(InputError):
     """Ordered degrees that miss an ordering of A or hold another key."""
 

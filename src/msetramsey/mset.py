@@ -73,8 +73,11 @@ def validate_mset(monoid, carrier, action, order=None):
     for a in range(n):
         if action[e][a] != a:
             raise IdentityAxiomFails(carrier[a])
-    for m1, m2, a in product(range(monoid.size), range(monoid.size), range(n)):
-        if action[m1][action[m2][a]] != action[monoid.mul(m2, m1)][a]:
+    for m1, m2 in product(range(monoid.size), repeat=2):
+        row1, row2 = action[m1], action[m2]
+        composite = action[monoid.mul(m2, m1)]
+        if tuple(map(row1.__getitem__, row2)) != composite:
+            a = next(a for a in range(n) if row1[row2[a]] != composite[a])
             raise CompositionFails(m1, m2, carrier[a])
     if order is not None:
         order = order_positions(carrier, order)
@@ -89,11 +92,17 @@ def order_positions(carrier, order):
     """
     if not isinstance(order, (list, tuple)):
         raise InputError("order is an array of carrier labels")
-    keys = [(type(x), x) for x in carrier]
+    first = {}
+    for i, x in enumerate(carrier):
+        first.setdefault((type(x), x), i)
+    positions = []
     for lab in order:
-        if (type(lab), lab) not in keys:
-            raise InputError(f"order label {lab!r} is not in the carrier")
-    return tuple(keys.index((type(lab), lab)) for lab in order)
+        try:
+            positions.append(first[type(lab), lab])
+        except (KeyError, TypeError):   # TypeError: an unhashable label
+            raise InputError(f"order label {lab!r} is not in the carrier") \
+                from None
+    return tuple(positions)
 
 
 def with_order(ms, order_indices=None):

@@ -129,12 +129,19 @@ def check_PA(u, f_map, a_coalg, b_coalg):
     return True, f_map
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransportedWitness:
-    chain_witness: Chain
-    lift: LexLift
-    certified: str        # "holds" | "refuted" | "inconclusive"
-    verdict: object = None
+    lift: LexLift         # hat_E of the chain witness
+    verdict: object       # the certifying arrow verdict on the lift
+
+    @property
+    def chain_witness(self):
+        return self.lift.base
+
+    @property
+    def certified(self):
+        """The verdict's status: holds, refuted or inconclusive."""
+        return self.verdict.status
 
 
 def transport_witness(u_star, v_star, k, chain_witness_budget=8,
@@ -154,4 +161,4 @@ def transport_witness(u_star, v_star, k, chain_witness_budget=8,
     lift = hat_E(w, u_star.monoid, cap=lift_cap)
     verdict = holds_arrow(u_star, v_star, lift.lifted, k, 1,
                           MSetContext(), cap=certify_cap)
-    return TransportedWitness(w, lift, verdict.status, verdict)
+    return TransportedWitness(lift, verdict)

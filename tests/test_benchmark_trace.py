@@ -76,5 +76,6 @@ def test_tracer_finds_every_target_and_counts_every_result(
                    "bigramsey.big_ramsey_reduce", "transport.hat_E",
                    "comonad.check_comonad_laws", "forests.encode_forest",
                    "forests.decode_coalgebra", "io.file_sha256",
-                   "io.dump_report"):
+                   "io.dump_report", "io.load_json", "mset.validate_mset",
+                   "monoid.validate_monoid"):
         assert tracer.calls[metric] > 0, metric

@@ -8,7 +8,7 @@ from operator import itemgetter
 
 import pytest
 
-from msetramsey import mset
+from msetramsey import cli, mset
 from msetramsey.cli import main
 
 
@@ -143,6 +143,53 @@ def test_usage_errors_exit_1(capsys, files, argv):
     code, report, err = run(capsys, [files.get(arg, arg) for arg in argv])
     assert code == 1 and report is None
     assert "usage:" in err and "error:" in err
+
+
+def _parsed(capsys, parse, argv):
+    """(SystemExit code or None, stdout, stderr, the options parsed)."""
+    try:
+        options = vars(parse(list(argv)))
+        code = None
+    except SystemExit as exc:
+        code, options = exc.code, None
+    out, err = capsys.readouterr()
+    return code, out, err, options
+
+
+_ARROW = ["arrow-check", "--A", "a", "--B", "b", "--C", "c"]
+_ARGV_EDGES = {
+    "none": [], "help": ["-h"], "long-help": ["--help"],
+    "unknown-command": ["bogus"], "abbreviated-command": ["validat"],
+    "help-before-command": ["-h", "validate"],
+    "separator-before-command": ["--", "validate", "--chain", "c"],
+    "subcommand-help": ["validate", "-h"],
+    "subcommand-long-help": ["arrow-check", "--help"],
+    "help-after-options": ["validate", "--chain", "c", "-h"],
+    "missing-required": ["arrow-check", "--A", "a"],
+    "missing-value": ["validate", "--chain"],
+    "bad-type": _ARROW + ["-k", "two"],
+    "out-of-range": _ARROW + ["-k", "0"],
+    "bad-choice": ["degree-probe", "--A", "a", "--ctx", "sets"],
+    "unknown-option": ["validate", "--bogus"],
+    "unknown-options": ["validate", "--bogus", "--chain", "c", "-x"],
+    "stray-positionals": ["validate", "--chain", "c", "stray", "more"],
+    "separator-after-options": ["validate", "--chain", "c", "--", "x"],
+    "separator-first": ["arrow-check", "--"] + _ARROW[1:],
+    "option-equals-value": ["validate", "--chain=c.json"],
+    "abbreviated-option": ["validate", "--cha", "c"],
+    "attached-short-value": _ARROW + ["-k2"],
+    "short-equals-value": _ARROW + ["-k=2", "-t", "0", "--ctx=msets"],
+    "negative-number": ["bigramsey", "--A", "a", "--N", "-1", "--k", "2"],
+    "flags": ["validate", "--chain", "c", "--timing", "--out", "o.json"],
+}
+
+
+@pytest.mark.parametrize("argv", _ARGV_EDGES.values(), ids=_ARGV_EDGES)
+def test_subcommand_dispatch_parses_as_the_full_parser(capsys, argv):
+    """An argv that starts with a subcommand name skips the top-level
+    parse, with the same options, exit code, stdout and stderr."""
+    assert _parsed(capsys, cli._parse_args, argv) == \
+        _parsed(capsys, cli.build_parser().parse_args, argv)
 
 
 def test_help_exits_0(capsys):
@@ -756,16 +803,20 @@ def test_out_flag_writes_file(capsys, files):
     code, report, _ = run(capsys, ["validate", "--chain", files["chain3"],
                                    "--out", str(out)])
     assert code == 0 and report is None
-    data = json.loads(out.read_text())
-    assert data["verdicts"]["chain"]["valid"]
+    text = out.read_text()
+    assert json.loads(text)["verdicts"]["chain"]["valid"]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) \
+        + "\n"
 
 
 def test_timing_flag_is_opt_in(capsys, files):
     _, report, _ = run(capsys, ["validate", "--chain", files["chain3"]])
     assert "timing_seconds" not in report
-    _, report, _ = run(capsys, ["validate", "--chain", files["chain3"],
-                                "--timing"])
-    assert "timing_seconds" in report
+    assert main(["validate", "--chain", files["chain3"], "--timing"]) == 0
+    text = capsys.readouterr().out
+    assert "timing_seconds" in json.loads(text)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) \
+        + "\n"
 
 
 # Every file option of every subcommand, with the other options valid;
@@ -905,6 +956,16 @@ def test_unwritable_out_exits_1_naming_it_and_writes_nothing(
                  '{"order": [5], "degree": 2}]',
                  "{}: degree for (5,), not an ordering of A",
                  id="degrees-stray-ordering"),
+    pytest.param(["bigramsey", "--A", FILE, "--N", "3", "--k", "2"],
+                 '{"monoid": {"size": 1, "identity": 0, "table": [[0]]}, '
+                 '"carrier": [], "action": [[]], "order": []}',
+                 "{}: the empty chain has no least element",
+                 id="bigramsey-empty-A"),
+    pytest.param(_FILE_OPTIONS["degree-bound-A"] + ["--big"],
+                 '{"monoid": {"size": 1, "identity": 0, "table": [[0]]}, '
+                 '"carrier": [], "action": [[]]}',
+                 "{}: the empty M-set has no least element",
+                 id="degree-bound-big-empty-A"),
 ])
 def test_input_errors_exit_1_naming_the_file(capsys, files, argv, text,
                                              message):
@@ -942,6 +1003,27 @@ def test_a_content_error_names_its_file_once(capsys, files, option):
     assert code == 1 and report is None
     assert err.startswith(f"input error: {path}: ")
     assert err.count(str(path)) == 1
+
+
+@pytest.mark.parametrize("label", [[], {}], ids=["array", "object"])
+@pytest.mark.parametrize("argv, obj", [
+    (["validate", "--mset", FILE],
+     {"monoid": {"size": 1, "identity": 0, "table": [[0]]},
+      "carrier": ["c"], "action": [[0]]}),
+    (["arrow-check", "--ctx", "ordered-msets", "--A", "fixed1",
+      "--B", "fixed2", "--C", FILE, "-k", "2"],
+     {"monoid": {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+      "carrier": ["c"], "action": [[0], [0]]}),
+    (["forest", "--decode", FILE], {"carrier": ["c"], "structure": [["c"]]}),
+], ids=["validate-mset", "arrow-check-C", "forest-decode"])
+def test_unhashable_order_label_exits_1_naming_the_file(capsys, files, argv,
+                                                        obj, label):
+    path = files["tmp"] / "input.json"
+    path.write_text(json.dumps(dict(obj, order=[label])))
+    code, report, err = run(capsys, _with_file(files, argv, path))
+    assert code == 1 and report is None
+    assert err == (f"input error: {path}: order label {label!r} is not in "
+                   "the carrier\n")
 
 
 def test_bigramsey_coloring_out_of_range_names_index_and_value(capsys,

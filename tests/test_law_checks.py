@@ -7,16 +7,19 @@ carries, on random valid and invalid action tables.
 - The comultiplication square and the counit triangle of an
   E-coalgebra, E(A) = A^M, are the composition and identity axioms.
 - `_all_actions` emits only tables that satisfy both axioms.
+- `validate_mset` compares whole rows, and names the same first
+  composition witness as a cell-by-cell sweep.
 """
 
 import random
+from itertools import product
 
 import pytest
 
 from msetramsey.chains import ChainEmbedding, omega
 from msetramsey.comonad import (classify_coalgebra, coalgebra_to_mset,
                                 mset_to_coalgebra)
-from msetramsey.errors import InputError, NotEMCoalgebra
+from msetramsey.errors import CompositionFails, InputError, NotEMCoalgebra
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                truncated_powers, validate_monoid, z2)
@@ -140,3 +143,34 @@ def test_every_enumerated_table_is_an_action(m):
         for action in tables:
             validate_mset(m, tuple(range(n)), action)
 
+
+
+def _first_composition_failure(m, action):
+    """The first (m1, m2, a), cell by cell, where m1.(m2.a) differs
+    from (m2 * m1).a; None if there is none."""
+    for m1, m2, a in product(range(m.size), range(m.size),
+                             range(len(action[0]))):
+        if action[m1][action[m2][a]] != action[m.mul(m2, m1)][a]:
+            return m1, m2, a
+    return None
+
+
+@pytest.mark.parametrize("m", MONOIDS)
+def test_validate_mset_names_the_first_composition_witness(m):
+    rng = random.Random(3)
+    failed = held = 0
+    for n, action in _tables(m, rng):
+        if action[m.identity] != tuple(range(n)):
+            continue
+        labels = tuple(f"x{i}" for i in range(n))
+        first = _first_composition_failure(m, action)
+        if first is None:
+            validate_mset(m, labels, action)
+            held += 1
+            continue
+        with pytest.raises(CompositionFails) as info:
+            validate_mset(m, labels, action)
+        m1, m2, a = first
+        assert info.value.witness == (m1, m2, labels[a])
+        failed += 1
+    assert held and (failed or m.size == 1)

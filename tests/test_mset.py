@@ -1,6 +1,7 @@
 """M-sets, morphism enumeration, unary algebras and cofree actions."""
 
 import gc
+import random
 from itertools import permutations, product
 
 import pytest
@@ -14,8 +15,8 @@ from msetramsey.monoid import (left_zero_monoid, trivial_monoid,
 from msetramsey.mset import (MSet, UnaryAlgebra,
                              check_equivariant, cofree_mset, embedding_maps,
                              enumerate_embeddings, evaluate_word,
-                             generated_sub_mset, validate_morphism,
-                             validate_mset, with_order)
+                             generated_sub_mset, order_positions,
+                             validate_morphism, validate_mset, with_order)
 from msetramsey.transport import hat_E
 
 
@@ -83,6 +84,38 @@ def test_validate_mset_orders_mixed_labels():
     for order in (("a", 2), ("a",), ("a", "a")):
         with pytest.raises(InputError):
             validate_mset(trivial_monoid(), (1, "a"), [[0, 1]], order=order)
+
+
+def _reference_order_positions(carrier, order):
+    """order_positions by list.index, or the first label it rejects."""
+    keys = [(type(x), x) for x in carrier]
+    for lab in order:
+        if (type(lab), lab) not in keys:
+            return InputError(f"order label {lab!r} is not in the carrier")
+    return tuple(keys.index((type(lab), lab)) for lab in order)
+
+
+def test_order_positions_agrees_with_list_index_on_mixed_labels():
+    """1, True, 1.0 and "1" are four labels; (1,) and (True,) are equal
+    tuples, so the first one listed is meant. [] and {} are in no
+    carrier."""
+    labels = [1, True, 1.0, "1", 0, False, None, (1,), (True,), ("1",),
+              (1, "a")]
+    rng = random.Random(4)
+    found = missing = 0
+    for _ in range(300):
+        carrier = rng.sample(labels, rng.randrange(len(labels) + 1))
+        order = rng.choices(labels + [[], {}, 2, "x"], k=rng.randrange(5))
+        want = _reference_order_positions(carrier, order)
+        if isinstance(want, InputError):
+            with pytest.raises(InputError) as info:
+                order_positions(carrier, order)
+            assert str(info.value) == str(want)
+            missing += 1
+        else:
+            assert order_positions(carrier, order) == want
+            found += 1
+    assert found and missing
 
 
 def test_check_equivariant_finds_first_violation():
