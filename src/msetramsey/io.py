@@ -20,8 +20,11 @@ carrier label, and any two carrier labels Python holds equal, such as
 corresponding validator so malformed files surface the same
 witness-carrying errors as programmatic construction. An M-set's monoid
 is an inline object, so that every file a verdict reads is one that the
-report hashes. `naming` is the one place that puts a file's path before
-an error on its contents, for each load_x = _from_file(parser) and the CLI.
+report hashes. Files are read as UTF-8: `load_json` names the file in
+its error on bytes that are not UTF-8 JSON text (a byte-order mark
+included), and `naming` is the one place that puts a file's path before
+an error on its JSON value, for each load_x = _from_file(parser) and
+the CLI.
 
 `dump_report` writes the bytes of json.dumps(report, indent=2,
 sort_keys=True) and a newline. It lays them out itself, since with an
@@ -49,13 +52,17 @@ def file_sha256(path):
 
 
 def load_json(path):
+    """The JSON value in the UTF-8 file at `path`; a byte-order mark is
+    not JSON, so a file that starts with one is rejected."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
 
 
 @contextlib.contextmanager

@@ -73,93 +73,162 @@ def _all_actions(monoid, n, one_per_class=False):
     class. Without it, each table under the identity order is the one
     ordered M-set of its ordered isomorphism class on range(n).
 
-    The rows of the non-identity elements are filled cell by cell, in
-    index order, trying values in ascending order. After each assignment
-    only the instances of table[m1][table[m2][a]] == table[m2*m1][a]
-    that pass through the new cell and have all three cells known are
-    checked, so a partial table is dropped at its first clash. Every
-    instance is checked when the last of its cells is assigned.
+    The table is searched on an explicit stack with an undo trail, as
+    `_search_bad_coloring` is. Each branch point takes the first unknown
+    cell of the non-identity rows, in index order, and tries its values
+    in ascending order. After each assignment the relation
+    table[m1][table[m2][a]] == table[m2*m1][a] is propagated. Its three
+    cells are the inner cell (m2, a), the outer cell (m1, y) for
+    y = table[m2][a], and the composite cell (m2*m1, a). A cell set to v
+    plays each role in turn:
+    - inner, (m2, a) = (m, x): for each m1, a known outer cell (m1, v)
+      forces the composite cell (m*m1, x), and a known composite cell
+      forces the outer one;
+    - outer, (m1, y) = (m, x): for each m2 and each a in the pre-image
+      list of x under row m2, it forces the composite cell (m2*m, a);
+    - composite, (m2*m1, a) = (m, x): for each such factor pair with the
+      inner cell (m2, x) known as y, it forces the outer cell (m1, y).
+    Instances with m1 or m2 the identity hold trivially and are skipped;
+    a composite cell may lie in the fixed identity row. A forced value
+    that clashes with a known one fails the branch, and a forced cell is
+    propagated in turn. Once propagation stops, every instance whose
+    inner cell is known has its outer and composite cells both unknown
+    or both known and equal, so a full table passes every instance, and
+    the table needs no check of its own. Propagation removes only
+    partial tables without a valid completion, and a forced cell has
+    one value in every completion below it, so each branch value leads
+    exactly to the valid tables with that prefix, and the tables come
+    out in lex order.
 
     The class cut is the lex-leader rule. Relabelling the carrier by p
-    sends table[m][x] = y to table[m][p[x]] = p[y]. alive[d] holds a
-    triple (p, p^-1, k) for each non-identity p whose image ties with the
-    table on its first k cells, as known before cell d is filled. After a
-    value passes `consistent`, each alive p walks on from k while both
-    the cell and its image are known: an image that is smaller there
-    rejects the value (no completion is lex-least) and one that is
-    larger drops p for the whole subtree. The relabellings alive at a
-    leaf are the table's non-identity automorphisms.
+    sends table[m][x] = y to table[m][p[x]] = p[y]. A branch point holds
+    a triple (p, image cells, k) for each non-identity p whose image ties
+    with the table on its first k cells. After a value propagates, each
+    alive p walks on from k while both the cell and its image cell are
+    known: an image that is smaller there rejects the value (no
+    completion is lex-least) and one that is larger drops p for the
+    whole subtree. A known cell keeps its value in every completion
+    below the branch point, even when it lies past the branch cell, so
+    the cut stays sound when propagation fills later cells first. At a
+    leaf every cell is known, so each alive p walks to the end: the
+    relabellings alive there are the table's non-identity automorphisms.
     """
     size, e = monoid.size, monoid.identity
-    mul = [[monoid.mul(m2, m1) for m1 in range(size)] for m2 in range(size)]
-    factors = [[] for _ in range(size)]   # factors[m]: (m2, m1), m2*m1 = m
-    for m2 in range(size):
-        for m1 in range(size):
-            factors[mul[m2][m1]].append((m2, m1))
-    table = [[None] * n for _ in range(size)]
-    table[e] = list(range(n))
-    cells = [(m, x) for m in range(size) if m != e for x in range(n)]
-    alive = [[] for _ in range(len(cells) + 1)]
+    mul = monoid.table                    # mul[m2][m1] = m2*m1
+    rows = [m for m in range(size) if m != e]
+    # table[m][x] is val[m*n + x]; the identity row is known from the start
+    val = [None] * (size * n)
+    val[e * n:(e + 1) * n] = range(n)
+    inner = [[(m1 * n, mul[m][m1] * n) for m1 in rows] for m in range(size)]
+    outer = [[(m2, mul[m2][m] * n) for m2 in rows] for m in range(size)]
+    factors = [[] for _ in range(size)]   # (m2*n, m1*n) with m2*m1 = m
+    for m2 in rows:
+        for m1 in rows:
+            factors[mul[m2][m1]].append((m2 * n, m1 * n))
+    # pre[m][y]: the a with table[m][a] = y, in the order they were set
+    pre = [[[] for _ in range(n)] for _ in range(size)]
+    cells = [m * n + x for m in rows for x in range(n)]
+    end = len(cells)
+    trail = []
+    # (p, image, k): p relabels the value of cell image[k] into cells[k]
+    alive = []
     if one_per_class:
-        alive[0] = [(p, tuple(sorted(range(n), key=p.__getitem__)), 0)
-                    for p in permutations(range(n))][1:]   # not the identity
+        for p in list(permutations(range(n)))[1:]:   # not the identity
+            inverse = sorted(range(n), key=p.__getitem__)
+            alive.append((p, [i - i % n + inverse[i % n] for i in cells], 0))
 
-    def consistent(m, x, v):
-        for m1 in range(size):              # (m2, a) = (m, x)
-            lhs = table[m1][v]
-            if lhs is not None and table[mul[m][m1]][x] not in (None, lhs):
-                return False
-        for m2 in range(size):              # m1 = m, table[m2][a] = x
-            row, rhs = table[m2], table[mul[m2][m]]
-            for a in range(n):
-                if row[a] == x and rhs[a] not in (None, v):
+    def assign(i, v):
+        """Set cell i to v and propagate; False on a conflict."""
+        queue = []
+
+        def force(j, w):
+            val[j] = w
+            pre[j // n][w].append(j % n)
+            trail.append(j)
+            queue.append(j)
+
+        force(i, v)
+        while queue:
+            i = queue.pop()
+            m, x = divmod(i, n)
+            v = val[i]
+            for ob, cb in inner[m]:             # (m2, a) = (m, x)
+                o, c = val[ob + v], val[cb + x]
+                if o is None:
+                    if c is not None:
+                        force(ob + v, c)
+                elif c is None:
+                    force(cb + x, o)
+                elif c != o:
                     return False
-        for m2, m1 in factors[m]:           # m2*m1 = m, a = x
-            y = table[m2][x]
-            if y is not None and table[m1][y] not in (None, v):
-                return False
+            for m2, cb in outer[m]:             # (m1, y) = (m, x)
+                for a in pre[m2][x]:
+                    c = val[cb + a]
+                    if c is None:
+                        force(cb + a, v)
+                    elif c != v:
+                        return False
+            for ib, ob in factors[m]:           # (m2*m1, a) = (m, x)
+                y = val[ib + x]
+                if y is not None:
+                    o = val[ob + y]
+                    if o is None:
+                        force(ob + y, v)
+                    elif o != v:
+                        return False
         return True
 
-    def lex_leader(depth):
-        """Fill alive[depth + 1]; False if some relabelling is smaller."""
+    def undo(mark):
+        while len(trail) > mark:
+            i = trail.pop()
+            pre[i // n][val[i]].pop()
+            val[i] = None
+
+    def lex_leader(alive):
+        """The relabellings still alive, or None if one is smaller."""
         survivors = []
-        for p, inverse, k in alive[depth]:
-            while k <= depth:
-                m, x = cells[k]
-                y = table[m][inverse[x]]
-                if y is None:
-                    survivors.append((p, inverse, k))
+        for p, image, k in alive:
+            while k < end:
+                y, t = val[image[k]], val[cells[k]]
+                if y is None or t is None:
+                    survivors.append((p, image, k))
                     break
-                if p[y] < table[m][x]:
-                    return False
-                if p[y] > table[m][x]:
+                if p[y] != t:
+                    if p[y] < t:
+                        return None
                     break           # p can never be smaller: drop it
                 k += 1
             else:
-                survivors.append((p, inverse, k))
-        alive[depth + 1] = survivors
-        return True
+                survivors.append((p, image, k))
+        return survivors
 
     out = []
-    depth = 0
-    while depth >= 0:
-        if depth == len(cells):
-            out.append(tuple(tuple(row) for row in table))
-            depth -= 1
-            continue
-        m, x = cells[depth]
-        v = 0 if table[m][x] is None else table[m][x] + 1
-        while v < n:
-            table[m][x] = v
-            if consistent(m, x, v) and lex_leader(depth):
-                break
-            v += 1
-        if v < n:
-            depth += 1
+    stack = []   # branch points: (cell index, value, trail mark, alive)
+    d = v = 0
+    while True:
+        while d < end and val[cells[d]] is not None:
+            d += 1
+        if d < end:
+            mark = len(trail)
+            while v < n:
+                if assign(cells[d], v):
+                    survivors = lex_leader(alive)
+                    if survivors is not None:
+                        break
+                undo(mark)
+                v += 1
+            if v < n:
+                stack.append((d, v, mark, alive))
+                alive, v = survivors, 0
+                continue
         else:
-            table[m][x] = None
-            depth -= 1
-    return out
+            out.append(tuple(tuple(val[m * n:(m + 1) * n])
+                             for m in range(size)))
+        if not stack:
+            return out
+        d, v, mark, alive = stack.pop()
+        undo(mark)
+        v += 1
 
 
 class ForestContext:
@@ -402,6 +471,25 @@ SMALL_BUDGET = ProbeBudget()
 TINY_BUDGET = ProbeBudget(2, 3, 2)
 
 
+class _HomMemo:
+    """The hom-sets of a context, each listed once.
+
+    Entries are keyed by the identities of the two objects, since hashing
+    an MSet would hash its whole table, and each entry holds both objects
+    so that neither identity can be reused while the memo lives.
+    """
+
+    def __init__(self, ctx):
+        self._hom = ctx.hom
+        self._homs = {}
+
+    def hom(self, a, c):
+        entry = self._homs.get((id(a), id(c)))
+        if entry is None:
+            entry = self._homs[id(a), id(c)] = (a, c, self._hom(a, c))
+        return entry[2]
+
+
 def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     """Bracket the small Ramsey degree of `a` inside a finite budget.
 
@@ -412,7 +500,8 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     lower room to rise; B ranges over those of size <= max_b_size.
     `ctx` provides `theory_degree_upper(a)` and, if that leaves room,
     `objects(a, max_size)`, both read off `a`: MSetContext provides both,
-    ChainContext's bound is 1, and ForestContext provides neither.
+    ChainContext's bound is 1, and ForestContext provides neither. Each
+    hom-set is listed once per probe, through a memo dropped on return.
     """
     upper, upper_src = ctx.theory_degree_upper(a)
     evidence = {"upper_source": upper_src, "defeats": []}
@@ -420,6 +509,7 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     if top <= 1:
         return DegreeProbe(1, upper, evidence)
     candidates = ctx.objects(a, budget.max_c_size)
+    ctx = _HomMemo(ctx)
     bs = [(b, len(ctx.hom(a, b))) for b in candidates
           if b.size <= budget.max_b_size]
     lower = 1

@@ -64,12 +64,17 @@ class WeakCoalgebra:
 
     ordered_mset: MSet
     lift: LexLift               # hat_E of the carrier chain
-    structure: tuple            # structure[a] = h as tuple of order ranks
     embedding: MSetMorphism     # the structure map as an order-embedding
 
     @property
     def carrier_chain(self):
         return self.ordered_mset.carrier_chain()
+
+    @property
+    def structure(self):
+        """structure[a] = h, the image of a, as a tuple of order ranks."""
+        return tuple(map(self.lift.functions.__getitem__,
+                         self.embedding.map))
 
 
 def mset_as_weak_coalgebra(a_star):
@@ -88,7 +93,7 @@ def mset_as_weak_coalgebra(a_star):
     table = tuple(lift.index[h] for h in structure)
     embedding = validate_morphism(a_star, lift.lifted, table,
                                   "order-embedding")
-    return WeakCoalgebra(a_star, lift, structure, embedding)
+    return WeakCoalgebra(a_star, lift, embedding)
 
 
 def phi(u, b_coalg):

@@ -8,53 +8,14 @@ from operator import itemgetter
 
 import pytest
 
+from cli_files import FILE, FILE_OPTIONS, with_file, write_files
 from msetramsey import cli, mset
 from msetramsey.cli import main
 
 
 @pytest.fixture
 def files(tmp_path):
-    def write(name, obj):
-        path = tmp_path / name
-        path.write_text(json.dumps(obj))
-        return str(path)
-
-    z2 = {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]]}
-    trivial = {"size": 1, "identity": 0, "table": [[0]]}
-    return {
-        "z2": write("z2.json", z2),
-        "trivial": write("trivial.json", trivial),
-        "bad_mset": write("bad_mset.json", {
-            "monoid": z2, "carrier": ["a", "b", "c"],
-            "action": [[0, 1, 2], [1, 2, 0]]}),
-        "swap": write("swap.json", {
-            "monoid": z2, "carrier": ["a1", "a2"],
-            "action": [[0, 1], [1, 0]], "order": ["a1", "a2"]}),
-        "fixed1": write("fixed1.json", {
-            "monoid": z2, "carrier": ["u"],
-            "action": [[0], [0]], "order": ["u"]}),
-        "fixed2": write("fixed2.json", {
-            "monoid": z2, "carrier": ["v0", "v1"],
-            "action": [[0, 1], [0, 1]], "order": ["v0", "v1"]}),
-        "pair": write("pair.json", {
-            "monoid": trivial, "carrier": ["a1", "a2"],
-            "action": [[0, 1]], "order": ["a1", "a2"]}),
-        "pair_unordered": write("pair_unordered.json", {
-            "monoid": trivial, "carrier": ["a1", "a2"],
-            "action": [[0, 1]]}),
-        "chain2": write("chain2.json", [0, 1]),
-        "chain3": write("chain3.json", [0, 1, 2]),
-        "chain5": write("chain5.json", [0, 1, 2, 3, 4]),
-        "chain6": write("chain6.json", [0, 1, 2, 3, 4, 5]),
-        "forest": write("forest.json", {
-            "carrier": ["x", "y", "z"],
-            "parent": {"x": "x", "y": "x", "z": "y"},
-            "order": ["x", "y", "z"]}),
-        "degrees": write("degrees.json", [
-            {"order": [0, 1], "degree": 1},
-            {"order": [1, 0], "degree": 1}]),
-        "tmp": tmp_path,
-    }
+    return dict(write_files(tmp_path), tmp=tmp_path)
 
 
 def run(capsys, argv):
@@ -819,45 +780,6 @@ def test_timing_flag_is_opt_in(capsys, files):
         + "\n"
 
 
-# Every file option of every subcommand, with the other options valid;
-# FILE marks the option under test.
-FILE = object()
-_FILE_OPTIONS = {
-    "validate-monoid": ["validate", "--monoid", FILE],
-    "validate-mset": ["validate", "--mset", FILE],
-    "validate-chain": ["validate", "--chain", FILE],
-    "validate-forest": ["validate", "--forest", FILE],
-    "validate-unary": ["validate", "--unary", FILE],
-    "laws-monoid": ["laws", "--functor", "monoid_action", "--size", "2",
-                    "--monoid", FILE],
-    "arrow-check-A": ["arrow-check", "--A", FILE, "--B", "chain3",
-                      "--C", "chain5", "-k", "2"],
-    "arrow-check-B": ["arrow-check", "--A", "chain2", "--B", FILE,
-                      "--C", "chain5", "-k", "2"],
-    "arrow-check-C": ["arrow-check", "--A", "chain2", "--B", "chain3",
-                      "--C", FILE, "-k", "2"],
-    "degree-probe-A": ["degree-probe", "--A", FILE, "--budget", "tiny"],
-    "transport-U": ["transport", "--U", FILE, "--V", "fixed2", "-k", "2"],
-    "transport-V": ["transport", "--U", "fixed1", "--V", FILE, "-k", "2"],
-    "bigramsey-A": ["bigramsey", "--A", FILE, "--N", "4", "--k", "2"],
-    "bigramsey-coloring": ["bigramsey", "--A", "pair", "--N", "4",
-                           "--k", "2", "--coloring", FILE],
-    "degree-bound-A": ["degree-bound", "--A", FILE,
-                       "--ordered-degrees", "degrees"],
-    "degree-bound-ordered-degrees": ["degree-bound", "--A", "pair_unordered",
-                                     "--ordered-degrees", FILE],
-    "forest-encode": ["forest", "--encode", FILE],
-    "forest-decode": ["forest", "--decode", FILE],
-}
-
-
-def _with_file(files, argv, path):
-    """`argv` with FILE replaced by `path` and file names by their paths;
-    the subcommand, argv[0], is kept as it is."""
-    return argv[:1] + [str(path) if arg is FILE else files.get(arg, arg)
-                       for arg in argv[1:]]
-
-
 @pytest.mark.parametrize("argv, digest", [
     (["degree-probe", "--ctx", "msets", "--A", "pair_unordered"], "57c4c390"),
     (["degree-probe", "--ctx", "ordered-msets", "--A", "swap"], "d37bbc15"),
@@ -868,18 +790,18 @@ def _with_file(files, argv, path):
         "laws-duplicate-free-list"])
 def test_report_bytes_are_pinned(capsys, files, argv, digest):
     """The report bytes, with the input directory masked."""
-    assert main(_with_file(files, argv, None)) == 0
+    assert main(with_file(files, argv, None)) == 0
     masked = capsys.readouterr().out.replace(str(files["tmp"]), "<tmp>")
     assert hashlib.sha256(masked.encode()).hexdigest()[:8] == digest
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
-@pytest.mark.parametrize("argv", _FILE_OPTIONS.values(), ids=_FILE_OPTIONS)
+@pytest.mark.parametrize("argv", FILE_OPTIONS.values(), ids=FILE_OPTIONS)
 def test_unreadable_input_path_exits_1_naming_it(capsys, files, argv, kind):
     path = files["tmp"] / kind
     if kind == "directory":
         path.mkdir()
-    code, report, err = run(capsys, _with_file(files, argv, path))
+    code, report, err = run(capsys, with_file(files, argv, path))
     assert code == 1 and report is None
     assert f"input error: cannot read {path}: " in err
     assert "Traceback" not in err
@@ -908,7 +830,7 @@ def test_unwritable_out_exits_1_naming_it_and_writes_nothing(
                  None, "bigramsey: A must carry an order, but {} has none",
                  id="bigramsey-unordered-A"),
     pytest.param(["validate", "--chain", FILE], "[0, 1",
-                 "{} is not valid JSON", id="not-json"),
+                 "{}: not valid JSON", id="not-json"),
     pytest.param(["validate", "--forest", FILE],
                  '{"carrier": ["x"], "parent": ["x"]}',
                  "{}: parent is a JSON object", id="parent-not-object"),
@@ -940,17 +862,17 @@ def test_unwritable_out_exits_1_naming_it_and_writes_nothing(
                              "order": ["c"]}),
                  "C ({}) lives over another monoid than A",
                  id="arrow-check-C-over-another-monoid"),
-    pytest.param(_FILE_OPTIONS["bigramsey-coloring"], "[0, 1, 0]",
+    pytest.param(FILE_OPTIONS["bigramsey-coloring"], "[0, 1, 0]",
                  "{}: coloring has 3 entries for 6 embeddings",
                  id="coloring-length"),
-    pytest.param(_FILE_OPTIONS["bigramsey-coloring"], "[0, 1, 0, 5, 0, 1]",
+    pytest.param(FILE_OPTIONS["bigramsey-coloring"], "[0, 1, 0, 5, 0, 1]",
                  "{}: coloring value 5 at index 3 is out of range for k = 2",
                  id="coloring-value"),
-    pytest.param(_FILE_OPTIONS["degree-bound-ordered-degrees"],
+    pytest.param(FILE_OPTIONS["degree-bound-ordered-degrees"],
                  '[{"order": [0, 1], "degree": null}, '
                  '{"order": [1, 0], "degree": 1}]',
                  "{}: no degree for ordering (0, 1)", id="degrees-null"),
-    pytest.param(_FILE_OPTIONS["degree-bound-ordered-degrees"] + ["--big"],
+    pytest.param(FILE_OPTIONS["degree-bound-ordered-degrees"] + ["--big"],
                  '[{"order": [0, 1], "degree": 1}, '
                  '{"order": [1, 0], "degree": 1}, '
                  '{"order": [5], "degree": 2}]',
@@ -961,7 +883,7 @@ def test_unwritable_out_exits_1_naming_it_and_writes_nothing(
                  '"carrier": [], "action": [[]], "order": []}',
                  "{}: the empty chain has no least element",
                  id="bigramsey-empty-A"),
-    pytest.param(_FILE_OPTIONS["degree-bound-A"] + ["--big"],
+    pytest.param(FILE_OPTIONS["degree-bound-A"] + ["--big"],
                  '{"monoid": {"size": 1, "identity": 0, "table": [[0]]}, '
                  '"carrier": [], "action": [[]]}',
                  "{}: the empty M-set has no least element",
@@ -974,10 +896,26 @@ def test_input_errors_exit_1_naming_the_file(capsys, files, argv, text,
     else:
         path = files["tmp"] / "input.json"
         path.write_text(text)
-    code, report, err = run(capsys, _with_file(files, argv, path))
+    code, report, err = run(capsys, with_file(files, argv, path))
     assert code == 1 and report is None
     assert f"input error: {message.format(path)}" in err
 
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe[1]", "not valid UTF-8: 'utf-8' codec can't decode byte "
+                     "0xff in position 0: invalid start byte"),
+    (b"\xef\xbb\xbf[1]", "not valid JSON: Unexpected UTF-8 BOM (decode "
+                         "using utf-8-sig): line 1 column 1 (char 0)"),
+], ids=["not-utf-8", "utf-8-bom"])
+def test_undecodable_input_exits_1_naming_the_file_once(capsys, files, data,
+                                                       message):
+    path = files["tmp"] / "bad.json"
+    path.write_bytes(data)
+    code, report, err = run(capsys, ["validate", "--chain", str(path)])
+    assert code == 1 and report is None
+    assert err == f"input error: {path}: {message}\n"
+    assert err.count(str(path)) == 1 and "Traceback" not in err
 
 # One content fault per loader, each raised below the loader's parser.
 _ONE_FAULT = {
@@ -998,8 +936,8 @@ _ONE_FAULT = {
 def test_a_content_error_names_its_file_once(capsys, files, option):
     path = files["tmp"] / "input.json"
     path.write_text(_ONE_FAULT[option])
-    code, report, err = run(capsys, _with_file(
-        files, _FILE_OPTIONS[option], path))
+    code, report, err = run(capsys, with_file(
+        files, FILE_OPTIONS[option], path))
     assert code == 1 and report is None
     assert err.startswith(f"input error: {path}: ")
     assert err.count(str(path)) == 1
@@ -1020,7 +958,7 @@ def test_unhashable_order_label_exits_1_naming_the_file(capsys, files, argv,
                                                         obj, label):
     path = files["tmp"] / "input.json"
     path.write_text(json.dumps(dict(obj, order=[label])))
-    code, report, err = run(capsys, _with_file(files, argv, path))
+    code, report, err = run(capsys, with_file(files, argv, path))
     assert code == 1 and report is None
     assert err == (f"input error: {path}: order label {label!r} is not in "
                    "the carrier\n")

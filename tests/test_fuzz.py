@@ -11,6 +11,7 @@ from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
+from cli_files import FILE_OPTIONS, with_file, write_files
 from msetramsey.bigramsey import lift_hom_size
 from msetramsey.cli import main
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
@@ -593,3 +594,29 @@ def test_validate_forest_exits_0_1_or_2_and_rejects_non_labels(case):
     files, argv, has_non_label = case
     code = _run_twice(files, argv, named=True)
     assert code == 1 or not has_non_label
+
+
+def _is_json_text(data):
+    try:
+        json.loads(data.decode("utf-8"))
+    except ValueError:   # UnicodeDecodeError and JSONDecodeError alike
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(FILE_OPTIONS)),
+       st.one_of(st.binary(), st.text().map(str.encode))
+       .filter(lambda data: not _is_json_text(data)))
+def test_bytes_that_are_not_json_exit_1_naming_the_file_once(option, data):
+    """Any file option given bytes that are not a UTF-8 JSON text, invalid
+    UTF-8 included; the other inputs are valid."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = with_file(write_files(tmp), FILE_OPTIONS[option], path)
+        code, out, err = _run(argv)
+    assert code == 1 and not out
+    assert err.startswith(f"input error: {path}: ") and err.count(path) == 1
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import weakref
 from dataclasses import replace
 from itertools import permutations, product
 
@@ -12,7 +13,7 @@ from msetramsey.errors import InputError
 from msetramsey.mset import MSet, validate_mset, with_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
-                               truncated_powers, z2)
+                               truncated_powers, validate_monoid, z2)
 from msetramsey.ramsey import (ChainContext, Coloring, ForestContext,
                                MSetContext, ProbeBudget, SMALL_BUDGET,
                                TINY_BUDGET,
@@ -380,14 +381,41 @@ def _brute_all_actions(monoid, n):
     return out
 
 
-@pytest.mark.parametrize("make", [
+BRUTE_MONOIDS = [
     trivial_monoid, z2, lambda: cyclic_group(3), lambda: chain_semilattice(3),
-    lambda: left_zero_monoid(2), lambda: truncated_powers(2)],
-    ids=["trivial", "z2", "cyclic3", "chain3", "left_zero2", "powers2"])
+    lambda: left_zero_monoid(2), lambda: truncated_powers(2),
+    lambda: truncated_powers(3), lambda: left_zero_monoid(3),
+    lambda: cyclic_group(4)]
+BRUTE_IDS = ["trivial", "z2", "cyclic3", "chain3", "left_zero2", "powers2",
+             "powers3", "left_zero3", "cyclic4"]
+
+
+@pytest.mark.parametrize("make", BRUTE_MONOIDS, ids=BRUTE_IDS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_all_actions_matches_bruteforce(make, n):
     monoid = make()
     assert _all_actions(monoid, n) == _brute_all_actions(monoid, n)
+
+
+def test_all_actions_on_every_three_element_monoid_table():
+    """Both listings against the brute force, n <= 3, for each of the 33
+    multiplication tables on {0, 1, 2} that make a monoid, whichever
+    element is the identity."""
+    monoids = []
+    for e in range(3):
+        for entries in product(range(3), repeat=9):
+            try:
+                monoids.append(validate_monoid(
+                    3, [entries[i:i + 3] for i in (0, 3, 6)], e))
+            except InputError:
+                pass
+    assert len(monoids) == 33
+    for monoid in monoids:
+        for n in range(4):
+            tables = _brute_all_actions(monoid, n)
+            assert _all_actions(monoid, n) == tables
+            assert _all_actions(monoid, n, one_per_class=True) == sorted(
+                {_canonical(t) for t in tables})
 
 
 @pytest.mark.parametrize("k, n, count", [(3, 4, 9), (3, 5, 21), (4, 4, 16)])
@@ -432,6 +460,14 @@ def _check_one_per_class(monoid):
         assert reps == sorted(set(reps))
         assert {_canonical(t) for t in _all_actions(monoid, n)} == set(reps)
     return listed
+
+
+@pytest.mark.parametrize("make", BRUTE_MONOIDS, ids=BRUTE_IDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_per_class_lists_the_canonical_forms_of_the_bruteforce(make, n):
+    monoid = make()
+    canonical = {_canonical(t) for t in _brute_all_actions(monoid, n)}
+    assert _all_actions(monoid, n, one_per_class=True) == sorted(canonical)
 
 
 @pytest.mark.parametrize("make", CLASS_MONOIDS, ids=CLASS_IDS)
@@ -648,6 +684,43 @@ def test_probe_fixed_pair_evidence(make, candidates):
         "defeats": [{"t": 1, "k": 2, "B_size": 2,
                      "candidates": candidates}]}
     assert calls == [SMALL_BUDGET.max_c_size]
+
+
+@pytest.mark.parametrize("make, candidates", [
+    (lambda: chain_semilattice(3), 14), (lambda: cyclic_group(3), 3),
+    (lambda: left_zero_monoid(2), 13)],
+    ids=["semilattice3", "cyclic3", "left-zero2"])
+def test_probe_lists_each_hom_set_once_and_keeps_none(monkeypatch, make,
+                                                      candidates):
+    """One MSetContext.hom call per (source, target) pair in a probe, with
+    the evidence of test_probe_fixed_pair_evidence; once the probe
+    returns, no candidate is kept alive."""
+    calls = []
+    hom = MSetContext.hom
+
+    def counting_hom(self, a, c):
+        calls.append((a, c))
+        return hom(self, a, c)
+    monkeypatch.setattr(MSetContext, "hom", counting_hom)
+    ctx = MSetContext()
+    refs = []
+
+    def objects(a, max_size):
+        listed = MSetContext.objects(ctx, a, max_size)
+        refs.extend(map(weakref.ref, listed))
+        return listed
+    ctx.objects = objects
+    m = make()
+    pair = validate_mset(m, (0, 1), [(0, 1)] * m.size)
+    probe = probe_small_degree(pair, ctx, budget=SMALL_BUDGET)
+    assert probe.evidence == {
+        "upper_source": "order_expansion_sum",
+        "defeats": [{"t": 1, "k": 2, "B_size": 2,
+                     "candidates": candidates}]}
+    pairs = [(id(a), id(c)) for a, c in calls]
+    assert len(pairs) == len(set(pairs)) > candidates
+    calls.clear()
+    assert refs and all(ref() is None for ref in refs)
 
 
 def test_probe_b_larger_than_every_candidate_c():
