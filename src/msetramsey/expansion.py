@@ -9,7 +9,7 @@ from dataclasses import replace
 from itertools import permutations
 
 from .errors import IncompleteFiber, NotAnEmbedding
-from .mset import check_equivariant, order_violation, with_order
+from .mset import check_equivariant, with_order
 
 
 def forget_order(a_star):
@@ -35,28 +35,16 @@ def restrict_along(b_star, e_map, a):
 
 
 def check_reasonable(instances):
-    """For each (e, A*, B): find B* in the fiber of B admitting e.
+    """For each (e, A*, B): is there a B* in the fiber of B admitting e?
 
     `instances` is an iterable of (e_map, a_star, b) triples where b is
-    the unordered target. Returns (True, None) or (False, witness). The
-    B* built below orders the image as e transports A*'s order, so it
-    admits e whenever any element of the fiber of B does: exactly when e
-    is injective.
+    the unordered target. Returns (True, None) or (False, the first
+    failing triple). Such a B* exists exactly when e is injective: the
+    image ordered as e transports A*'s order, and the rest after it,
+    admits e, and no order admits a map that identifies two points.
     """
     for e_map, a_star, b in instances:
-        image = set(e_map)
-        spos = a_star.positions
-        # place non-image elements after the (order-transported) image
-        rank = {}
-        for x in range(a_star.size):
-            rank[e_map[x]] = spos[x]
-        nxt = a_star.size
-        for y in range(b.size):
-            if y not in image:
-                rank[y] = nxt
-                nxt += 1
-        b_star = with_order(b, sorted(range(b.size), key=lambda y: rank[y]))
-        if order_violation(e_map, a_star, b_star) is not None:
+        if len(set(e_map)) != len(e_map):
             return False, (e_map, a_star, b)
     return True, None
 

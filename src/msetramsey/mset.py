@@ -114,10 +114,23 @@ def with_order(ms, order_indices=None):
 
 @dataclass(frozen=True)
 class MSetMorphism:
+    """A map of carriers. Its kind is read off the map and the objects:
+    between ordered M-sets only an increasing injective map is an
+    (order-)embedding, and a map between an ordered and an unordered
+    M-set is only a morphism."""
+
     source: MSet
     target: MSet
     map: tuple       # target index per source index
-    kind: str        # "morphism" | "embedding" | "order-embedding"
+
+    @property
+    def kind(self):
+        f, a, b = self.map, self.source, self.target
+        if len(set(f)) != len(f) or (a.order is None) != (b.order is None):
+            return "morphism"
+        if a.order is None:
+            return "embedding"
+        return "morphism" if order_violation(f, a, b) else "order-embedding"
 
 
 def check_equivariant(f_map, a, b):
@@ -143,26 +156,42 @@ def order_violation(f_map, source, target):
 
 
 def validate_morphism(source, target, f_map, kind="morphism"):
+    """The morphism source -> target with table `f_map`, checked against
+    the objects as the claimed `kind`: equivariant, and for an embedding
+    also injective and, between ordered M-sets, increasing. An
+    "order-embedding" also claims that the source is ordered."""
+    if kind not in ("morphism", "embedding", "order-embedding"):
+        raise InputError(f"unknown morphism kind {kind!r}")
     if source.monoid != target.monoid:
         raise MonoidMismatch("source and target live over different monoids")
+    ordered = source.order is not None
+    if kind != "morphism" and ordered != (target.order is not None):
+        raise MonoidMismatch("cannot mix ordered and unordered M-sets")
+    if kind == "order-embedding" and not ordered:
+        raise InputError("an order-embedding needs an ordered source")
+    f_map = tuple(f_map)
+    if len(f_map) != source.size:
+        raise InputError(f"map has length {len(f_map)}, but the source has "
+                         f"{source.size} elements")
+    for y in f_map:
+        if type(y) is not int or not 0 <= y < target.size:
+            raise InputError(f"map value {y!r} is not in range({target.size})")
     bad = check_equivariant(f_map, source, target)
     if bad is not None:
         raise InputError(f"map is not equivariant at (m, a) = {bad}")
-    if kind in ("embedding", "order-embedding"):
+    if kind != "morphism":
         if len(set(f_map)) != len(f_map):
             raise InputError("map is not injective")
-    if kind == "order-embedding":
-        bad = order_violation(f_map, source, target)
-        if bad is not None:
+        bad = ordered and order_violation(f_map, source, target)
+        if bad:
             raise InputError(f"map is not order-preserving at pair {bad}")
-    return MSetMorphism(source, target, tuple(f_map), kind)
+    return MSetMorphism(source, target, f_map)
 
 
 def enumerate_embeddings(a, b):
     """All embeddings a -> b (order-embeddings when both are ordered),
     as morphisms in the order of `embedding_maps`."""
-    kind = "order-embedding" if a.order is not None else "embedding"
-    return [MSetMorphism(a, b, f, kind) for f in embedding_maps(a, b)]
+    return [MSetMorphism(a, b, f) for f in embedding_maps(a, b)]
 
 
 def embedding_maps(a, b):
@@ -336,10 +365,7 @@ def generated_sub_mset(b, seed):
     back = {a: i for i, a in enumerate(keep)}
     action = tuple(tuple(back[b.act(m, a)] for a in keep)
                    for m in range(b.monoid.size))
-    order, kind = None, "embedding"
-    if b.order is not None:
-        pos = b.positions
-        order = tuple(sorted(range(len(keep)), key=lambda i: pos[keep[i]]))
-        kind = "order-embedding"
+    order = None if b.order is None else \
+        tuple(back[a] for a in b.order if a in back)
     sub = MSet(b.monoid, tuple(b.carrier[a] for a in keep), action, order)
-    return sub, MSetMorphism(sub, b, tuple(keep), kind)
+    return sub, MSetMorphism(sub, b, tuple(keep))

@@ -239,12 +239,6 @@ class ForestContext:
         return embedding_maps(forest_as_mset(a, m), forest_as_mset(c, m))
 
 
-def compose_map(w, f):
-    """(w . f)[x] = w[f[x]] for positional map tables; the reference
-    that composite_images is tested against."""
-    return tuple(w[x] for x in f)
-
-
 @dataclass
 class Coloring:
     colors: tuple

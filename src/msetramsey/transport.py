@@ -41,11 +41,10 @@ def hat_E_map(h_emb, lift_src, lift_dst):
     """hat_E on morphisms: post-composition with a chain embedding."""
     if h_emb.source != lift_src.base or h_emb.target != lift_dst.base:
         raise InputError("embedding endpoints do not match the lifts")
-    dst_index = lift_dst.index
-    table = tuple(dst_index[tuple(h_emb.map[v] for v in h)]
+    table = tuple(lift_dst.index[tuple(h_emb.map[v] for v in h)]
                   for h in lift_src.functions)
     return validate_morphism(lift_src.lifted, lift_dst.lifted, table,
-                             "order-embedding")
+                             "embedding")
 
 
 def hat_delta(lift):
@@ -84,15 +83,11 @@ def mset_as_weak_coalgebra(a_star):
     chain. Its equivariance, alpha(g.a) = gamma(g, alpha(a)), is the
     weak-EM comultiplication square hat_delta . alpha = hat_E(alpha) . alpha.
     """
-    m = a_star.monoid
-    lift = hat_E(a_star.carrier_chain(), m)
+    lift = hat_E(a_star.carrier_chain(), a_star.monoid)
     pos = a_star.positions
-    structure = tuple(
-        tuple(pos[a_star.act(g, a)] for g in range(m.size))
-        for a in range(a_star.size))
-    table = tuple(lift.index[h] for h in structure)
-    embedding = validate_morphism(a_star, lift.lifted, table,
-                                  "order-embedding")
+    table = tuple(lift.index[tuple(pos[row[a]] for row in a_star.action)]
+                  for a in range(a_star.size))
+    embedding = validate_morphism(a_star, lift.lifted, table, "embedding")
     return WeakCoalgebra(a_star, lift, embedding)
 
 
@@ -105,12 +100,11 @@ def phi(u, b_coalg):
     """
     if u.source != b_coalg.carrier_chain:
         raise InputError("u must start at the coalgebra's carrier chain")
-    m = b_coalg.ordered_mset.monoid
-    lift_c = hat_E(u.target, m)
-    values = tuple(tuple(u.map[r] for r in h) for h in b_coalg.structure)
-    table = tuple(lift_c.index[v] for v in values)
+    lift_c = hat_E(u.target, b_coalg.ordered_mset.monoid)
+    table = tuple(lift_c.index[tuple(u.map[r] for r in h)]
+                  for h in b_coalg.structure)
     mor = validate_morphism(b_coalg.ordered_mset, lift_c.lifted, table,
-                            "order-embedding")
+                            "embedding")
     return mor, lift_c
 
 
@@ -125,8 +119,7 @@ def check_PA(u, f_map, a_coalg, b_coalg):
     # f as a chain embedding between the carrier chains
     chain_f = ChainEmbedding(
         a_coalg.carrier_chain, b_coalg.carrier_chain,
-        tuple(bpos[f_map[a_coalg.ordered_mset.order[r]]]
-              for r in range(a_coalg.ordered_mset.size)))
+        tuple(bpos[f_map[x]] for x in a_coalg.ordered_mset.order))
     phi_a, _ = phi(u.compose(chain_f), a_coalg)
     lhs = tuple(phi_b.map[f_map[x]] for x in range(a_coalg.ordered_mset.size))
     if lhs != phi_a.map:

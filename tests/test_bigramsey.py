@@ -70,7 +70,7 @@ def test_pi_star_collapsing_epsilon_values():
     lift = hat_E(omega(6), z2())
     h1 = lift.index[(3, 2)]
     h2 = lift.index[(3, 5)]
-    f = MSetMorphism(a, lift.lifted, (h1, h2), "morphism")
+    f = MSetMorphism(a, lift.lifted, (h1, h2))
     rec = pi_star(f, lift)
     assert rec.rho_blocks == ((0, 1),)
     assert rec.subchain.labels == ("a1",)
@@ -82,11 +82,11 @@ def test_pi_star_rejects_nonmonotone_and_noninjective():
     a = _swap_pair()
     lift = hat_E(omega(6), z2())
     f = MSetMorphism(a, lift.lifted,
-                     (lift.index[(4, 0)], lift.index[(1, 2)]), "morphism")
+                     (lift.index[(4, 0)], lift.index[(1, 2)]))
     with pytest.raises(NotAnEmbedding):
         pi_star(f, lift)
     g = MSetMorphism(a, lift.lifted,
-                     (lift.index[(1, 2)], lift.index[(1, 2)]), "morphism")
+                     (lift.index[(1, 2)], lift.index[(1, 2)]))
     with pytest.raises(NotAnEmbedding):
         pi_star(g, lift)
 

@@ -1,5 +1,6 @@
 """Order expansions: fibers, restrictions, reasonableness, degree sums."""
 
+from itertools import product
 from math import factorial
 
 import pytest
@@ -8,8 +9,8 @@ from msetramsey.errors import IncompleteFiber, NotAnEmbedding
 from msetramsey.expansion import (check_reasonable, degree_sum_bound, fibers,
                                   forget_order, restrict_along)
 from msetramsey.monoid import trivial_monoid, z2
-from msetramsey.mset import (enumerate_embeddings, order_violation,
-                             validate_mset, with_order)
+from msetramsey.mset import (check_equivariant, enumerate_embeddings,
+                             order_violation, validate_mset, with_order)
 
 
 def _trivial_set(n, order=None):
@@ -77,7 +78,34 @@ def test_restriction_uniqueness_fiber_sweep(monoid, every_mset):
     assert checked > 0
 
 
+def _reference_reasonable(instances):
+    """check_reasonable's former construction: for each (e, A*, B), order
+    B with the image first, ranked as e transports A*'s order, and the
+    rest after it; then ask whether e is an order-embedding into it."""
+    for e_map, a_star, b in instances:
+        image = set(e_map)
+        spos = a_star.positions
+        rank = {}
+        for x in range(a_star.size):
+            rank[e_map[x]] = spos[x]
+        nxt = a_star.size
+        for y in range(b.size):
+            if y not in image:
+                rank[y] = nxt
+                nxt += 1
+        b_star = with_order(b, sorted(range(b.size), key=lambda y: rank[y]))
+        if order_violation(e_map, a_star, b_star) is not None:
+            return False, (e_map, a_star, b)
+    return True, None
+
+
 def test_check_reasonable_exhaustive_small(every_mset):
+    """Every equivariant map e between M-sets of at most 3 elements, with
+    every ordering A* of its source: check_reasonable agrees with the
+    reference construction and with a sweep over the fiber of B, one
+    instance at a time and on the whole list. The non-injective maps
+    reach the (False, witness) answer."""
+    refuted = 0
     for monoid in (trivial_monoid(), z2()):
         objs = every_mset(monoid, 3)
         instances = []
@@ -86,10 +114,23 @@ def test_check_reasonable_exhaustive_small(every_mset):
                 continue
             for b in objs:
                 for a_star in fibers(a):
-                    for e in enumerate_embeddings(a, b):
-                        instances.append((e.map, a_star, b))
-        ok, witness = check_reasonable(instances)
-        assert ok and witness is None
+                    for e in product(range(b.size), repeat=a.size):
+                        if check_equivariant(e, a, b) is None:
+                            instances.append((e, a_star, b))
+        for inst in instances:
+            e_map, a_star, b = inst
+            admitted = any(order_violation(e_map, a_star, b_star) is None
+                           for b_star in fibers(b))
+            expected = (True, None) if admitted else (False, inst)
+            assert check_reasonable([inst]) == expected
+            assert _reference_reasonable([inst]) == expected
+            refuted += not admitted
+        first_bad = next(((False, inst) for inst in instances
+                          if len(set(inst[0])) < len(inst[0])), (True, None))
+        assert not first_bad[0]
+        assert check_reasonable(instances) == first_bad
+        assert _reference_reasonable(instances) == first_bad
+    assert refuted > 0
 
 
 def test_degree_sum_bound():

@@ -136,6 +136,88 @@ def test_validate_morphism_kinds():
     b = validate_mset(trivial_monoid(), ("a",), [[0]])
     with pytest.raises(MonoidMismatch):
         validate_morphism(a, b, (0, 0))
+    # between ordered M-sets an embedding is an order-embedding
+    with pytest.raises(InputError, match="not order-preserving"):
+        validate_morphism(a, a, (1, 0), "embedding")
+    assert validate_morphism(a, a, (0, 1), "embedding").kind == \
+        "order-embedding"
+    assert validate_morphism(a, a, (1, 0)).kind == "morphism"
+    with pytest.raises(InputError, match="unknown morphism kind 'embeding'"):
+        validate_morphism(a, a, (1, 0), "embeding")
+    unordered = swap_pair(ordered=False)
+    for kind in ("embedding", "order-embedding"):
+        for s, t in ((a, unordered), (unordered, a)):
+            with pytest.raises(MonoidMismatch,
+                               match="cannot mix ordered and unordered"):
+                validate_morphism(s, t, (0, 1), kind)
+    with pytest.raises(InputError, match="needs an ordered source"):
+        validate_morphism(unordered, unordered, (0, 1), "order-embedding")
+    assert validate_morphism(unordered, unordered, (1, 0),
+                             "embedding").kind == "embedding"
+    for f_map in ((0, 1, 0), (0,), ()):
+        with pytest.raises(InputError, match=f"map has length {len(f_map)},"):
+            validate_morphism(unordered, unordered, f_map)
+    for f_map in ((5, 0), (0, -1), (0, 1.0), (True, 0)):
+        with pytest.raises(InputError, match="is not in range\\(2\\)"):
+            validate_morphism(unordered, unordered, f_map)
+
+
+def _reference_accepts(a, b, f, kind):
+    """Whether f is a morphism a -> b of `kind`, from the definitions:
+    equivariant; an embedding is also injective and, when ordered,
+    increasing along a's order."""
+    equivariant = all(f[a.action[m][x]] == b.action[m][f[x]]
+                      for m in range(a.monoid.size) for x in range(a.size))
+    if kind == "morphism":
+        return equivariant
+    injective = len(set(f)) == len(f)
+    increasing = a.order is None or all(
+        b.positions[f[x]] < b.positions[f[y]]
+        for x, y in zip(a.order, a.order[1:]))
+    return equivariant and injective and increasing
+
+
+@pytest.mark.parametrize("monoid", [trivial_monoid(), z2()])
+def test_validate_morphism_matches_reference(monoid, every_mset):
+    """Every map between M-sets of at most 3 elements, ordered and
+    unordered: each claim is accepted exactly when the reference
+    accepts it, the result's kind is the strongest claim accepted, and
+    the maps accepted as "embedding" are embedding_maps(a, b)."""
+    unordered = every_mset(monoid, 3)
+    objs = unordered + [with_order(x, p) for x in unordered
+                        for p in permutations(range(x.size))]
+    kinds = set()
+    for a in objs:
+        for b in objs:
+            mixed = (a.order is None) != (b.order is None)
+            embeddings = []
+            for f in product(range(b.size), repeat=a.size):
+                for kind in ("morphism", "embedding", "order-embedding"):
+                    if kind != "morphism" and mixed:
+                        with pytest.raises(MonoidMismatch):
+                            validate_morphism(a, b, f, kind)
+                        continue
+                    if kind == "order-embedding" and a.order is None:
+                        with pytest.raises(InputError):
+                            validate_morphism(a, b, f, kind)
+                        continue
+                    if not _reference_accepts(a, b, f, kind):
+                        with pytest.raises(InputError):
+                            validate_morphism(a, b, f, kind)
+                        continue
+                    mor = validate_morphism(a, b, f, kind)
+                    assert mor.map == f
+                    best = "morphism"
+                    if not mixed and _reference_accepts(a, b, f, "embedding"):
+                        best = "embedding" if a.order is None \
+                            else "order-embedding"
+                    assert mor.kind == best
+                    kinds.add(best)
+                    if kind == "embedding":
+                        embeddings.append(f)
+            if not mixed:
+                assert embeddings == embedding_maps(a, b)
+    assert kinds == {"morphism", "embedding", "order-embedding"}
 
 
 def _bruteforce_embeddings(a, b):

@@ -19,17 +19,12 @@ from msetramsey.ramsey import (ChainContext, Coloring, ForestContext,
                                TINY_BUDGET,
                                _all_actions, _search_bad_coloring,
                                coloring_is_bad, composite_images,
-                               compose_map, find_witness, holds_arrow,
-                               probe_small_degree)
+                               find_witness, holds_arrow, probe_small_degree)
 
 
 def _point(monoid, ordered=False):
     """The one-point M-set over `monoid`."""
     return MSet(monoid, (0,), ((0,),) * monoid.size, (0,) if ordered else None)
-
-
-def test_compose_map_is_pointwise():
-    assert compose_map((3, 4, 5), (0, 2)) == (3, 5)
 
 
 def test_coloring_validates_range():
@@ -74,6 +69,16 @@ def _small_objects(ctx_name):
                                    tuple(order) if ordered else None))
         families.append(family)
     return MSetContext(), families
+
+
+def compose_map(w, f):
+    """(w . f)[x] = w[f[x]] for positional map tables; the reference
+    that composite_images is tested against."""
+    return tuple(w[x] for x in f)
+
+
+def test_compose_map_is_pointwise():
+    assert compose_map((3, 4, 5), (0, 2)) == (3, 5)
 
 
 @pytest.mark.parametrize("ctx_name", ["chains", "msets", "ordered-msets",
