@@ -8,8 +8,8 @@ not merged), matching the sum the degree bounds are stated over.
 from dataclasses import replace
 from itertools import permutations
 
-from .errors import IncompleteFiber, NotAnEmbedding
-from .mset import check_equivariant, with_order
+from .errors import IncompleteFiber, InputError, NotAnEmbedding
+from .mset import validate_morphism, with_order
 
 
 def forget_order(a_star):
@@ -28,10 +28,14 @@ def restrict_along(b_star, e_map, a):
     since e is injective, pulling B*'s order back along it gives a total
     order on A that e preserves, and any other order of A breaks it.
     """
-    if len(set(e_map)) != len(e_map) or check_equivariant(e_map, a, b_star):
-        raise NotAnEmbedding("map is not an embedding of M-sets")
+    if b_star.order is None:
+        raise InputError("restricting needs an ordered B*")
+    try:
+        e = validate_morphism(a, forget_order(b_star), e_map, "embedding")
+    except InputError as exc:
+        raise NotAnEmbedding(f"e: A -> forget(B*): {exc}") from None
     tpos = b_star.positions
-    return with_order(a, sorted(range(a.size), key=lambda x: tpos[e_map[x]]))
+    return with_order(a, sorted(range(a.size), key=lambda x: tpos[e.map[x]]))
 
 
 def check_reasonable(instances):

@@ -12,7 +12,6 @@ from itertools import product
 
 from .comonad import Coalgebra, DistinctListFunctor
 from .errors import InputError, NotAForest, NotPathShaped
-from .mset import MSet
 
 
 @dataclass(frozen=True)
@@ -73,23 +72,6 @@ def root_path(forest, i):
     while forest.parent[path[-1]] != path[-1]:
         path.append(forest.parent[path[-1]])
     return tuple(path)
-
-
-def height(forest):
-    """The most parent steps any vertex takes to reach its root."""
-    return max((len(root_path(forest, i)) - 1 for i in range(forest.size)),
-               default=0)
-
-
-def forest_as_mset(forest, monoid):
-    """The forest as an M-set over truncated_powers(d), d >= its height.
-
-    p^i acts as the parent map iterated i times; the order is the forest's.
-    """
-    rows = [tuple(range(forest.size))]
-    for _ in range(1, monoid.size):
-        rows.append(tuple(forest.parent[x] for x in rows[-1]))
-    return MSet(monoid, forest.carrier, tuple(rows), forest.order)
 
 
 def encode_forest(forest):

@@ -5,7 +5,6 @@ lexicographic lift machinery depends on that and nothing else.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .errors import BadIdentity, InputError, NotAssociative
@@ -81,7 +80,6 @@ def chain_semilattice(n):
     return validate_monoid(n, table, 0)
 
 
-@lru_cache(maxsize=None)  # validation outweighs a small forest hom-set
 def truncated_powers(d):
     """The monogenic monoid {1, p, ..., p^d} with p^i * p^j = p^min(i+j, d).
 

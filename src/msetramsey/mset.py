@@ -27,13 +27,10 @@ class MSet:
     positions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        positions = None
-        if self.order is not None:
-            if sorted(self.order) != list(range(self.size)):
-                raise InputError("order is not a permutation of the carrier")
-            positions = tuple(sorted(range(self.size),
-                                     key=self.order.__getitem__))
-        object.__setattr__(self, "positions", positions)
+        if self.order is not None and \
+                sorted(self.order) != list(range(self.size)):
+            raise InputError("order is not a permutation of the carrier")
+        object.__setattr__(self, "positions", _ranks(self.order))
 
     @property
     def size(self):
@@ -53,6 +50,12 @@ class MSet:
         if self.order is not None:
             d["order"] = [self.carrier[a] for a in self.order]
         return d
+
+
+def _ranks(order):
+    """ranks[x] = the place of x in `order`; None without an order."""
+    return None if order is None else \
+        tuple(sorted(range(len(order)), key=order.__getitem__))
 
 
 def validate_mset(monoid, carrier, action, order=None):
@@ -196,30 +199,38 @@ def enumerate_embeddings(a, b):
 
 def embedding_maps(a, b):
     """The maps (target index per source index) of all embeddings a -> b,
-    order-embeddings when both are ordered.
-
-    Sending x to y forces exactly m.x -> m.y for m in M, since the orbit
-    of m.x lies inside the orbit of x; one pass over M places it. The
-    least unmapped element is branched on with ascending targets, so the
-    maps come out in lexicographic order. When ordered, only the targets
-    between the images of its nearest assigned neighbours are tried.
-    """
-    ordered = a.order is not None
-    if ordered != (b.order is not None):
-        raise MonoidMismatch("cannot mix ordered and unordered M-sets")
+    order-embeddings when both are ordered: `_embeddings_along` the
+    action rows, which hold the identity and are closed under composition."""
     if a.monoid != b.monoid:
         raise MonoidMismatch("source and target live over different monoids")
-    n, msize = a.size, a.monoid.size
-    if ordered:
-        spos, tpos = a.positions, b.positions
+    return _embeddings_along(tuple(zip(a.action, b.action)), a.positions,
+                             b.positions, b.order)
+
+
+def _embeddings_along(rows, spos, tpos, b_order):
+    """The injective maps f with f(r(x)) = s(f(x)) for every row pair
+    (r, s); when the `_ranks` `spos` and `tpos` of both sides are given,
+    the increasing ones (`b_order` lists the target in increasing order).
+
+    Each side's rows must hold its identity and be closed under
+    composition: then sending x to y forces exactly r(x) -> s(y) for
+    each pair, and one pass over the rows places them. The least
+    unmapped element is branched on with ascending targets, so the maps
+    come out in lexicographic order; when ordered, only the targets
+    between the images of its nearest assigned neighbours are tried.
+    """
+    ordered = spos is not None
+    if ordered != (tpos is not None):
+        raise MonoidMismatch("cannot mix ordered and unordered M-sets")
+    n, bsize = len(rows[0][0]), len(rows[0][1])
     results = []
     assign = [-1] * n
-    used = [False] * b.size
+    used = [False] * bsize
 
     def place(x, y, trail):
-        """Send m.x to m.y for every m in M; False on a clash."""
-        for m in range(msize):
-            xm, ym = a.action[m][x], b.action[m][y]
+        """Send r(x) to s(y) for every row pair; False on a clash."""
+        for r, s in rows:
+            xm, ym = r[x], s[y]
             if assign[xm] == ym:
                 continue
             if assign[xm] != -1 or used[ym]:
@@ -241,11 +252,11 @@ def embedding_maps(a, b):
         if x == n:
             results.append(tuple(assign))
             return
-        targets = range(b.size)
+        targets = range(bsize)
         if ordered:
             # x's image lies strictly between those of its nearest
             # assigned neighbours in source order
-            lo, hi = -1, b.size
+            lo, hi = -1, bsize
             for z in range(n):
                 if assign[z] != -1:
                     t = tpos[assign[z]]
@@ -253,8 +264,8 @@ def embedding_maps(a, b):
                         lo = max(lo, t)
                     else:
                         hi = min(hi, t)
-            if hi - lo - 1 < b.size:
-                targets = sorted(b.order[lo + 1:hi])
+            if hi - lo - 1 < bsize:
+                targets = sorted(b_order[lo + 1:hi])
         for y in targets:
             trail = []
             if place(x, y, trail):

@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, count, permutations
 
 from .errors import _SearchCapReached
-from .forests import forest_as_mset, height
-from .monoid import truncated_powers
-from .mset import MSet, _getter, embedding_maps
+from .mset import MSet, _embeddings_along, _getter, _ranks, embedding_maps
 
 DEFAULT_SEARCH_CAP = 10 ** 6
 
@@ -232,11 +230,17 @@ def _all_actions(monoid, n, one_per_class=False):
 
 
 class ForestContext:
-    """Hom-sets of (ordered) rooted forests: injective parent-preserving maps."""
+    """Hom-sets of (ordered) rooted forests: injective parent-preserving
+    maps, `_embeddings_along` the rows identity, parent, parent^2, ... of
+    both forests, which stop changing at the larger height."""
 
     def hom(self, a, c):
-        m = truncated_powers(max(height(a), height(c)))
-        return embedding_maps(forest_as_mset(a, m), forest_as_mset(c, m))
+        rows = [(tuple(range(a.size)), tuple(range(c.size)))]
+        while (step := tuple(tuple(map(p.__getitem__, row)) for p, row in
+                             zip((a.parent, c.parent), rows[-1]))) != rows[-1]:
+            rows.append(step)
+        return _embeddings_along(rows, _ranks(a.order), _ranks(c.order),
+                                 c.order)
 
 
 @dataclass

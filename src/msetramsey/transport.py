@@ -61,13 +61,12 @@ def hat_delta(lift):
 class WeakCoalgebra:
     """An ordered M-set together with its structure map into hat_E."""
 
-    ordered_mset: MSet
     lift: LexLift               # hat_E of the carrier chain
-    embedding: MSetMorphism     # the structure map as an order-embedding
+    embedding: MSetMorphism     # the structure map, from the M-set
 
     @property
     def carrier_chain(self):
-        return self.ordered_mset.carrier_chain()
+        return self.embedding.source.carrier_chain()
 
     @property
     def structure(self):
@@ -88,7 +87,7 @@ def mset_as_weak_coalgebra(a_star):
     table = tuple(lift.index[tuple(pos[row[a]] for row in a_star.action)]
                   for a in range(a_star.size))
     embedding = validate_morphism(a_star, lift.lifted, table, "embedding")
-    return WeakCoalgebra(a_star, lift, embedding)
+    return WeakCoalgebra(lift, embedding)
 
 
 def phi(u, b_coalg):
@@ -100,11 +99,11 @@ def phi(u, b_coalg):
     """
     if u.source != b_coalg.carrier_chain:
         raise InputError("u must start at the coalgebra's carrier chain")
-    lift_c = hat_E(u.target, b_coalg.ordered_mset.monoid)
+    b = b_coalg.embedding.source
+    lift_c = hat_E(u.target, b.monoid)
     table = tuple(lift_c.index[tuple(u.map[r] for r in h)]
                   for h in b_coalg.structure)
-    mor = validate_morphism(b_coalg.ordered_mset, lift_c.lifted, table,
-                            "embedding")
+    mor = validate_morphism(b, lift_c.lifted, table, "embedding")
     return mor, lift_c
 
 
@@ -115,13 +114,13 @@ def check_PA(u, f_map, a_coalg, b_coalg):
     read as a chain embedding between carrier chains.
     """
     phi_b, _ = phi(u, b_coalg)
-    bpos = b_coalg.ordered_mset.positions
+    a, b = a_coalg.embedding.source, b_coalg.embedding.source
     # f as a chain embedding between the carrier chains
     chain_f = ChainEmbedding(
         a_coalg.carrier_chain, b_coalg.carrier_chain,
-        tuple(bpos[f_map[x]] for x in a_coalg.ordered_mset.order))
+        tuple(b.positions[f_map[x]] for x in a.order))
     phi_a, _ = phi(u.compose(chain_f), a_coalg)
-    lhs = tuple(phi_b.map[f_map[x]] for x in range(a_coalg.ordered_mset.size))
+    lhs = tuple(phi_b.map[f_map[x]] for x in range(a.size))
     if lhs != phi_a.map:
         return False, None
     return True, f_map

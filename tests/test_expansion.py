@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from msetramsey.errors import IncompleteFiber, NotAnEmbedding
+from msetramsey.errors import IncompleteFiber, InputError, NotAnEmbedding
 from msetramsey.expansion import (check_reasonable, degree_sum_bound, fibers,
                                   forget_order, restrict_along)
 from msetramsey.monoid import trivial_monoid, z2
@@ -56,6 +56,26 @@ def test_restrict_along_rejects_non_embeddings():
                                           [(0, 1), (0, 1)]), (0, 1))
     with pytest.raises(NotAnEmbedding):
         restrict_along(fixed_star, (0, 1), swap)
+
+
+def test_restrict_along_rejects_malformed_inputs():
+    """Each input that used to end in a traceback, or was accepted, is an
+    InputError that names the problem."""
+    a, b_star = _trivial_set(2), _trivial_set(3, (0, 1, 2))
+    over_z2 = validate_mset(z2(), (0, 1), [(0, 1), (0, 1)])
+    cases = [
+        (b_star, (0,), a, "map has length 1, but the source has 2"),
+        (b_star, (0, 5), a, r"map value 5 is not in range\(3\)"),
+        (b_star, (0, 1, 2), a, "map has length 3, but the source has 2"),
+        (forget_order(b_star), (0, 1), a, "needs an ordered B"),
+        (b_star, (0, 1), over_z2, "different monoids"),
+        (with_order(validate_mset(z2(), (0, 1, 2), [(0, 1, 2)] * 2)),
+         (0, 1), a, "different monoids"),
+        (b_star, (0, 1), _trivial_set(2, (0, 1)), "cannot mix ordered"),
+    ]
+    for b, e_map, source, message in cases:
+        with pytest.raises(InputError, match=message):
+            restrict_along(b, e_map, source)
 
 
 @pytest.mark.parametrize("monoid", [trivial_monoid(), z2()])

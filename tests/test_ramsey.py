@@ -612,6 +612,23 @@ def test_forest_context_hom_matches_bruteforce(ordered):
         for a in enumerate_forests(n, ordered=ordered):
             for c in targets:
                 assert ctx.hom(a, c) == _brute_forest_homs(a, c, ordered)
+    if not ordered:
+        return
+    # orders other than the identity, so that order and position differ
+    rng = random.Random(27)
+
+    def shuffled(f):
+        return replace(f, order=tuple(rng.sample(range(f.size), f.size)))
+
+    nonempty = 0
+    for n in range(4):
+        for a in enumerate_forests(n):
+            for c in targets:
+                a_star, c_star = shuffled(a), shuffled(c)
+                homs = ctx.hom(a_star, c_star)
+                assert homs == _brute_forest_homs(a_star, c_star, True)
+                nonempty += bool(homs)
+    assert nonempty > 500
 
 
 def test_probe_small_degree_point_mset():
