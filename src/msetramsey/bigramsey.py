@@ -282,10 +282,9 @@ def _max_mono_subset(points, arity, colors, cap=None):
     return [points[i] for i in best]
 
 
-def _color_flags(colors):
-    """Per color, in increasing order: ASCII 0/1 flags of the entries of
-    `colors` that equal it, as bytes int(..., 2) reads."""
-    palette = sorted(set(colors))
+def _color_flags(colors, palette):
+    """Per color of the sorted `palette`: ASCII 0/1 flags of the entries
+    of `colors` that equal it, as bytes int(..., 2) reads."""
     if palette[-1] < 256:
         raw = bytes(colors)
         for c in palette:
@@ -381,13 +380,26 @@ def _clique_number(adj, anti, cand, best, nodes, cap, stop=None):
     return best, nodes
 
 
+def _pair_graphs(n, colors):
+    """Per color, in increasing order: the neighbor and non-neighbor
+    bitmasks of its graph. With exactly two colors the second graph is
+    the complement of the first, so its masks are the first's swapped."""
+    full = (1 << n) - 1
+    palette = sorted(set(colors))
+    for flags in _color_flags(colors, palette):
+        adj = _pair_adjacency(n, flags)
+        anti = [full ^ row ^ (1 << v) for v, row in enumerate(adj)]
+        yield adj, anti
+        if len(palette) == 2:
+            yield anti, adj
+            return
+
+
 def _max_mono_pairs(n, colors, cap):
     """The two-phase search of _max_mono_subset for arity 2."""
     full = (1 << n) - 1
     best, graph, nodes = 1, None, 0
-    for flags in _color_flags(colors):
-        adj = _pair_adjacency(n, flags)
-        anti = [full ^ row ^ (1 << v) for v, row in enumerate(adj)]
+    for adj, anti in _pair_graphs(n, colors):
         lower = max(best, len(_greedy_clique(adj, full)))
         value, nodes = _clique_number(adj, anti, full, lower, nodes, cap)
         if value > best:
@@ -415,6 +427,22 @@ def _max_mono_pairs(n, colors, cap):
                 cand = rest
 
 
+def _run_masks(n, colors, runs):
+    """Per color, in increasing order: the mask of each run (lo, start,
+    stop) of the reversed flags, shifted to its points lo..n-1. With
+    exactly two colors each run's second mask is its full mask XOR the
+    first."""
+    palette = sorted(set(colors))
+    for flags in _color_flags(colors, palette):
+        flags = flags[::-1]
+        masks = [int(flags[start:stop], 2) << lo for lo, start, stop in runs]
+        yield masks
+        if len(palette) == 2:
+            yield [m ^ ((1 << n) - (1 << lo))
+                   for m, (lo, _, _) in zip(masks, runs)]
+            return
+
+
 def _max_mono_hyperedges(n, arity, colors, cap):
     """The loop-form search of _max_mono_subset for arity >= 3."""
     r = arity - 1
@@ -431,10 +459,8 @@ def _max_mono_hyperedges(n, arity, colors, cap):
     runs = [run[1:] for run in sorted(zip(ranks, los, ends[1:], ends))]
     no_runs = [0] * math.comb(n - 1, r - 1)
     best, nodes = [], 0
-    for flags in _color_flags(colors):
-        flags = flags[::-1]
-        masks = [int(flags[start:stop], 2) << lo
-                 for lo, start, stop in runs] + no_runs
+    for run_masks in _run_masks(n, colors, runs):
+        masks = run_masks + no_runs
         # upper[d][j - 2]: the colex ranks of the j-subsets of chosen[:d]
         # for 2 <= j < r, built when depth d first branches; a point is
         # the colex rank of its 1-subset

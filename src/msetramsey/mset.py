@@ -8,8 +8,8 @@ is the same engine with the order checks disabled.
 """
 
 from dataclasses import dataclass, field, replace
-from itertools import product
-from operator import itemgetter
+from itertools import accumulate, product
+from operator import itemgetter, or_
 
 from .chains import Chain
 from .errors import (CompositionFails, IdentityAxiomFails, InputError,
@@ -216,8 +216,19 @@ def _embeddings_along(rows, spos, tpos, b_order):
     composition: then sending x to y forces exactly r(x) -> s(y) for
     each pair, and one pass over the rows places them. The least
     unmapped element is branched on with ascending targets, so the maps
-    come out in lexicographic order; when ordered, only the targets
-    between the images of its nearest assigned neighbours are tried.
+    come out in lexicographic order.
+
+    When ordered, the targets tried for x come from bitset candidate
+    domains (McCreesh, Prosser & Trimble 2020). A row pair (r, s) whose
+    r(x) is unplaced keeps the y whose s(y) lies strictly between the
+    images of r(x)'s nearest placed neighbours in source order, read off
+    the row's table below[t] (the y whose s(y) sits below position t),
+    built on the row's first use in the call; these domains intersect.
+    A row whose r(x) is placed fixes s(y) to r(x)'s image, so it is
+    checked on each surviving y with no table. Every image a tried y
+    forces is then ordered against those placed before, so placing it
+    checks order only among the images it places itself. The unordered
+    search tries every target.
     """
     ordered = spos is not None
     if ordered != (tpos is not None):
@@ -236,15 +247,59 @@ def _embeddings_along(rows, spos, tpos, b_order):
             if assign[xm] != -1 or used[ym]:
                 return False
             if ordered:
-                for z in range(n):
-                    if assign[z] == -1:
-                        continue
-                    if (spos[z] < spos[xm]) != (tpos[assign[z]] < tpos[ym]):
+                q, t = spos[xm], tpos[ym]
+                for z in trail:
+                    if (spos[z] < q) != (tpos[assign[z]] < t):
                         return False
             assign[xm] = ym
             used[ym] = True
             trail.append(xm)
         return True
+
+    if ordered:
+        a_order = sorted(range(n), key=spos.__getitem__)
+        below = [None] * len(rows)
+
+        def domain(x):
+            """The targets y of x, ascending, that put every forced image
+            s(y) in its gap, or on the image r(x) already has."""
+            dom = (1 << bsize) - 1
+            fixed = []
+            for k, (r, s) in enumerate(rows):
+                xm = r[x]
+                if assign[xm] != -1:
+                    fixed.append((s, assign[xm]))
+                    continue
+                q = spos[xm]
+                p = q - 1
+                while p >= 0 and assign[a_order[p]] == -1:
+                    p -= 1
+                lo = tpos[assign[a_order[p]]] + 1 if p >= 0 else 0
+                p = q + 1
+                while p < n and assign[a_order[p]] == -1:
+                    p += 1
+                hi = tpos[assign[a_order[p]]] if p < n else bsize
+                table = below[k]
+                if table is None:
+                    pre = [0] * bsize
+                    for y, v in enumerate(s):
+                        pre[v] |= 1 << y
+                    table = below[k] = list(accumulate(
+                        map(pre.__getitem__, b_order), or_, initial=0))
+                dom &= table[hi] ^ table[lo]
+                if not dom:
+                    return ()
+            targets = []
+            while dom:
+                low = dom & -dom
+                y = low.bit_length() - 1
+                dom ^= low
+                for s, v in fixed:
+                    if s[y] != v:
+                        break
+                else:
+                    targets.append(y)
+            return targets
 
     def extend(x):
         while x < n and assign[x] != -1:
@@ -252,21 +307,8 @@ def _embeddings_along(rows, spos, tpos, b_order):
         if x == n:
             results.append(tuple(assign))
             return
-        targets = range(bsize)
-        if ordered:
-            # x's image lies strictly between those of its nearest
-            # assigned neighbours in source order
-            lo, hi = -1, bsize
-            for z in range(n):
-                if assign[z] != -1:
-                    t = tpos[assign[z]]
-                    if spos[z] < spos[x]:
-                        lo = max(lo, t)
-                    else:
-                        hi = min(hi, t)
-            if hi - lo - 1 < bsize:
-                targets = sorted(b_order[lo + 1:hi])
-        for y in targets:
+        # only the first call, at x = 0, has nothing placed to narrow by
+        for y in domain(x) if ordered and x else range(bsize):
             trail = []
             if place(x, y, trail):
                 extend(x + 1)

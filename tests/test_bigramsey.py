@@ -468,6 +468,21 @@ def test_max_mono_subset_cap_counts_nodes(n, arity):
         _max_mono_subset(range(n), arity, colors, cap=nodes - 1)
 
 
+@pytest.mark.parametrize("n,arity,k,seed,nodes,size", [
+    (60, 2, 2, 1, 177, 8), (80, 2, 2, 2, 232, 10), (24, 3, 2, 3, 1259, 6),
+    (16, 4, 2, 4, 1345, 5), (40, 2, 3, 5, 69, 5), (16, 3, 3, 6, 458, 4)])
+def test_max_mono_subset_node_counts_are_pinned(n, arity, k, seed, nodes,
+                                               size):
+    """The fewest nodes each seeded instance finishes within, recorded
+    when every color's graph was built from its own flags: the second of
+    two colors searches the complement of the first's graph, node for
+    node, and a third color keeps its own."""
+    rng = random.Random(seed)
+    colors = [rng.randrange(k) for _ in range(math.comb(n, arity))]
+    assert _least_cap(range(n), arity, colors) == nodes
+    assert len(_max_mono_subset(range(n), arity, colors)) == size
+
+
 def test_max_mono_subset_greedy_set_needs_no_nodes():
     assert _max_mono_subset(range(30), 2, [1] * math.comb(30, 2),
                             cap=0) == list(range(30))

@@ -280,6 +280,58 @@ def test_enumerate_embeddings_matches_bruteforce(monoid, ordered):
     assert checked > 0
 
 
+def _shuffled(ms, seed):
+    """A copy of ordered `ms` whose carrier is listed in a seeded random
+    order, so that its index order differs from its position order."""
+    perm = list(range(ms.size))
+    random.Random(seed).shuffle(perm)   # index i holds element perm[i]
+    index = {old: i for i, old in enumerate(perm)}
+    action = [[index[row[old]] for old in perm] for row in ms.action]
+    return validate_mset(ms.monoid, [ms.carrier[a] for a in perm], action,
+                         order=[ms.carrier[a] for a in ms.order])
+
+
+def interleaved_pairs():
+    """Two free Z2 orbits {a1, b1} and {a2, b2}, a1 < a2 < b1 < b2."""
+    return validate_mset(z2(), ("a1", "b1", "a2", "b2"),
+                         [[0, 1, 2, 3], [1, 0, 3, 2]],
+                         order=("a1", "a2", "b1", "b2"))
+
+
+SEVERAL_ORBITS = {
+    "z2-interleaved-pairs": interleaved_pairs(),
+    # the swap pair {a, b} with the fixed point c between them
+    "z2-swap-pair+fixed": validate_mset(
+        z2(), ("a", "b", "c"), [[0, 1, 2], [1, 0, 2]],
+        order=("a", "c", "b")),
+    # the orbit {x, y}, which both left zeros retract onto y, and the
+    # fixed point z between x and y
+    "left-zero-retraction+fixed": validate_mset(
+        left_zero_monoid(2), ("x", "y", "z"),
+        [[0, 1, 2], [1, 1, 2], [1, 1, 2]], order=("x", "z", "y")),
+    # the tree c -> r1 and the root r2 between c and r1
+    "tree+root": validate_mset(
+        truncated_powers(2), ("c", "r1", "r2"),
+        [[0, 1, 2], [1, 1, 2], [1, 1, 2]], order=("c", "r2", "r1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_ORBITS))
+def test_ordered_embeddings_of_several_orbits_match_bruteforce(name):
+    """Placing one element forces images on non-identity rows between
+    neighbours placed before, in lifts and in copies of the lifts whose
+    index order is not their order."""
+    a = SEVERAL_ORBITS[name]
+    found = 0
+    for n in (3, 4):
+        lift = hat_E(omega(n), a.monoid).lifted
+        for b in (lift, _shuffled(lift, n)):
+            got = embedding_maps(a, b)
+            assert got == _bruteforce_embeddings(a, b)
+            found += len(got)
+    assert found > 0
+
+
 @pytest.mark.parametrize("monoid,ordered", [
     (trivial_monoid(), False), (trivial_monoid(), True),
     (z2(), False), (z2(), True),
@@ -302,11 +354,9 @@ def test_embedding_maps_are_the_maps_of_enumerate_embeddings(monoid,
     assert found > 0
 
 
-def _assert_no_reference_cycle(enumerate_maps, ordered):
+def _assert_no_reference_cycle(enumerate_maps, a, b):
     """Reference counting frees all that one call builds, so the cyclic
     collector finds nothing unreachable after it."""
-    a = swap_pair(ordered)
-    b = hat_E(omega(3), z2()).lifted if ordered else a
     gc.collect()
     gc.disable()
     try:
@@ -318,14 +368,30 @@ def _assert_no_reference_cycle(enumerate_maps, ordered):
         gc.enable()
 
 
+def _reference_cycle_case(ordered):
+    a = swap_pair(ordered)
+    return a, hat_E(omega(3), z2()).lifted if ordered else a
+
+
 @pytest.mark.parametrize("ordered", [False, True])
 def test_enumerate_embeddings_leaves_no_reference_cycle(ordered):
-    _assert_no_reference_cycle(enumerate_embeddings, ordered)
+    _assert_no_reference_cycle(enumerate_embeddings,
+                               *_reference_cycle_case(ordered))
 
 
 @pytest.mark.parametrize("ordered", [False, True])
 def test_embedding_maps_leaves_no_reference_cycle(ordered):
-    _assert_no_reference_cycle(embedding_maps, ordered)
+    _assert_no_reference_cycle(embedding_maps, *_reference_cycle_case(ordered))
+
+
+@pytest.mark.parametrize("enumerate_maps", [enumerate_embeddings,
+                                            embedding_maps])
+def test_ordered_call_with_row_tables_leaves_no_reference_cycle(
+        enumerate_maps):
+    """The swap pair is placed whole at the first branch; interleaved
+    pairs narrow their second orbit by the per-row tables."""
+    _assert_no_reference_cycle(enumerate_maps, interleaved_pairs(),
+                               hat_E(omega(4), z2()).lifted)
 
 
 def test_enumerate_embeddings_rejects_mixed_kinds():
