@@ -25,7 +25,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .chains import Chain, ChainEmbedding, omega
 from .errors import (CapExceeded, ColoringError, InputError, NoLeastElement,
@@ -256,12 +256,16 @@ def _max_mono_subset(points, arity, colors, cap=None):
     For arity >= 3 it is a branch and bound over candidate bitsets in
     loop form (Carraghan & Pardalos 1990) with only the size bound. Bit
     y of masks[P] is set when P + (y,) has color c, for each
-    (arity-1)-subset P of point positions and y > P[-1]; masks is a flat
-    list indexed by the colex rank of P. The search takes the candidates
-    in increasing order, each as the next point of the set, so the first
-    set of the largest size it meets is the lex-least; it tries the
-    colors in increasing order and only strict size improvements replace
-    the incumbent.
+    (arity-1)-subset P of point positions and y > P[-1]; those colors
+    are one contiguous run of `colors`, so masks is a flat list of the
+    runs in combinations order of P. A mask is addressed by the lex
+    index of P (as in _rank), a sum of one term per position and
+    element: the index of S + (x,) is that of S's terms plus one of x.
+    The search takes the candidates in increasing order, each as the
+    next point of the set, and descends only into a set that can still
+    beat the incumbent, so the first set of the largest size it meets is
+    the lex-least; it tries the colors in increasing order and only
+    strict size improvements replace the incumbent.
 
     A node is one point tried as the next point of a set; with a `cap`,
     _SearchCapReached is raised in place of node cap + 1.
@@ -427,83 +431,90 @@ def _max_mono_pairs(n, colors, cap):
                 cand = rest
 
 
-def _run_masks(n, colors, runs):
-    """Per color, in increasing order: the mask of each run (lo, start,
-    stop) of the reversed flags, shifted to its points lo..n-1. With
-    exactly two colors each run's second mask is its full mask XOR the
-    first."""
+def _run_masks(n, colors, lengths):
+    """Per color, in increasing order: the mask of each run of `colors`,
+    the runs laid end to end with the given lengths; a run of length L
+    holds the points n - L..n - 1. With exactly two colors each run's
+    second mask is its full mask XOR the first."""
     palette = sorted(set(colors))
     for flags in _color_flags(colors, palette):
+        # read backwards, a run of the points lo..n-1 is a binary numeral
+        # whose digit of place y - lo is point y's flag
         flags = flags[::-1]
-        masks = [int(flags[start:stop], 2) << lo for lo, start, stop in runs]
+        masks, end = [], len(flags)
+        for length in lengths:
+            start = end - length
+            masks.append(int(flags[start:end], 2) << (n - length))
+            end = start
         yield masks
         if len(palette) == 2:
-            yield [m ^ ((1 << n) - (1 << lo))
-                   for m, (lo, _, _) in zip(masks, runs)]
+            yield [m ^ ((1 << n) - (1 << (n - length)))
+                   for m, length in zip(masks, lengths)]
             return
 
 
 def _max_mono_hyperedges(n, arity, colors, cap):
     """The loop-form search of _max_mono_subset for arity >= 3."""
     r = arity - 1
-    binom = [[math.comb(x, j) for x in range(n)] for j in range(r + 1)]
-    # the (arity-1)-subsets P of range(n - 1), one column per position
-    columns = list(zip(*combinations(range(n - 1), r)))
-    ranks = map(sum, zip(*(map(binom[j].__getitem__, column)
-                           for j, column in enumerate(columns, 1))))
-    los = [p + 1 for p in columns[-1]]
-    # the run of P + (y,), y >= lo, in the reversed flags, in colex
-    # order of P; the P that hold n - 1 come last and have no run
-    ends = [len(colors) - e
-            for e in accumulate((n - lo for lo in los), initial=0)]
-    runs = [run[1:] for run in sorted(zip(ranks, los, ends[1:], ends))]
-    no_runs = [0] * math.comb(n - 1, r - 1)
+    # masks[i] is the run of the i-th (arity-1)-subset P of range(n - 1)
+    # in combinations order: the colors of P + (y,), y > P[-1]
+    lengths = [n - 1 - p[-1] for p in combinations(range(n - 1), r)]
+    # P's index C(n - 1, r) - 1 - sum_i C(n - 2 - p_i, r - i) is a sum of
+    # one weight per (position, element) pair; weights[0] holds the
+    # constant, and off = weights[-1] is the last element's
+    weights = [[-math.comb(n - 2 - y, r - i) for y in range(n - 1)]
+               for i in range(r)]
+    weights[0] = [w + math.comb(n - 1, r) - 1 for w in weights[0]]
+    off, last = weights[-1], weights[-2]
     best, nodes = [], 0
-    for run_masks in _run_masks(n, colors, runs):
-        masks = run_masks + no_runs
-        # upper[d][j - 2]: the colex ranks of the j-subsets of chosen[:d]
-        # for 2 <= j < r, built when depth d first branches; a point is
-        # the colex rank of its 1-subset
-        chosen, stack, upper = [], [(1 << n) - 1], [[[]] * (r - 2)]
+    for masks in _run_masks(n, colors, lengths):
         size = len(best)
-        while stack:
-            cand = stack[-1]
-            depth = len(chosen)
-            if depth + cand.bit_count() <= size:
-                stack.pop()
-                if chosen:
-                    chosen.pop()
-                    del upper[depth:]
-                continue
-            low = cand & -cand
-            x = low.bit_length() - 1
-            cand ^= low
-            stack[-1] = cand
-            if nodes == cap:
-                raise _SearchCapReached
-            nodes += 1
-            if r == 2:
-                top = chosen
-            else:
-                if len(upper) == depth:
-                    y, levels, lower = chosen[-1], [], chosen[:-1]
-                    for j, level in enumerate(upper[-1], 2):
-                        levels.append(level + [v + binom[j][y]
-                                               for v in lower])
-                        lower = level
-                    upper.append(levels)
-                top = upper[-1][-1]
-            offset = binom[r][x]
-            for rank in top:
-                cand &= masks[rank + offset]
-                if not cand:
-                    break
-            if cand:
+        # top: the partial indices of the (r-1)-subsets of chosen, each
+        # completed to a mask index by adding off[x]; lower[j]: those of
+        # its j-subsets, j < r - 1, built only when the frame first pushes
+        # a child, whose top adds the subsets that hold its point. The
+        # stack holds each ancestor's remaining candidates, top and lower.
+        chosen, stack, depth = [], [], 0
+        cand, top, lower = (1 << n) - 1, [], [[0]] + [[]] * (r - 2)
+        while True:
+            while depth + cand.bit_count() > size:
+                low = cand & -cand
+                x = low.bit_length() - 1
+                cand ^= low
+                if nodes == cap:
+                    raise _SearchCapReached
+                nodes += 1
+                # x = n - 1 has no run, and leaves no candidate
+                child = cand
+                if child:
+                    o = off[x]
+                    for v in top:
+                        child &= masks[v + o]
+                        if not child:
+                            break
+                if depth + 1 + child.bit_count() <= size:
+                    continue
+                if not child:
+                    best, size = chosen + [x], depth + 1
+                    continue
+                if lower is None:
+                    y, above = chosen[-1], stack[-1][2]
+                    lower = [[0]]
+                    for j in range(1, r - 1):
+                        w = weights[j - 1][y]
+                        lower.append(above[j] + [v + w for v in above[j - 1]])
+                stack.append((cand, top, lower))
+                w = last[x]
+                top = top + [v + w for v in lower[-1]]
+                lower = None
                 chosen.append(x)
-                stack.append(cand)
-            elif depth >= size:
-                best = chosen + [x]
-                size = depth + 1
+                depth += 1
+                cand = child
+            if not stack:
+                break
+            cand, top, lower = stack.pop()
+            chosen.pop()
+            depth -= 1
     return best
 
 

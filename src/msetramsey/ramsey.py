@@ -231,16 +231,21 @@ def _all_actions(monoid, n, one_per_class=False):
 
 class ForestContext:
     """Hom-sets of (ordered) rooted forests: injective parent-preserving
-    maps, `_embeddings_along` the rows identity, parent, parent^2, ... of
-    both forests, which stop changing at the larger height."""
+    maps, `_embeddings_along` the rows identity, parent, ...,
+    parent^(h+1) of both forests, h the source's height. The source's
+    rows stop changing at parent^h, which sends each vertex to its root;
+    the pair parent^h, parent^(h+1) makes each root's image a root, so
+    later rows only repeat what that pair forces."""
 
     def hom(self, a, c):
         rows = [(tuple(range(a.size)), tuple(range(c.size)))]
-        while (step := tuple(tuple(map(p.__getitem__, row)) for p, row in
-                             zip((a.parent, c.parent), rows[-1]))) != rows[-1]:
-            rows.append(step)
-        return _embeddings_along(rows, _ranks(a.order), _ranks(c.order),
-                                 c.order)
+        while True:
+            r, s = rows[-1]
+            rows.append((tuple(map(a.parent.__getitem__, r)),
+                         tuple(map(c.parent.__getitem__, s))))
+            if rows[-1][0] == r:
+                return _embeddings_along(rows, _ranks(a.order),
+                                         _ranks(c.order), c.order)
 
 
 @dataclass

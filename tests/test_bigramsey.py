@@ -434,6 +434,16 @@ def test_max_mono_subset_arity_5():
                                                       table.__getitem__)
 
 
+@pytest.mark.parametrize("n,arity", [(24, 3), (16, 4), (13, 5), (12, 6)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_max_mono_subset_hyperedges_match_stack_search(n, arity, k):
+    """At the sizes of the benchmark's pigeonhole steps and beyond."""
+    rng = random.Random(100 * n + 10 * arity + k)
+    colors = [rng.randrange(k) for _ in range(math.comb(n, arity))]
+    assert _max_mono_subset(range(n), arity, colors) == \
+        _stack_max_mono_subset(range(n), arity, colors)
+
+
 def _least_cap(points, arity, colors):
     """The fewest search nodes that _max_mono_subset finishes within."""
     low, high = 0, 1
@@ -470,7 +480,8 @@ def test_max_mono_subset_cap_counts_nodes(n, arity):
 
 @pytest.mark.parametrize("n,arity,k,seed,nodes,size", [
     (60, 2, 2, 1, 177, 8), (80, 2, 2, 2, 232, 10), (24, 3, 2, 3, 1259, 6),
-    (16, 4, 2, 4, 1345, 5), (40, 2, 3, 5, 69, 5), (16, 3, 3, 6, 458, 4)])
+    (16, 4, 2, 4, 1345, 5), (40, 2, 3, 5, 69, 5), (16, 3, 3, 6, 458, 4),
+    (13, 5, 2, 7, 875, 6)])
 def test_max_mono_subset_node_counts_are_pinned(n, arity, k, seed, nodes,
                                                size):
     """The fewest nodes each seeded instance finishes within, recorded
