@@ -14,7 +14,8 @@ overflows and for a truncation or witness budget that is too small.
 
 Each subcommand `cmd_x(args, load)` returns (parameters, verdicts) and
 reads its files through `load`, so `main` alone records the inputs and
-writes the report.
+writes the report. `load` opens each file once, in an `io.read_scope`:
+an input's hash is the SHA-256 of the bytes it was parsed from.
 """
 
 import argparse
@@ -325,9 +326,11 @@ def main(argv=None):
         """Load `path`, by default option `name`'s, and record its path
         and hash under `name` in the report's inputs."""
         path = getattr(args, name) if path is None else path
-        # load first, so an unreadable path is the loader's InputError
-        obj = loader(path)
-        inputs[name] = {"path": path, "sha256": io.file_sha256(path)}
+        # load first, so an unreadable path is the loader's InputError;
+        # the hash is of the bytes the loader parsed
+        with io.read_scope():
+            obj = loader(path)
+            inputs[name] = {"path": path, "sha256": io.file_sha256(path)}
         return obj
 
     try:

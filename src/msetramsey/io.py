@@ -26,6 +26,15 @@ included), and `naming` is the one place that puts a file's path before
 an error on its JSON value, for each load_x = _from_file(parser) and
 the CLI.
 
+A load in the CLI reads its file once: inside `read_scope`, `load_json`
+and `file_sha256` share the bytes, so the hash a report records is of
+exactly the bytes that were parsed. Outside a scope every call reads the
+file afresh.
+
+Checks on a field's values first test the whole field in one pass over
+the values' types (or one set), and walk it value by value only to name
+the first offending one.
+
 `dump_report` writes the bytes of json.dumps(report, indent=2,
 sort_keys=True) and a newline. It lays them out itself, since with an
 indent json runs its pure-Python encoder, which takes 1.4-1.6x as long
@@ -46,17 +55,41 @@ from .monoid import validate_monoid
 from .mset import UnaryAlgebra, order_positions, validate_mset
 
 
-def file_sha256(path):
+_scope = None   # path -> bytes, while a read_scope is open
+
+
+@contextlib.contextmanager
+def read_scope():
+    """Within, each path is read at most once: load_json and file_sha256
+    share its bytes. Outside, every call reads the file afresh."""
+    global _scope
+    outer, _scope = _scope, {}
+    try:
+        yield
+    finally:
+        _scope = outer
+
+
+def _read(path):
+    """The bytes of the file at `path`, from the open read_scope if any."""
+    if _scope is not None and path in _scope:
+        return _scope[path]
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        raw = fh.read()
+    if _scope is not None:
+        _scope[path] = raw
+    return raw
+
+
+def file_sha256(path):
+    return hashlib.sha256(_read(path)).hexdigest()
 
 
 def load_json(path):
     """The JSON value in the UTF-8 file at `path`; a byte-order mark is
     not JSON, so a file that starts with one is rejected."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(_read(path).decode("utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -102,9 +135,16 @@ def _is_label(x):
     return x is None or isinstance(x, (str, int, float))
 
 
+_LABEL_TYPES = frozenset((str, int, float, bool, type(None)))
+_INT_TYPE = frozenset((int,))
+
+
 def _require_labels(labels, field):
     """InputError on the first of `labels`, read from `field`, that is not
-    a label."""
+    a label. One pass over the types clears a field of JSON scalars; the
+    loop runs only to name the first offending value."""
+    if _LABEL_TYPES.issuperset(map(type, labels)):
+        return
     for x in labels:
         if not _is_label(x):
             raise InputError(f"field {field!r} holds {x!r}, which is not a "
@@ -113,7 +153,9 @@ def _require_labels(labels, field):
 
 def _require_distinct(labels, what):
     """InputError on the first two of `labels`, read from `what`, that
-    Python holds equal."""
+    Python holds equal; the loop runs only when a set finds some."""
+    if len(set(labels)) == len(labels):
+        return
     first = {}
     for x in labels:
         if x in first:
@@ -129,7 +171,8 @@ def _require_carrier(carrier):
 
 
 def _int_rows(rows):
-    return all(isinstance(row, list) and all(map(_is_int, row))
+    # a type pass, so true and false are not ints here either
+    return all(isinstance(row, list) and _INT_TYPE.issuperset(map(type, row))
                for row in rows)
 
 

@@ -73,9 +73,9 @@ def validate_mset(monoid, carrier, action, order=None):
             if not (0 <= x < n):
                 raise InputError(f"action value {x} out of carrier range")
     e = monoid.identity
-    for a in range(n):
-        if action[e][a] != a:
-            raise IdentityAxiomFails(carrier[a])
+    if action[e] != tuple(range(n)):
+        a = next(a for a in range(n) if action[e][a] != a)
+        raise IdentityAxiomFails(carrier[a])
     for m1, m2 in product(range(monoid.size), repeat=2):
         row1, row2 = action[m1], action[m2]
         composite = action[monoid.mul(m2, m1)]

@@ -276,15 +276,19 @@ class ArrowVerdict:
 def composite_images(a, b, c, ctx):
     """For each w in hom(B,C): indices of {w . f : f in hom(A,B)} in hom(A,C).
 
-    w . f is _getter(f)(w), one getter per f.
+    w . f is _getter(f)(w). The composites are built column by column:
+    one column per f holds the indices of w . f for every w, mapped at C
+    level, and w's image is its row of the columns, sorted and without
+    duplicates.
     """
     hom_ac = ctx.hom(a, c)
-    index = {f: i for i, f in enumerate(hom_ac)}.__getitem__
+    index = dict(zip(hom_ac, range(len(hom_ac)))).__getitem__
     hom_ab = ctx.hom(a, b)
     hom_bc = ctx.hom(b, c)
-    getters = [_getter(f) for f in hom_ab]
-    images = [tuple(sorted(set(map(index, [g(w) for g in getters]))))
-              for w in hom_bc]
+    if not hom_ab:   # zip() over no columns would give no rows at all
+        return hom_ac, hom_ab, hom_bc, [()] * len(hom_bc)
+    columns = [map(index, map(_getter(f), hom_bc)) for f in hom_ab]
+    images = list(map(tuple, map(sorted, map(set, zip(*columns)))))
     return hom_ac, hom_ab, hom_bc, images
 
 
@@ -317,14 +321,14 @@ def _search_bad_coloring(n, k, t, images, cap=None):
     with a `cap`, _SearchCapReached is raised in place of node cap + 1.
     """
     need = t + 1
-    images = [set(image) for image in images]
+    images = list(map(set, images))
     if not images or need > k or min(map(len, images)) < need:
         return None
     pos_to_ws = [[] for _ in range(n)]
     for wi, image in enumerate(images):
         for p in image:
             pos_to_ws[p].append(wi)
-    free = [len(image) for image in images]
+    free = list(map(len, images))
     counts = [[0] * k for _ in images]   # per-color multiplicity
     seen = [0] * len(images)             # bitmask of the colors w sees
     full = (1 << k) - 1

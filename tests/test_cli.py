@@ -1,15 +1,17 @@
 """The command-line interface: reports, exit codes, determinism."""
 
+import builtins
 import hashlib
 import json
 import time
+from collections import Counter
 from itertools import combinations
 from operator import itemgetter
 
 import pytest
 
 from cli_files import FILE, FILE_OPTIONS, with_file, write_files
-from msetramsey import cli, mset
+from msetramsey import cli, io, mset
 from msetramsey.cli import main
 
 
@@ -30,6 +32,47 @@ def test_validate_good_monoid(capsys, files):
     assert code == 0
     assert report["verdicts"]["monoid"]["valid"]
     assert "sha256" in report["inputs"]["monoid"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["arrow-check", "--A", "chain2", "--B", "chain3", "--C", "chain5",
+      "-k", "2"], ["A", "B", "C"]),
+    (["bigramsey", "--A", "pair", "--N", "4", "--k", "2",
+      "--coloring", "coloring"], ["A", "coloring"]),
+    (["degree-bound", "--A", "pair_unordered",
+      "--ordered-degrees", "degrees"], ["A", "ordered_degrees"]),
+], ids=["arrow-check", "bigramsey-coloring", "degree-bound"])
+def test_each_input_is_read_once_per_job(capsys, files, monkeypatch, argv,
+                                         names):
+    """A job opens each input once and hashes the bytes it parsed; the
+    next job, and any call after it, reads the file afresh."""
+    files["coloring"] = str(files["tmp"] / "coloring.json")
+    with open(files["coloring"], "w") as fh:
+        json.dump([0, 1, 0, 1, 0, 1], fh)
+    opened = Counter()
+
+    def counting_open(path, *args, **kwargs):
+        opened[path] += 1
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open, raising=False)
+    argv = argv[:1] + [files.get(arg, arg) for arg in argv[1:]]
+    for job in (1, 2):
+        code, report, err = run(capsys, argv)
+        assert code == 0, err
+        paths = [report["inputs"][name]["path"] for name in names]
+        assert opened == Counter({path: job for path in paths})
+    for name, path in zip(names, paths):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        assert report["inputs"][name]["sha256"] \
+            == hashlib.sha256(raw).hexdigest()
+        with open(path, "w") as fh:
+            json.dump({"rewritten": name}, fh)
+        with open(path, "rb") as fh:
+            rewritten = hashlib.sha256(fh.read()).hexdigest()
+        assert io.file_sha256(path) == rewritten
+        assert io.load_json(path) == {"rewritten": name}
 
 
 @pytest.mark.parametrize("kind, obj, size", [

@@ -105,6 +105,29 @@ def test_composite_images_match_compose_map_reference(ctx_name):
     assert all(nonempty.values()), nonempty
 
 
+def _empty_hom_ab_triples():
+    """(ctx, A, B, C) with hom(A, B) empty and hom(B, C) not: a chain too
+    long for B, and a Z2 swap pair beside two fixed points."""
+    yield ChainContext(), omega(3), omega(2), omega(4)
+    swap = MSet(z2(), (0, 1), ((0, 1), (1, 0)), (0, 1))
+    fixed = MSet(z2(), (0, 1), ((0, 1), (0, 1)), (0, 1))
+    both = MSet(z2(), (0, 1, 2, 3), ((0, 1, 2, 3), (1, 0, 2, 3)),
+                (2, 0, 3, 1))
+    yield MSetContext(), swap, fixed, both
+
+
+@pytest.mark.parametrize("triple", _empty_hom_ab_triples(),
+                         ids=["chains", "ordered-msets"])
+def test_composite_images_with_empty_hom_ab(triple):
+    """With no f in hom(A, B) there are no columns, yet every w in
+    hom(B, C) still gets its image: the empty one."""
+    ctx, a, b, c = triple
+    hom_ac, hom_ab, hom_bc, images = composite_images(a, b, c, ctx)
+    assert hom_ac and not hom_ab and hom_bc
+    assert images == [()] * len(hom_bc)
+    assert len(images) == len(hom_bc)
+
+
 def _oracle_has_bad_coloring(n, k, t, images):
     return any(coloring_is_bad(colors, images, t)
                for colors in product(range(k), repeat=n))
