@@ -1,18 +1,21 @@
 """The arrow relation C -> (B)^A_{k,t}: decision engine and degree probes.
 
 A coloring of hom(A, C) is "bad" when every w in hom(B, C) sees more
-than t colors on w . hom(A, B). The arrow holds iff no bad coloring
-exists. The search below assigns colors to hom(A, C) positions one at a
-time, in index order, on an explicit stack with an undo trail, so its
-depth is not bounded by Python's recursion limit. After each assignment
-it propagates forced colors: once some w needs a new color on each of
-its uncolored positions, colors w has already seen are removed from
-their domains, and a position left with one color is colored at once.
-First occurrences of colors are forced into increasing order, which
-cuts a k! symmetry factor. Propagation prunes only subtrees without a
-bad coloring, so the search reports the lex-least bad coloring in that
-canonical order. A cap on the branching assignments (search nodes)
-bounds the work; a search that runs out is "inconclusive".
+than t colors on w . hom(A, B), whose members are distinct since w is
+injective. The arrow holds iff no bad coloring exists. The search below
+assigns colors to hom(A, C) positions one at a time, in index order, on
+an explicit stack, so its depth is not bounded by Python's recursion
+limit; its undo trail holds the assigned positions and the old value of
+each changed bitmask (of the colors a w sees or a position may not
+take), so no state grows with k. After each assignment it propagates
+forced colors: once some w needs a new color on each of its uncolored
+positions, colors w has already seen are banned from them, and a
+position left with one color is colored at once. First occurrences of
+colors are forced into increasing order, which cuts a k! symmetry
+factor. Propagation prunes only subtrees without a bad coloring, so
+the search reports the lex-least bad coloring in that canonical order.
+A cap on the branching assignments (search nodes) bounds the work; a
+search that runs out is "inconclusive".
 """
 
 import math
@@ -278,8 +281,8 @@ def composite_images(a, b, c, ctx):
 
     w . f is _getter(f)(w). The composites are built column by column:
     one column per f holds the indices of w . f for every w, mapped at C
-    level, and w's image is its row of the columns, sorted and without
-    duplicates.
+    level, and w's image is its row of the columns, sorted: w is
+    injective, so distinct f give distinct w . f.
     """
     hom_ac = ctx.hom(a, c)
     index = dict(zip(hom_ac, range(len(hom_ac)))).__getitem__
@@ -288,7 +291,7 @@ def composite_images(a, b, c, ctx):
     if not hom_ab:   # zip() over no columns would give no rows at all
         return hom_ac, hom_ab, hom_bc, [()] * len(hom_bc)
     columns = [map(index, map(_getter(f), hom_bc)) for f in hom_ab]
-    images = list(map(tuple, map(sorted, map(set, zip(*columns)))))
+    images = list(map(tuple, map(sorted, zip(*columns))))
     return hom_ac, hom_ab, hom_bc, images
 
 
@@ -303,25 +306,26 @@ def _search_bad_coloring(n, k, t, images, cap=None):
     Positions 0..n-1 are colored in index order and colors are tried in
     ascending order; a position may take a color only up to one past the
     largest color used before it, so first occurrences of colors come in
-    increasing order. Branching uses an explicit stack, and every change
-    goes on a trail that is undone back to a mark on backtracking.
+    increasing order.
 
-    Each position keeps a domain of allowed colors. After each
-    assignment the colors it forces are propagated: when some w through
-    the assigned position needs as many more colors (to exceed t) as it
-    has unassigned positions, each of those may only take a color w has
-    not seen yet. An empty domain fails the branch, and a position left
-    with a single color is assigned at once and propagated in turn; the
-    branching then passes over it. Propagation cuts only subtrees
-    without a bad coloring, so the first coloring found is the lex-least
-    canonical bad coloring. None is returned straight away when some w
-    has fewer than t + 1 composites.
+    Each w keeps a count of its free positions and a bitmask of the
+    colors it sees, each position a bitmask of the colors banned from
+    it; a mask holds only colors in use. Branching uses an explicit
+    stack, and a trail of the assigned positions and of (masks, index,
+    old mask) for each changed mask is undone back to a mark on
+    backtracking. Each assignment propagates the colors it forces (see
+    `assign`): a position with every color banned fails the branch, and
+    one left with a single color is assigned at once; the branching then
+    passes over it. Propagation cuts only subtrees without a bad
+    coloring, so the first coloring found is the lex-least canonical bad
+    coloring. None is returned straight away when some w has fewer than
+    t + 1 composites; each image lists distinct positions, as
+    `composite_images` gives.
 
     A node is one call of `assign`, a color tried at a branch point;
     with a `cap`, _SearchCapReached is raised in place of node cap + 1.
     """
     need = t + 1
-    images = list(map(set, images))
     if not images or need > k or min(map(len, images)) < need:
         return None
     pos_to_ws = [[] for _ in range(n)]
@@ -329,12 +333,10 @@ def _search_bad_coloring(n, k, t, images, cap=None):
         for p in image:
             pos_to_ws[p].append(wi)
     free = list(map(len, images))
-    counts = [[0] * k for _ in images]   # per-color multiplicity
     seen = [0] * len(images)             # bitmask of the colors w sees
-    full = (1 << k) - 1
     colors = [-1] * n
-    domain = [full] * n                  # bitmask of the allowed colors
-    assigned, narrowed = [], []          # trails: p, and (p, old domain)
+    banned = [0] * n                     # bitmask of the colors p may not take
+    assigned, trail = [], []   # positions; (seen or banned, index, old)
     nodes = count()                      # next() is the node's index
 
     def assign(p, c):
@@ -343,66 +345,67 @@ def _search_bad_coloring(n, k, t, images, cap=None):
         Once w needs as many new colors as it has free positions, those
         positions may take only colors w has not seen, so w never needs
         more new colors than it has free positions; a conflict shows as
-        an empty domain. A position whose domain shrinks to one color is
-        queued exactly once, and its domain stays that one color until
-        it is assigned or a conflict is found.
+        a position with every color banned. The pass over the w through
+        p goes on after a conflict, so that `free` and `seen` undo
+        exactly. A position left with one color is queued exactly once
+        and keeps that color until it is assigned or a conflict is found.
         """
         if next(nodes) == cap:
             raise _SearchCapReached
-        queue = [(p, c)]
-        while queue:
+        queue, ok = [(p, c)], True
+        while ok and queue:
             p, c = queue.pop()
             colors[p] = c
             assigned.append(p)
+            bit = 1 << c
             for wi in pos_to_ws[p]:
-                free[wi] -= 1
-                counts[wi][c] += 1
-                seen[wi] |= 1 << c
-            for wi in pos_to_ws[p]:
-                if not free[wi] or need - seen[wi].bit_count() != free[wi]:
+                left = free[wi] = free[wi] - 1
+                s = seen[wi]
+                if not s & bit:
+                    trail.append((seen, wi, s))
+                    s = seen[wi] = s | bit
+                if not ok or not left or need - s.bit_count() != left:
                     continue
-                allowed = full & ~seen[wi]
                 for q in images[wi]:
                     if colors[q] >= 0:
                         continue
-                    old = domain[q]
-                    new = old & allowed
+                    old = banned[q]
+                    new = old | s
                     if new == old:
                         continue
-                    if not new:
-                        return False
-                    narrowed.append((q, old))
-                    domain[q] = new
-                    if not new & (new - 1):
-                        queue.append((q, new.bit_length() - 1))
-        return True
+                    allowed = k - new.bit_count()
+                    if not allowed:
+                        ok = False
+                        break
+                    trail.append((banned, q, old))
+                    banned[q] = new
+                    if allowed == 1:   # the lowest color not banned
+                        queue.append((q, (~new & (new + 1)).bit_length() - 1))
+        return ok
 
-    def undo(assigned_mark, narrowed_mark):
+    def undo(assigned_mark, trail_mark):
         while len(assigned) > assigned_mark:
             p = assigned.pop()
-            c, colors[p] = colors[p], -1
+            colors[p] = -1
             for wi in pos_to_ws[p]:
                 free[wi] += 1
-                counts[wi][c] -= 1
-                if not counts[wi][c]:
-                    seen[wi] ^= 1 << c
-        while len(narrowed) > narrowed_mark:
-            q, old = narrowed.pop()
-            domain[q] = old
+        while len(trail) > trail_mark:
+            masks, i, old = trail.pop()
+            masks[i] = old
 
     stack = []   # branch points: (p, color, used, trail marks)
     p = used = c = 0
     while True:
-        # No domain shrinks to one color before k - 1 colors are used, so
-        # forced colors never break the canonical order.
+        # No position is left with one color before k - 1 colors are used,
+        # so forced colors never break the canonical order.
         while p < n and colors[p] >= 0:
             used = max(used, colors[p] + 1)
             p += 1
         if p == n:
             return tuple(colors)
         top = min(used + 1, k)
-        marks = len(assigned), len(narrowed)
-        while c < top and not (domain[p] >> c & 1 and assign(p, c)):
+        marks = len(assigned), len(trail)
+        while c < top and (banned[p] >> c & 1 or not assign(p, c)):
             undo(*marks)
             c += 1
         if c < top:

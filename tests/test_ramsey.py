@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from itertools import permutations, product
@@ -101,6 +102,8 @@ def test_composite_images_match_compose_map_reference(ctx_name):
         assert images == [
             tuple(sorted({index[compose_map(w, f)] for f in hom_ab}))
             for w in hom_bc]
+        # every w is injective, so no two f share a composite
+        assert all(len(image) == len(hom_ab) for image in images)
         nonempty[size] += any(images)
     assert all(nonempty.values()), nonempty
 
@@ -372,6 +375,52 @@ def test_search_cap_counts_branching_assignments(sizes, k):
     v = holds_arrow(a, b, c, k, 1, ctx, cap=nodes - 1)
     assert v.status == "inconclusive"
     assert v.witness_stats["nodes"] == nodes - 1
+
+
+# (sizes of A, B, C), k, nodes of the search with t = 1, and the bad
+# coloring it finds (None: the arrow holds)
+PINNED_SEARCHES = [
+    ((3, 4, 8), 2, 158,
+     "00000000011110010001111100001111110101010011000100000101"),
+    ((2, 3, 11), 3, 8921,
+     "0000011111112200111212110022111020100112022012020002220"),
+    ((1, 7, 13), 2, 923, None),
+    ((2, 4, 10), 2, 39175, "000000001000111101100110101010101001100010000"),
+]
+
+
+@pytest.mark.parametrize("sizes,k,nodes,coloring", PINNED_SEARCHES,
+                         ids=["8-4-3-2", "11-3-2-3", "13-7-1-2", "10-4-2-2"])
+def test_search_node_counts_and_colorings_are_pinned(sizes, k, nodes,
+                                                     coloring):
+    """Changes to the search's state must reach the same fixpoint: the
+    same node count, checked at the least cap on both sides, and the
+    same bad coloring."""
+    a, b, c = (omega(n) for n in sizes)
+    ctx = ChainContext()
+    v = holds_arrow(a, b, c, k, 1, ctx, cap=nodes)
+    if coloring is None:
+        assert v.status == "holds"
+    else:
+        assert v.status == "refuted"
+        assert "".join(map(str, v.bad_coloring.colors)) == coloring
+    v = holds_arrow(a, b, c, k, 1, ctx, cap=nodes - 1)
+    assert v.status == "inconclusive"
+    assert v.witness_stats["nodes"] == nodes - 1
+
+
+def test_search_memory_does_not_grow_with_k():
+    """No state of the search holds an entry per color or a k-bit mask:
+    with 10**5 colors and 120 w the arrow is decided in a few MB."""
+    tracemalloc.start()
+    try:
+        v = holds_arrow(omega(2), omega(3), omega(10), 10 ** 5, 1,
+                        ChainContext(), cap=10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.status == "refuted"
+    assert peak < 5 * 10 ** 6
 
 
 def test_find_witness_first_success():
