@@ -12,6 +12,13 @@ Exit codes: 0 for a completed run (even when the mathematical verdict is
 input or --out paths that cannot be read or written included), 2 for cap
 overflows and for a truncation or witness budget that is too small.
 
+A plain argv is read without argparse (see `_read_plain`): the
+subcommand name, then only that subcommand's exact option strings, each
+followed by a value that does not start with "-" and that the option's
+type and choices accept, with every required option given. The
+namespace is the one argparse would return, so the run and its report
+are identical; every other argv goes to argparse.
+
 Each subcommand `cmd_x(args, load)` returns (parameters, verdicts) and
 reads its files through `load`, so `main` alone records the inputs and
 writes the report. `load` opens each file once, in an `io.read_scope`:
@@ -134,9 +141,15 @@ def cmd_transport(args, load):
 
 
 def cmd_bigramsey(args, load):
+    if args.coloring is not None and (args.trials is not None
+                                      or args.seed is not None):
+        raise InputError("bigramsey: --trials and --seed set random "
+                         "trials, which --coloring replaces")
+    n_trials = 1 if args.trials is None else args.trials
+    first_seed = 0 if args.seed is None else args.seed
     a_star = _load_ordered(args, load, "A", io.load_mset)
-    params = {"N": args.N, "k": args.k, "trials": args.trials,
-              "seed": args.seed, "r_cap": args.r_cap}
+    params = {"N": args.N, "k": args.k, "trials": n_trials,
+              "seed": first_seed, "r_cap": args.r_cap}
     trials = []
     with io.naming(args.A, NoLeastElement):
         if args.coloring is not None:
@@ -147,8 +160,8 @@ def cmd_bigramsey(args, load):
             trials.append(dict(result.to_json(), seed=None))
         else:
             r_size = lift_hom_size(a_star, args.N, args.r_cap)
-            for t in range(args.trials):
-                seed = args.seed + t
+            for t in range(n_trials):
+                seed = first_seed + t
                 result = big_ramsey_reduce(
                     a_star, random_coloring(r_size, args.k, seed), args.k,
                     args.N, r_cap=args.r_cap, cap=args.cap)
@@ -203,114 +216,167 @@ def _int_at_least(low):
 
 @functools.cache
 def _parsers():
-    """The top-level parser, and its subcommand parsers by name."""
+    """The top-level parser, and for each subcommand name its option
+    table: its option strings, each mapped to (dest, type, choices,
+    takes no value); the dests it requires; and the values a namespace
+    starts from, the defaults in the order the parser sets them and then
+    `func`. Every option stores its value, or True for a flag, and no
+    string default has a type to convert it."""
     parser = argparse.ArgumentParser(
         prog="msetramsey",
         description="Finite-scale Ramsey workbench for monoid actions")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None,
-                        help="write the JSON report here instead of stdout")
-    common.add_argument("--timing", action="store_true",
-                        help="include wall-clock timing in the report")
+    common_actions = [
+        common.add_argument("--out", default=None,
+                            help="write the JSON report here instead of "
+                                 "stdout"),
+        common.add_argument("--timing", action="store_true",
+                            help="include wall-clock timing in the report")]
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="validate an input file")
+    def command(name, func, help):
+        """Add subcommand `name`; its `add_argument`, which records the
+        action it adds."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        actions = list(common_actions)
+        commands[name] = actions, func
+
+        def add_argument(*args, **kwargs):
+            actions.append(p.add_argument(*args, **kwargs))
+        return add_argument
+
+    add = command("validate", cmd_validate, "validate an input file")
     for kind in LOADERS:
-        p.add_argument(f"--{kind}")
-    p.set_defaults(func=cmd_validate)
+        add(f"--{kind}")
 
-    p = sub.add_parser("laws", parents=[common],
-                       help="check comonad laws exhaustively")
-    p.add_argument("--functor", required=True,
-                   choices=["monoid_action", "duplicate_free_list", "list"])
-    p.add_argument("--monoid")
-    p.add_argument("--size", type=_int_at_least(0), required=True,
-                   help="carrier size for the exhaustive check")
-    p.add_argument("--max-length", type=_int_at_least(0), default=3)
-    p.set_defaults(func=cmd_laws)
+    add = command("laws", cmd_laws, "check comonad laws exhaustively")
+    add("--functor", required=True,
+        choices=["monoid_action", "duplicate_free_list", "list"])
+    add("--monoid")
+    add("--size", type=_int_at_least(0), required=True,
+        help="carrier size for the exhaustive check")
+    add("--max-length", type=_int_at_least(0), default=3)
 
     ctx_choices = ["chains", "msets", "ordered-msets"]
 
-    p = sub.add_parser("arrow-check", parents=[common],
-                       help="decide the arrow C -> (B)^A_{k,t}")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--C", required=True)
-    p.add_argument("-k", type=_int_at_least(1), required=True)
-    p.add_argument("-t", type=_int_at_least(0), default=1)
-    p.add_argument("--ctx", choices=ctx_choices, default="chains")
-    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_SEARCH_CAP)
-    p.set_defaults(func=cmd_arrow_check)
+    add = command("arrow-check", cmd_arrow_check,
+                  "decide the arrow C -> (B)^A_{k,t}")
+    add("--A", required=True)
+    add("--B", required=True)
+    add("--C", required=True)
+    add("-k", type=_int_at_least(1), required=True)
+    add("-t", type=_int_at_least(0), default=1)
+    add("--ctx", choices=ctx_choices, default="chains")
+    add("--cap", type=_int_at_least(0), default=DEFAULT_SEARCH_CAP)
 
-    p = sub.add_parser("degree-probe", parents=[common],
-                       help="bracket a small Ramsey degree")
-    p.add_argument("--A", required=True)
-    p.add_argument("--ctx", choices=ctx_choices, default="msets")
-    p.add_argument("--budget", choices=["small", "tiny"], default="small")
-    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_SEARCH_CAP)
-    p.set_defaults(func=cmd_degree_probe)
+    add = command("degree-probe", cmd_degree_probe,
+                  "bracket a small Ramsey degree")
+    add("--A", required=True)
+    add("--ctx", choices=ctx_choices, default="msets")
+    add("--budget", choices=["small", "tiny"], default="small")
+    add("--cap", type=_int_at_least(0), default=DEFAULT_SEARCH_CAP)
 
-    p = sub.add_parser("transport", parents=[common],
-                       help="transport a chain witness through the lex lift")
-    p.add_argument("--U", required=True)
-    p.add_argument("--V", required=True)
-    p.add_argument("-k", type=_int_at_least(1), required=True)
-    p.add_argument("--budget", type=_int_at_least(0), default=8,
-                   help="largest chain size searched for a witness")
-    p.add_argument("--certify-cap", type=_int_at_least(0),
-                   default=DEFAULT_SEARCH_CAP)
-    p.add_argument("--lift-cap", type=_int_at_least(0),
-                   default=DEFAULT_LIFT_CAP)
-    p.set_defaults(func=cmd_transport)
+    add = command("transport", cmd_transport,
+                  "transport a chain witness through the lex lift")
+    add("--U", required=True)
+    add("--V", required=True)
+    add("-k", type=_int_at_least(1), required=True)
+    add("--budget", type=_int_at_least(0), default=8,
+        help="largest chain size searched for a witness")
+    add("--certify-cap", type=_int_at_least(0), default=DEFAULT_SEARCH_CAP)
+    add("--lift-cap", type=_int_at_least(0), default=DEFAULT_LIFT_CAP)
 
-    p = sub.add_parser("bigramsey", parents=[common],
-                       help="run the truncated big-Ramsey experiment")
-    p.add_argument("--A", required=True)
-    p.add_argument("--N", type=_int_at_least(0), required=True)
-    p.add_argument("--k", type=_int_at_least(1), required=True)
-    p.add_argument("--trials", type=_int_at_least(1), default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coloring", default=None,
-                   help="JSON coloring file (overrides random trials)")
-    p.add_argument("--r-cap", type=_int_at_least(0), default=DEFAULT_R_CAP)
-    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_NODE_CAP,
-                   help="search nodes per pigeonhole step")
-    p.set_defaults(func=cmd_bigramsey)
+    add = command("bigramsey", cmd_bigramsey,
+                  "run the truncated big-Ramsey experiment")
+    add("--A", required=True)
+    add("--N", type=_int_at_least(0), required=True)
+    add("--k", type=_int_at_least(1), required=True)
+    add("--trials", type=_int_at_least(1), default=None,
+        help="random trials (default 1)")
+    add("--seed", type=int, default=None,
+        help="seed of the first random trial (default 0)")
+    add("--coloring", default=None,
+        help="JSON coloring file, run instead of random trials")
+    add("--r-cap", type=_int_at_least(0), default=DEFAULT_R_CAP)
+    add("--cap", type=_int_at_least(0), default=DEFAULT_NODE_CAP,
+        help="search nodes per pigeonhole step")
 
-    p = sub.add_parser("degree-bound", parents=[common],
-                       help="sum per-ordering degrees over the fiber")
-    p.add_argument("--A", required=True)
-    p.add_argument("--ordered-degrees", required=True)
-    p.add_argument("--big", action="store_true",
-                   help="compare against the n!*2^(n-1) aggregate formula")
-    p.set_defaults(func=cmd_degree_bound)
+    add = command("degree-bound", cmd_degree_bound,
+                  "sum per-ordering degrees over the fiber")
+    add("--A", required=True)
+    add("--ordered-degrees", required=True)
+    add("--big", action="store_true",
+        help="compare against the n!*2^(n-1) aggregate formula")
 
-    p = sub.add_parser("forest", parents=[common],
-                       help="encode/decode rooted forests as coalgebras")
-    p.add_argument("--encode", default=None)
-    p.add_argument("--decode", default=None)
-    p.set_defaults(func=cmd_forest)
+    add = command("forest", cmd_forest,
+                  "encode/decode rooted forests as coalgebras")
+    add("--encode", default=None)
+    add("--decode", default=None)
 
-    return parser, sub.choices
+    tables = {}
+    for name, (actions, func) in commands.items():
+        options = {option: (a.dest, a.type, a.choices, a.nargs == 0)
+                   for a in actions for option in a.option_strings}
+        required = frozenset(a.dest for a in actions if a.required)
+        start = {a.dest: a.default for a in actions}
+        start["func"] = func
+        tables[name] = options, required, start
+    return parser, tables
 
 
 def build_parser():
     return _parsers()[0]
 
 
+def _read_plain(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, when argv
+    is plain: a subcommand name and then only that subcommand's exact
+    option strings, each option that takes a value followed by one that
+    does not start with "-" and that its type and choices accept, and
+    every required option given. None for any other argv."""
+    table = _parsers()[1].get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, required, values = table
+    values = dict(values)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = options.get(token)
+        if option is None:
+            return None
+        dest, convert, choices, no_value = option
+        if no_value:
+            value = True
+        else:
+            value = next(tokens, "-")     # "-" when the value is missing
+            if value.startswith("-"):
+                return None
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        given.add(dest)
+    if not required <= given:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse_args(argv):
-    """`build_parser().parse_args(argv)`. An argv that starts with a
-    subcommand name goes to that subcommand's parser alone, which takes
-    about half the time; the rest are left to the top-level parser."""
-    parser, subparsers = _parsers()
-    if not argv or argv[0] not in subparsers:
-        return parser.parse_args(argv)
-    args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    """`build_parser().parse_args(argv)`. A plain argv (see
+    `_read_plain`) is read from the subcommand's option table, to the
+    same namespace in a third to an eighth of argparse's time; every
+    other argv (help, abbreviations, `--opt=value` and attached values,
+    values starting with "-", unknown options, every usage error) goes
+    to argparse itself."""
+    args = _read_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None):

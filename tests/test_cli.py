@@ -1,8 +1,10 @@
 """The command-line interface: reports, exit codes, determinism."""
 
+import argparse
 import builtins
 import hashlib
 import json
+import random
 import time
 from collections import Counter
 from itertools import combinations
@@ -150,9 +152,11 @@ def test_usage_errors_exit_1(capsys, files, argv):
 
 
 def _parsed(capsys, parse, argv):
-    """(SystemExit code or None, stdout, stderr, the options parsed)."""
+    """(SystemExit code or None, stdout, stderr, the options parsed,
+    each with its type, so that True and 1 differ)."""
     try:
-        options = vars(parse(list(argv)))
+        options = {name: (type(value), value)
+                   for name, value in vars(parse(list(argv))).items()}
         code = None
     except SystemExit as exc:
         code, options = exc.code, None
@@ -161,6 +165,32 @@ def _parsed(capsys, parse, argv):
 
 
 _ARROW = ["arrow-check", "--A", "a", "--B", "b", "--C", "c"]
+
+# Each subcommand with every option given once, values plain.
+_PLAIN = {
+    "validate": ["validate", "--monoid", "m", "--mset", "s", "--chain", "c",
+                 "--forest", "f", "--unary", "u", "--out", "o.json",
+                 "--timing"],
+    "laws": ["laws", "--functor", "list", "--monoid", "m", "--size", "2",
+             "--max-length", "4", "--out", "o.json", "--timing"],
+    "arrow-check": _ARROW + ["-k", "2", "-t", "0", "--ctx", "msets",
+                             "--cap", "9", "--out", "o.json", "--timing"],
+    "degree-probe": ["degree-probe", "--A", "a", "--ctx", "ordered-msets",
+                     "--budget", "tiny", "--cap", "9", "--out", "o.json",
+                     "--timing"],
+    "transport": ["transport", "--U", "u", "--V", "v", "-k", "3",
+                  "--budget", "5", "--certify-cap", "9", "--lift-cap", "7",
+                  "--out", "o.json", "--timing"],
+    "bigramsey": ["bigramsey", "--A", "a", "--N", "3", "--k", "2",
+                  "--trials", "4", "--seed", "9", "--coloring", "c",
+                  "--r-cap", "8", "--cap", "6", "--out", "o.json",
+                  "--timing"],
+    "degree-bound": ["degree-bound", "--A", "a", "--ordered-degrees", "d",
+                     "--big", "--out", "o.json", "--timing"],
+    "forest": ["forest", "--encode", "e", "--decode", "d", "--out", "o.json",
+               "--timing"],
+}
+
 _ARGV_EDGES = {
     "none": [], "help": ["-h"], "long-help": ["--help"],
     "unknown-command": ["bogus"], "abbreviated-command": ["validat"],
@@ -185,15 +215,112 @@ _ARGV_EDGES = {
     "short-equals-value": _ARROW + ["-k=2", "-t", "0", "--ctx=msets"],
     "negative-number": ["bigramsey", "--A", "a", "--N", "-1", "--k", "2"],
     "flags": ["validate", "--chain", "c", "--timing", "--out", "o.json"],
+    "minimal-validate": ["validate"],
+    "minimal-laws": ["laws", "--functor", "duplicate_free_list",
+                     "--size", "0"],
+    "minimal-arrow-check": _ARROW + ["-k", "1"],
+    "minimal-degree-probe": ["degree-probe", "--A", "a"],
+    "minimal-transport": ["transport", "--U", "u", "--V", "v", "-k", "1"],
+    "minimal-bigramsey": ["bigramsey", "--A", "a", "--N", "0", "--k", "1"],
+    "minimal-degree-bound": ["degree-bound", "--A", "a",
+                             "--ordered-degrees", "d"],
+    "minimal-forest": ["forest"],
+    **{f"every-option-{name}": argv for name, argv in _PLAIN.items()},
+    "repeated-option": _ARROW + ["-k", "2", "--ctx", "msets", "-k", "3",
+                                 "--A", "a2"],
+    "repeated-flag": ["degree-bound", "--big", "--A", "a", "--big",
+                      "--ordered-degrees", "d"],
+    "negative-seed": ["bigramsey", "--A", "a", "--N", "3", "--k", "2",
+                      "--seed", "-5"],
+    "empty-value": ["validate", "--chain", ""],
+    "empty-int-value": _ARROW + ["-k", ""],
+    "flag-with-value": ["degree-bound", "--A", "a", "--ordered-degrees",
+                        "d", "--big", "yes"],
+    "missing-last-value": _ARROW + ["-k", "2", "--cap"],
 }
 
 
 @pytest.mark.parametrize("argv", _ARGV_EDGES.values(), ids=_ARGV_EDGES)
 def test_subcommand_dispatch_parses_as_the_full_parser(capsys, argv):
-    """An argv that starts with a subcommand name skips the top-level
-    parse, with the same options, exit code, stdout and stderr."""
+    """`_parse_args`, which reads plain argvs itself, gives the full
+    parser's options, exit code, stdout and stderr."""
     assert _parsed(capsys, cli._parse_args, argv) == \
         _parsed(capsys, cli.build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", _PLAIN.values(), ids=_PLAIN)
+def test_plain_argv_skips_argparse(monkeypatch, argv):
+    expected = vars(cli.build_parser().parse_args(argv))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert vars(cli._parse_args(argv)) == expected
+
+
+_SWEEP_VALUES = ["", "-1", "-", "--", "1e3", "0", "1", "2", "12", "a.json",
+                 "sets", "chains", "msets", "ordered-msets", "small", "tiny",
+                 "monoid_action", "duplicate_free_list", "list"]
+
+
+def _sweep_argvs(count, seed):
+    """`count` seeded argvs: a subcommand, often its minimal argv, then
+    its options and a few odd tokens, mostly followed by a value."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        name = rng.choice(list(_PLAIN))
+        options = [t for t in _PLAIN[name] if t.startswith("-")]
+        options += ["--bogus", "-h", "--cer", "--out=x"]
+        argv = list(_ARGV_EDGES[f"minimal-{name}"]
+                    if rng.random() < 0.6 else [name])
+        for _ in range(rng.randrange(4)):
+            argv.append(rng.choice(options))
+            if rng.random() < 0.85:
+                argv.append(rng.choice(_SWEEP_VALUES))
+        yield argv
+
+
+def test_parse_args_equals_the_full_parser_on_a_seeded_sweep(capsys):
+    parse = cli.build_parser().parse_args
+    plain = 0
+    for argv in _sweep_argvs(3000, seed=20211):
+        plain += cli._read_plain(argv) is not None
+        assert _parsed(capsys, cli._parse_args, argv) == \
+            _parsed(capsys, parse, argv), argv
+    assert 300 < plain < 2700     # both paths are exercised
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--chain", "chain3", "--forest", "forest"],
+    ["laws", "--functor", "list", "--size", "2", "--max-length", "2"],
+    ["arrow-check", "--A", "chain2", "--B", "chain3", "--C", "chain5",
+     "-k", "2", "-t", "1", "--ctx", "chains", "--cap", "1000"],
+    ["degree-probe", "--A", "pair_unordered", "--budget", "tiny",
+     "--ctx", "msets", "--cap", "1000"],
+    ["transport", "--U", "fixed1", "--V", "fixed2", "-k", "2",
+     "--budget", "6", "--certify-cap", "1000", "--lift-cap", "1000"],
+    ["bigramsey", "--A", "pair", "--N", "4", "--k", "2", "--trials", "2",
+     "--seed", "3", "--r-cap", "100", "--cap", "1000"],
+    ["degree-bound", "--A", "pair_unordered", "--ordered-degrees",
+     "degrees"],
+    ["forest", "--encode", "forest"],
+], ids=lambda argv: argv[0])
+def test_plain_and_equals_spellings_write_the_same_report(capsys, files,
+                                                          argv):
+    """A plain argv, read without argparse, and its `--option=value`
+    spelling, which only argparse reads, give the same report bytes."""
+    argv = argv[:1] + [files.get(arg, arg) for arg in argv[1:]]
+    equals = argv[:1] + [f"{opt}={value}"
+                         for opt, value in zip(argv[1::2], argv[2::2])]
+    assert cli._read_plain(argv) is not None
+    assert cli._read_plain(equals) is None
+    reports = []
+    for spelling in (argv, equals):
+        assert main(spelling) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and reports[0]
 
 
 def test_help_exits_0(capsys):
@@ -703,6 +830,39 @@ def test_bigramsey_boolean_coloring_exits_1(capsys, files):
         "--coloring", str(path)])
     assert code == 1 and report is None
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "4", "--seed", "9"], ["--trials", "1"], ["--seed", "0"]])
+def test_bigramsey_coloring_with_trials_or_seed_exits_1(capsys, files,
+                                                        extra):
+    """--trials and --seed shape random trials only, so a --coloring
+    run that is given either would record a parameter it ignores."""
+    path = files["tmp"] / "coloring.json"
+    path.write_text(json.dumps([0, 1, 0, 1, 0, 1]))
+    code, report, err = run(capsys, [
+        "bigramsey", "--A", files["pair"], "--N", "4", "--k", "2",
+        "--coloring", str(path)] + extra)
+    assert code == 1 and report is None
+    assert err == ("input error: bigramsey: --trials and --seed set random "
+                   "trials, which --coloring replaces\n")
+
+
+def test_bigramsey_records_one_trial_from_seed_0_by_default(capsys, files):
+    path = files["tmp"] / "coloring.json"
+    path.write_text(json.dumps([0, 1, 0, 1, 0, 1]))
+    base = ["bigramsey", "--A", files["pair"], "--N", "4", "--k", "2"]
+    code, report, _ = run(capsys, base + ["--coloring", str(path)])
+    assert code == 0
+    assert report["parameters"]["trials"] == 1
+    assert report["parameters"]["seed"] == 0
+    assert [t["seed"] for t in report["verdicts"]["trials"]] == [None]
+    reports = []
+    for extra in ([], ["--trials", "1", "--seed", "0"]):
+        assert main(base + extra) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["verdicts"]["trials"][0]["seed"] == 0
 
 
 def test_bigramsey_r_cap_is_the_only_cap_on_n(capsys, files):
