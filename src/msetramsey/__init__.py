@@ -9,8 +9,7 @@ bound at finite scale.
 """
 
 from .chains import (Chain, ChainEmbedding, enumerate_chain_embeddings,
-                     identity_embedding, lex_compare, lex_product, omega,
-                     ordinal_sum)
+                     lex_compare, lex_product, omega, ordinal_sum)
 from .monoid import (FiniteMonoid, chain_semilattice, cyclic_group,
                      left_zero_monoid, trivial_monoid, validate_monoid, z2)
 from .mset import (MSet, MSetMorphism, UnaryAlgebra, cofree_mset,

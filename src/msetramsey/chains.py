@@ -73,10 +73,6 @@ class ChainEmbedding:
                               tuple(self.map[p] for p in inner.map))
 
 
-def identity_embedding(chain):
-    return ChainEmbedding(chain, chain, tuple(range(len(chain))))
-
-
 def ordinal_sum(family):
     """Concatenate chains; elements become (index, label) pairs."""
     labels = []

@@ -212,28 +212,25 @@ class CoalgebraHom:
 def validate_coalgebra_hom(source, target, f):
     """Check beta . f = E(f) . alpha pointwise."""
     functor = source.functor
+    beta = target.as_map()
     for a, va in zip(source.carrier, source.structure):
-        lhs = target.structure_of(f[a])
-        rhs = functor.lift(lambda x: f[x], va)
-        if lhs != rhs:
+        if beta(f[a]) != functor.lift(lambda x: f[x], va):
             raise InputError(f"coalgebra-hom square fails at {a!r}")
     return CoalgebraHom(source, target, dict(f))
 
 
-def classify_coalgebra(c, delta=None, epsilon=None):
+def classify_coalgebra(c):
     """Return ('EM'|'weak_EM_only'|'plain', witnesses for failed squares)."""
     functor = c.functor
-    delta = delta or functor.delta
-    epsilon = epsilon or functor.epsilon
     alpha = c.as_map()
     witnesses = {}
     for a, va in zip(c.carrier, c.structure):
-        if delta(va) != functor.lift(alpha, va):
+        if functor.delta(va) != functor.lift(alpha, va):
             witnesses.setdefault("comultiplication_square", a)
             break
     for a, va in zip(c.carrier, c.structure):
         try:
-            ok = epsilon(va) == a
+            ok = functor.epsilon(va) == a
         except EmptySequence:
             ok = False
         if not ok:

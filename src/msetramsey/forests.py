@@ -24,9 +24,6 @@ class RootedForest:
     def size(self):
         return len(self.carrier)
 
-    def roots(self):
-        return [i for i in range(self.size) if self.parent[i] == i]
-
     def to_json(self):
         d = {"carrier": list(self.carrier),
              "parent": {str(self.carrier[i]): self.carrier[self.parent[i]]
@@ -109,7 +106,7 @@ def decode_coalgebra(coalg, order=None):
             raise NotPathShaped(x)
         parent.append(index[path[1]] if len(path) > 1 else index[x])
     for x, path in zip(labels, coalg.structure):
-        if len(path) > 1 and path[1:] != coalg.structure_of(path[1]):
+        if len(path) > 1 and path[1:] != coalg.structure[index[path[1]]]:
             raise NotPathShaped(x)
     return make_forest(labels, parent, order)
 

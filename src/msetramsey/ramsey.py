@@ -4,28 +4,44 @@ A coloring of hom(A, C) is "bad" when every w in hom(B, C) sees more
 than t colors on w . hom(A, B), whose members are distinct since w is
 injective. The arrow holds iff no bad coloring exists. The search below
 assigns colors to hom(A, C) positions one at a time, in index order, on
-an explicit stack, so its depth is not bounded by Python's recursion
-limit; its undo trail holds the assigned positions and the old value of
-each changed bitmask (of the colors a w sees or a position may not
-take), so no state grows with k. After each assignment it propagates
-forced colors: once some w needs a new color on each of its uncolored
-positions, colors w has already seen are banned from them, and a
-position left with one color is colored at once. First occurrences of
-colors are forced into increasing order, which cuts a k! symmetry
-factor. Propagation prunes only subtrees without a bad coloring, so
-the search reports the lex-least bad coloring in that canonical order.
-A cap on the branching assignments (search nodes) bounds the work; a
-search that runs out is "inconclusive".
+the explicit stack of `_depth_first`, so its depth is not bounded by
+Python's recursion limit; its undo trail holds the assigned positions
+and the old value of each changed bitmask (of the colors a w sees or a
+position may not take), so no state grows with k. After each assignment
+it propagates forced colors: once some w needs a new color on each of
+its uncolored positions, colors w has already seen are banned from them,
+and a position left with one color is colored at once. First occurrences
+of colors are forced into increasing order, which cuts a k! symmetry
+factor. Propagation prunes only subtrees without a bad coloring, so the
+search reports the lex-least bad coloring in that canonical order. A cap
+on the branching assignments (search nodes) bounds the work; a search
+that runs out is "inconclusive".
 """
 
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, count, permutations
 
-from .errors import _SearchCapReached
+from .errors import CapExceeded, _SearchCapReached
 from .mset import MSet, _embeddings_along, _getter, _ranks, embedding_maps
 
 DEFAULT_SEARCH_CAP = 10 ** 6
+
+
+def _depth_first(node, *root):
+    """Walk node(*root)'s tree depth first: True once a node yields None,
+    else False. node(*args) is a generator that yields the args of each
+    child in turn and undoes its own changes before the next one."""
+    stack = [node(*root)]
+    while stack:
+        child = next(stack[-1], False)
+        if child is None:
+            return True
+        if child is False:
+            stack.pop()
+        else:
+            stack.append(node(*child))
+    return False
 
 
 class ChainContext:
@@ -74,10 +90,10 @@ def _all_actions(monoid, n, one_per_class=False):
     class. Without it, each table under the identity order is the one
     ordered M-set of its ordered isomorphism class on range(n).
 
-    The table is searched on an explicit stack with an undo trail, as
-    `_search_bad_coloring` is. Each branch point takes the first unknown
-    cell of the non-identity rows, in index order, and tries its values
-    in ascending order. After each assignment the relation
+    The table is searched as `_search_bad_coloring` is: each
+    `_depth_first` node takes the first unknown cell of the non-identity
+    rows, in index order, tries its values in ascending order and undoes
+    its trail between them. After each assignment the relation
     table[m1][table[m2][a]] == table[m2*m1][a] is propagated. Its three
     cells are the inner cell (m2, a), the outer cell (m1, y) for
     y = table[m2][a], and the composite cell (m2*m1, a). A cell set to v
@@ -204,32 +220,25 @@ def _all_actions(monoid, n, one_per_class=False):
         return survivors
 
     out = []
-    stack = []   # branch points: (cell index, value, trail mark, alive)
-    d = v = 0
-    while True:
+
+    def branch(d, alive):
+        """Branch on the first unknown cell from d, or list a full table."""
         while d < end and val[cells[d]] is not None:
             d += 1
-        if d < end:
-            mark = len(trail)
-            while v < n:
-                if assign(cells[d], v):
-                    survivors = lex_leader(alive)
-                    if survivors is not None:
-                        break
-                undo(mark)
-                v += 1
-            if v < n:
-                stack.append((d, v, mark, alive))
-                alive, v = survivors, 0
-                continue
-        else:
+        if d == end:
             out.append(tuple(tuple(val[m * n:(m + 1) * n])
                              for m in range(size)))
-        if not stack:
-            return out
-        d, v, mark, alive = stack.pop()
-        undo(mark)
-        v += 1
+            return
+        mark = len(trail)
+        for v in range(n):
+            if assign(cells[d], v):
+                survivors = lex_leader(alive)
+                if survivors is not None:
+                    yield d + 1, survivors
+            undo(mark)
+
+    _depth_first(branch, 0, alive)
+    return out
 
 
 class ForestContext:
@@ -310,17 +319,17 @@ def _search_bad_coloring(n, k, t, images, cap=None):
 
     Each w keeps a count of its free positions and a bitmask of the
     colors it sees, each position a bitmask of the colors banned from
-    it; a mask holds only colors in use. Branching uses an explicit
-    stack, and a trail of the assigned positions and of (masks, index,
-    old mask) for each changed mask is undone back to a mark on
-    backtracking. Each assignment propagates the colors it forces (see
-    `assign`): a position with every color banned fails the branch, and
-    one left with a single color is assigned at once; the branching then
-    passes over it. Propagation cuts only subtrees without a bad
-    coloring, so the first coloring found is the lex-least canonical bad
-    coloring. None is returned straight away when some w has fewer than
-    t + 1 composites; each image lists distinct positions, as
-    `composite_images` gives.
+    it; a mask holds only colors in use. Each branch point is a
+    `_depth_first` node, and a trail of the assigned positions and of
+    (masks, index, old mask) for each changed mask is undone back to the
+    node's mark before its next color. Each assignment propagates the
+    colors it forces (see `assign`): a position with every color banned
+    fails the branch, and one left with a single color is assigned at
+    once; the branching then passes over it. Propagation cuts only
+    subtrees without a bad coloring, so the first coloring found is the
+    lex-least canonical bad coloring. None is returned straight away
+    when some w has fewer than t + 1 composites; each image lists
+    distinct positions, as `composite_images` gives.
 
     A node is one call of `assign`, a color tried at a branch point;
     with a `cap`, _SearchCapReached is raised in place of node cap + 1.
@@ -393,30 +402,22 @@ def _search_bad_coloring(n, k, t, images, cap=None):
             masks, i, old = trail.pop()
             masks[i] = old
 
-    stack = []   # branch points: (p, color, used, trail marks)
-    p = used = c = 0
-    while True:
+    def branch(p, used):   # `used`: the colors in use before p
         # No position is left with one color before k - 1 colors are used,
         # so forced colors never break the canonical order.
         while p < n and colors[p] >= 0:
             used = max(used, colors[p] + 1)
             p += 1
         if p == n:
-            return tuple(colors)
-        top = min(used + 1, k)
+            yield None   # a bad coloring: the walk ends here
+            return
         marks = len(assigned), len(trail)
-        while c < top and (banned[p] >> c & 1 or not assign(p, c)):
+        for c in range(min(used + 1, k)):
+            if not banned[p] >> c & 1 and assign(p, c):
+                yield p + 1, max(used, c + 1)
             undo(*marks)
-            c += 1
-        if c < top:
-            stack.append((p, c, used, marks))
-            c = 0
-            continue
-        if not stack:
-            return None
-        p, c, used, marks = stack.pop()
-        undo(*marks)
-        c += 1
+
+    return tuple(colors) if _depth_first(branch, 0, 0) else None
 
 
 def holds_arrow(a, b, c, k, t, ctx, cap=DEFAULT_SEARCH_CAP):
@@ -533,13 +534,22 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
 
 
 def _first_defeat(a, t, bs, candidates, ctx, budget, cap):
-    """The first (B, k) refuted for every candidate C containing B."""
+    """The first (B, k) refuted for every candidate C containing B; an
+    arrow that reaches the cap before a C holds raises CapExceeded."""
     for b, n_ab in bs:
         if n_ab <= t:
             continue  # w-images can never exceed t colors
         cs = [c for c in candidates if ctx.hom(b, c)]   # B is one of them
         for k in range(t + 1, budget.max_k + 1):
-            if all(holds_arrow(a, b, c, k, t, ctx, cap=cap).status
-                   == "refuted" for c in cs):
+            for c in cs:
+                status = holds_arrow(a, b, c, k, t, ctx, cap=cap).status
+                if status == "inconclusive":
+                    raise CapExceeded(
+                        f"degree probe: the arrow at t={t}, k={k}, "
+                        f"|B|={b.size}, |C|={c.size} exceeds the search "
+                        f"cap {cap}")
+                if status == "holds":
+                    break
+            else:
                 return dict(t=t, k=k, B_size=b.size, candidates=len(cs))
     return None

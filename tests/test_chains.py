@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from msetramsey.chains import (Chain, ChainEmbedding, EQUAL, GREATER, LESS,
-                               enumerate_chain_embeddings, identity_embedding,
-                               lex_compare, lex_product, omega, ordinal_sum)
+                               enumerate_chain_embeddings, lex_compare,
+                               lex_product, omega, ordinal_sum)
 from msetramsey.errors import InputError
 
 
@@ -40,7 +40,8 @@ def test_embedding_call_and_compose():
     comp = outer.compose(inner)
     assert comp.map == (1, 4)
     assert comp(1) == 4
-    assert identity_embedding(omega(3)).compose(inner).map == inner.map
+    identity = ChainEmbedding(omega(3), omega(3), (0, 1, 2))
+    assert identity.compose(inner).map == inner.map
 
 
 def test_compose_rejects_chain_mismatch():

@@ -456,6 +456,17 @@ def test_degree_probe(capsys, files):
     assert report["verdicts"]["upper"] == 2
 
 
+def test_degree_probe_exits_2_when_an_arrow_reaches_the_cap(capsys, files):
+    """The default cap gives lower 2; a cap too small to decide the
+    defeating arrows is an error, not a lower bound of 1."""
+    code, report, err = run(capsys, [
+        "degree-probe", "--A", files["pair_unordered"], "--ctx", "msets",
+        "--budget", "small", "--cap", "3"])
+    assert code == 2 and report is None
+    assert err == ("cap exceeded: degree probe: the arrow at t=1, k=2, "
+                   "|B|=2, |C|=4 exceeds the search cap 3\n")
+
+
 def test_transport(capsys, files):
     code, report, _ = run(capsys, [
         "transport", "--U", files["fixed1"], "--V", files["fixed2"],

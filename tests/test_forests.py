@@ -2,7 +2,8 @@
 
 import pytest
 
-from msetramsey.comonad import Coalgebra, DistinctListFunctor, classify_coalgebra
+from msetramsey.comonad import (Coalgebra, DistinctListFunctor,
+                                classify_coalgebra, validate_coalgebra_hom)
 from msetramsey.errors import InputError, NotAForest, NotPathShaped
 from msetramsey.forests import (decode_coalgebra, encode_forest,
                                 enumerate_forests, fig1_forest,
@@ -34,8 +35,8 @@ def test_make_forest_raises_with_cycle_witness():
 
 def test_reference_forest_paths():
     forest = fig1_forest()
-    assert set(forest.roots()) == {forest.carrier.index("d"),
-                                   forest.carrier.index("g")}
+    roots = {i for i in range(forest.size) if forest.parent[i] == i}
+    assert roots == {forest.carrier.index("d"), forest.carrier.index("g")}
     for i, label in enumerate(forest.carrier):
         path = tuple(forest.carrier[j] for j in root_path(forest, i))
         assert path == REFERENCE_PATHS[label]
@@ -94,3 +95,16 @@ def test_encode_lex_order_embedding():
         keyed = [tuple(forest.carrier.index(x) for x in coalg.structure[i])
                  for i in range(forest.size)]
         assert keyed == sorted(keyed)
+
+
+def test_decode_and_hom_check_find_structures_by_label(monkeypatch):
+    """`structure_of` scans the carrier, so a decode or a hom check that
+    called it once per element would take time quadratic in the size."""
+    forest = fig1_forest()
+    coalg = encode_forest(forest)
+
+    def scan(self, label):
+        raise AssertionError("structure_of scans the carrier")
+    monkeypatch.setattr(Coalgebra, "structure_of", scan)
+    assert decode_coalgebra(coalg, forest.order) == forest
+    validate_coalgebra_hom(coalg, coalg, {x: x for x in coalg.carrier})

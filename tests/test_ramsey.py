@@ -1,5 +1,6 @@
 """The arrow decision engine and degree probes."""
 
+import gc
 import random
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from itertools import permutations, product
 import pytest
 
 from msetramsey.chains import omega
-from msetramsey.errors import InputError
+from msetramsey.errors import CapExceeded, InputError, _SearchCapReached
 from msetramsey.mset import MSet, validate_mset, with_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
@@ -407,6 +408,42 @@ def test_search_node_counts_and_colorings_are_pinned(sizes, k, nodes,
     v = holds_arrow(a, b, c, k, 1, ctx, cap=nodes - 1)
     assert v.status == "inconclusive"
     assert v.witness_stats["nodes"] == nodes - 1
+
+
+def _assert_no_reference_cycle(check):
+    """Reference counting frees all that one check builds, so the cyclic
+    collector finds nothing unreachable after it."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert check()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _search_status(n, k, t, images, cap):
+    try:
+        found = _search_bad_coloring(n, k, t, images, cap)
+    except _SearchCapReached:
+        return "capped"
+    return "holds" if found is None else "refuted"
+
+
+@pytest.mark.parametrize("sizes,k,cap,status", [
+    ((2, 4, 9), 2, None, "refuted"), ((1, 7, 13), 2, None, "holds"),
+    ((2, 4, 9), 2, 38, "capped")], ids=["refuted", "holds", "capped"])
+def test_search_leaves_no_reference_cycle(sizes, k, cap, status):
+    a, b, c = (omega(n) for n in sizes)
+    hom_ac, _, _, images = composite_images(a, b, c, ChainContext())
+    _assert_no_reference_cycle(
+        lambda: _search_status(len(hom_ac), k, 1, images, cap) == status)
+
+
+def test_one_per_class_listing_leaves_no_reference_cycle():
+    monoid = cyclic_group(3)
+    _assert_no_reference_cycle(
+        lambda: len(_all_actions(monoid, 3, one_per_class=True)) == 2)
 
 
 def test_search_memory_does_not_grow_with_k():
@@ -815,6 +852,16 @@ def test_probe_lists_each_hom_set_once_and_keeps_none(monkeypatch, make,
     assert len(pairs) == len(set(pairs)) > candidates
     calls.clear()
     assert refs and all(ref() is None for ref in refs)
+
+
+def test_probe_raises_when_an_arrow_reaches_the_cap():
+    """An inconclusive arrow leaves its (B, k) undecided, so the probe
+    fails loudly instead of reporting a lower bound that is too low."""
+    pair = validate_mset(z2(), (0, 1), [(0, 1)] * 2)
+    with pytest.raises(CapExceeded) as exc:
+        probe_small_degree(pair, MSetContext(), budget=SMALL_BUDGET, cap=3)
+    assert str(exc.value) == ("degree probe: the arrow at t=1, k=2, "
+                              "|B|=2, |C|=4 exceeds the search cap 3")
 
 
 def test_probe_b_larger_than_every_candidate_c():
