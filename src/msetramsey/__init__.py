@@ -9,7 +9,7 @@ bound at finite scale.
 """
 
 from .chains import (Chain, ChainEmbedding, enumerate_chain_embeddings,
-                     lex_compare, lex_product, omega, ordinal_sum)
+                     lex_product, omega, ordinal_sum)
 from .monoid import (FiniteMonoid, chain_semilattice, cyclic_group,
                      left_zero_monoid, trivial_monoid, validate_monoid, z2)
 from .mset import (MSet, MSetMorphism, UnaryAlgebra, cofree_mset,
@@ -25,14 +25,13 @@ from .forests import (RootedForest, decode_coalgebra, encode_forest,
 from .ramsey import (ArrowVerdict, ChainContext, Coloring, ForestContext,
                      MSetContext, find_witness, holds_arrow,
                      probe_small_degree)
-from .expansion import (check_reasonable, degree_sum_bound, fibers,
-                        forget_order, restrict_along)
+from .expansion import (degree_sum_bound, fibers, forget_order,
+                        restrict_along)
 from .transport import (LexLift, WeakCoalgebra, check_PA, hat_E, hat_E_map,
                         hat_delta, mset_as_weak_coalgebra, phi,
                         transport_witness)
 from .bigramsey import (ReductionRecord, ReductionResult, big_ramsey_reduce,
-                        equivariance_of_pi, lift_hom_size, pi_star,
-                        random_coloring, subchains_containing_min,
-                        unordered_degree_bound)
+                        lift_hom_size, pi_star, random_coloring,
+                        subchains_containing_min, unordered_degree_bound)
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .errors import (CapExceeded, ColoringError, InputError, NoLeastElement,
                      _SearchCapReached)
 from .expansion import degree_sum_bound
 from .mset import MSetMorphism, enumerate_embeddings
-from .transport import hat_E, hat_E_map
+from .transport import hat_E
 
 DEFAULT_R_CAP = 10 ** 5
 DEFAULT_NODE_CAP = 10 ** 7   # search nodes per pigeonhole step
@@ -216,21 +216,6 @@ def pi_star(f, lift):
     subchain = Chain(tuple(labels[i] for i in reps))
     f_star = ChainEmbedding(subchain, lift.base, image)
     return ReductionRecord(f, blocks, ell, subchain, f_star)
-
-
-def equivariance_of_pi(u, a_star, lift_src, lift_dst):
-    """Check pi(hat_E(u) . R) = u . pi(R) element by element: for each f
-    in R, g = hat_E(u) . f has f's pattern and g* = u . f*."""
-    eu = hat_E_map(u, lift_src, lift_dst)
-    for f in enumerate_embeddings(a_star, lift_src.lifted):
-        g = MSetMorphism(a_star, lift_dst.lifted,
-                         tuple(eu.map[x] for x in f.map))
-        rec_f = pi_star(f, lift_src)
-        rec_g = pi_star(g, lift_dst)
-        pushed = tuple(u.map[p] for p in rec_f.f_star.map)
-        if rec_g.ell != rec_f.ell or rec_g.f_star.map != pushed:
-            return False
-    return True
 
 
 def _max_mono_subset(points, arity, colors, cap=None):

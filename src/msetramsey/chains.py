@@ -10,8 +10,6 @@ from itertools import combinations, product
 
 from .errors import InputError
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -86,20 +84,6 @@ def lex_product(family):
     if not family:
         return Chain(((),))
     return Chain(tuple(product(*(c.labels for c in family))))
-
-
-def lex_compare(f, g, s_chain, a_chain):
-    """Compare two functions S -> A at the <-least point of disagreement.
-
-    f and g map labels of s_chain to labels of a_chain.
-    """
-    for s in s_chain.labels:
-        if s not in f or s not in g:
-            raise InputError(f"function not total on the index chain at {s!r}")
-        fa, ga = a_chain.position(f[s]), a_chain.position(g[s])
-        if fa != ga:
-            return LESS if fa < ga else GREATER
-    return EQUAL
 
 
 def enumerate_chain_embeddings(a_chain, c_chain):

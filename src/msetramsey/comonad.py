@@ -21,7 +21,14 @@ from .mset import MSet
 DEFAULT_CAP = 10 ** 6
 
 
-class MonoidActionFunctor:
+class _TupleFunctor:
+    """E-values are tuples, and E(f) applies f to each entry."""
+
+    def lift(self, f, h):
+        return tuple(f(x) for x in h)
+
+
+class MonoidActionFunctor(_TupleFunctor):
     """E(A) = A^M; E(f)(h) = f . h; delta(h)[m1][m2] = h[m1 * m2]; eps(h) = h[1]."""
 
     name = "monoid_action"
@@ -35,9 +42,6 @@ class MonoidActionFunctor:
             raise SizeOverflow("E(A)", len(elements) ** self.monoid.size, cap)
         return [tuple(h) for h in product(elements, repeat=self.monoid.size)]
 
-    def lift(self, f, h):
-        return tuple(f(x) for x in h)
-
     def delta(self, h):
         return tuple(tuple(map(h.__getitem__, row))
                      for row in self.monoid.table)
@@ -46,7 +50,7 @@ class MonoidActionFunctor:
         return h[self.monoid.identity]
 
 
-class DistinctListFunctor:
+class DistinctListFunctor(_TupleFunctor):
     """E(A) = A-dagger: finite duplicate-free sequences (empty included).
 
     delta is the suffix list; epsilon (head) is only defined on nonempty
@@ -67,9 +71,6 @@ class DistinctListFunctor:
             out.extend(permutations(elements, r))
         return out
 
-    def lift(self, f, seq):
-        return tuple(f(x) for x in seq)
-
     def delta(self, seq):
         return tuple(tuple(seq[i:]) for i in range(len(seq)))
 
@@ -79,8 +80,9 @@ class DistinctListFunctor:
         return seq[0]
 
 
-class ListFunctor:
-    """The list comonad E(A) = A^+, materialized up to a length cap."""
+class ListFunctor(_TupleFunctor):
+    """The list comonad E(A) = A^+, materialized up to a length cap; delta
+    and epsilon are DistinctListFunctor's, on nonempty sequences only."""
 
     name = "list"
 
@@ -97,18 +99,12 @@ class ListFunctor:
             out.extend(product(elements, repeat=r))
         return out
 
-    def lift(self, f, seq):
-        return tuple(f(x) for x in seq)
-
     def delta(self, seq):
         if not seq:
             raise EmptySequence("delta of the empty sequence")
-        return tuple(tuple(seq[i:]) for i in range(len(seq)))
+        return DistinctListFunctor.delta(self, seq)
 
-    def epsilon(self, seq):
-        if not seq:
-            raise EmptySequence("epsilon of the empty sequence")
-        return seq[0]
+    epsilon = DistinctListFunctor.epsilon
 
 
 @dataclass
@@ -210,11 +206,18 @@ class CoalgebraHom:
 
 
 def validate_coalgebra_hom(source, target, f):
-    """Check beta . f = E(f) . alpha pointwise."""
+    """Check that f is a map of carriers and beta . f = E(f) . alpha
+    pointwise; InputError names the first label where either fails."""
     functor = source.functor
-    beta = target.as_map()
+    beta = dict(zip(target.carrier, target.structure))
+    for a in source.carrier:
+        if a not in f:
+            raise InputError(f"coalgebra hom is not defined at {a!r}")
+        if f[a] not in beta:
+            raise InputError(f"coalgebra hom sends {a!r} to {f[a]!r}, which "
+                             "is not in the target's carrier")
     for a, va in zip(source.carrier, source.structure):
-        if beta(f[a]) != functor.lift(lambda x: f[x], va):
+        if beta[f[a]] != functor.lift(lambda x: f[x], va):
             raise InputError(f"coalgebra-hom square fails at {a!r}")
     return CoalgebraHom(source, target, dict(f))
 

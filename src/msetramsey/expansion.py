@@ -38,21 +38,6 @@ def restrict_along(b_star, e_map, a):
     return with_order(a, sorted(range(a.size), key=lambda x: tpos[e.map[x]]))
 
 
-def check_reasonable(instances):
-    """For each (e, A*, B): is there a B* in the fiber of B admitting e?
-
-    `instances` is an iterable of (e_map, a_star, b) triples where b is
-    the unordered target. Returns (True, None) or (False, the first
-    failing triple). Such a B* exists exactly when e is injective: the
-    image ordered as e transports A*'s order, and the rest after it,
-    admits e, and no order admits a map that identifies two points.
-    """
-    for e_map, a_star, b in instances:
-        if len(set(e_map)) != len(e_map):
-            return False, (e_map, a_star, b)
-    return True, None
-
-
 def degree_sum_bound(a, ordered_degrees):
     """Sum the fiber degrees; the keys must be exactly the fiber.
 

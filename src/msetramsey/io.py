@@ -125,16 +125,9 @@ def _require(data, field, array=False):
     return data[field]
 
 
-def _is_int(x):
-    # bool is a subclass of int, but true and false are not ints in a file
-    return type(x) is int
-
-
-def _is_label(x):
-    # a label is a JSON scalar: a string, a number, true, false or null
-    return x is None or isinstance(x, (str, int, float))
-
-
+# A label is a JSON scalar: a string, a number, true, false or null. Types
+# are matched exactly: bool is a subclass of int, but true and false are
+# not ints in a file.
 _LABEL_TYPES = frozenset((str, int, float, bool, type(None)))
 _INT_TYPE = frozenset((int,))
 
@@ -146,7 +139,7 @@ def _require_labels(labels, field):
     if _LABEL_TYPES.issuperset(map(type, labels)):
         return
     for x in labels:
-        if not _is_label(x):
+        if type(x) not in _LABEL_TYPES:
             raise InputError(f"field {field!r} holds {x!r}, which is not a "
                              "JSON scalar label")
 
@@ -171,7 +164,6 @@ def _require_carrier(carrier):
 
 
 def _int_rows(rows):
-    # a type pass, so true and false are not ints here either
     return all(isinstance(row, list) and _INT_TYPE.issuperset(map(type, row))
                for row in rows)
 
@@ -189,7 +181,7 @@ def _monoid(data):
     table = _require_table(data, "table")
     identity = _require(data, "identity")
     for name, value in (("size", size), ("identity", identity)):
-        if not _is_int(value):
+        if type(value) not in _INT_TYPE:
             raise InputError(f"field {name!r} is not an int")
     well_order = data.get("well_order")
     if well_order is not None and not _int_rows([well_order]):
@@ -234,8 +226,8 @@ def _chain(data):
     if not isinstance(data, list):
         raise InputError("a chain file is a JSON array")
     for x in data:   # a flat array of scalars is one label, read as a tuple
-        if not (_is_label(x)
-                or isinstance(x, list) and all(map(_is_label, x))):
+        if not (type(x) in _LABEL_TYPES or isinstance(x, list)
+                and _LABEL_TYPES.issuperset(map(type, x))):
             raise InputError(f"chain label {x!r} is neither a JSON scalar "
                              "nor a JSON array of scalars")
     labels = tuple(tuple(x) if isinstance(x, list) else x for x in data)
@@ -313,7 +305,8 @@ def _degrees(entries):
                 and _int_rows([entry.get("order")])
                 and "degree" in entry
                 and (entry["degree"] is None
-                     or _is_int(entry["degree"]) and entry["degree"] >= 1)):
+                     or type(entry["degree"]) in _INT_TYPE
+                     and entry["degree"] >= 1)):
             raise InputError(f"entry {entry!r} is not an "
                              '{"order": [int, ...], "degree": n} object')
         degrees[tuple(entry["order"])] = entry["degree"]

@@ -80,16 +80,6 @@ def chain_semilattice(n):
     return validate_monoid(n, table, 0)
 
 
-def truncated_powers(d):
-    """The monogenic monoid {1, p, ..., p^d} with p^i * p^j = p^min(i+j, d).
-
-    Index i stands for p^i. A rooted forest of height at most d is an
-    M-set over it, with p^i acting as the parent map iterated i times.
-    """
-    table = [[min(i + j, d) for j in range(d + 1)] for i in range(d + 1)]
-    return validate_monoid(d + 1, table, 0)
-
-
 def left_zero_monoid(n):
     """Identity adjoined to the left-zero semigroup on n elements.
 

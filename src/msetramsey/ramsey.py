@@ -452,16 +452,23 @@ def holds_arrow(a, b, c, k, t, ctx, cap=DEFAULT_SEARCH_CAP):
 
 
 def find_witness(a, b, k, t, ctx, candidates, cap=DEFAULT_SEARCH_CAP):
-    """First C containing B whose arrow holds, else (None, number tried)."""
-    bound = 0
+    """The first of `candidates` that contains B and has C -> (B)^A_{k,t},
+    or None; each arrow search has at most `cap` nodes.
+
+    A C with an empty hom(B, C) is passed over: its arrow could only
+    hold vacuously. An arrow met before the first that holds and ending
+    inconclusive leaves the scan undecided, so it raises CapExceeded.
+    """
     for c in candidates:
-        bound += 1
         if not ctx.hom(b, c):
-            continue   # the arrow could only hold vacuously
-        verdict = holds_arrow(a, b, c, k, t, ctx, cap=cap)
-        if verdict.status == "holds":
-            return c, verdict
-    return None, bound
+            continue
+        status = holds_arrow(a, b, c, k, t, ctx, cap=cap).status
+        if status == "holds":
+            return c
+        if status == "inconclusive":
+            raise CapExceeded(f"the arrow at t={t}, k={k}, |B|={b.size}, "
+                              f"|C|={c.size} exceeds the search cap {cap}")
+    return None
 
 
 @dataclass
@@ -505,8 +512,9 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     """Bracket the small Ramsey degree of `a` inside a finite budget.
 
     lower: t is bumped past any value defeated within the budget, where
-    "defeated" means some (B, k) admits a bad coloring for every
-    candidate C that contains B. upper: the context's theory bound.
+    "defeated" means `find_witness` finds no candidate C for some (B, k);
+    an arrow that reaches `cap` first raises its CapExceeded, prefixed
+    "degree probe: ". upper: the context's theory bound.
     The candidates are listed once, and only if upper and max_k leave
     lower room to rise; B ranges over those of size <= max_b_size.
     `ctx` provides `theory_degree_upper(a)` and, if that leaves room,
@@ -525,7 +533,10 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
           if b.size <= budget.max_b_size]
     lower = 1
     while lower < top:
-        defeat = _first_defeat(a, lower, bs, candidates, ctx, budget, cap)
+        try:
+            defeat = _first_defeat(a, lower, bs, candidates, ctx, budget, cap)
+        except CapExceeded as exc:
+            raise CapExceeded(f"degree probe: {exc}") from None
         if defeat is None:
             break
         evidence["defeats"].append(defeat)
@@ -534,22 +545,14 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
 
 
 def _first_defeat(a, t, bs, candidates, ctx, budget, cap):
-    """The first (B, k) refuted for every candidate C containing B; an
-    arrow that reaches the cap before a C holds raises CapExceeded."""
+    """The first (B, k) with no witness among the candidates C that
+    contain B: `find_witness` finds none, and raises CapExceeded when an
+    arrow reaches the cap before one holds."""
     for b, n_ab in bs:
         if n_ab <= t:
             continue  # w-images can never exceed t colors
         cs = [c for c in candidates if ctx.hom(b, c)]   # B is one of them
         for k in range(t + 1, budget.max_k + 1):
-            for c in cs:
-                status = holds_arrow(a, b, c, k, t, ctx, cap=cap).status
-                if status == "inconclusive":
-                    raise CapExceeded(
-                        f"degree probe: the arrow at t={t}, k={k}, "
-                        f"|B|={b.size}, |C|={c.size} exceeds the search "
-                        f"cap {cap}")
-                if status == "holds":
-                    break
-            else:
+            if find_witness(a, b, k, t, ctx, cs, cap) is None:
                 return dict(t=t, k=k, B_size=b.size, candidates=len(cs))
     return None

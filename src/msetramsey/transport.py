@@ -146,13 +146,16 @@ def transport_witness(u_star, v_star, k, chain_witness_budget=8,
                       lift_cap=DEFAULT_LIFT_CAP):
     """Find a chain witness W for the underlying chains, lift it, certify.
 
-    Searches W with W -> (chain(V))^(chain(U))_k among n-chains, builds
-    hat_E(W), and certifies hat_E(W) -> (V)^U_k with one arrow search of
-    at most `certify_cap` nodes.
+    Searches W with W -> (chain(V))^(chain(U))_k among the n-chains up to
+    the budget with `find_witness`, each arrow at the fixed
+    DEFAULT_SEARCH_CAP, which raises CapExceeded at an undecided arrow
+    and gives NoChainWitnessInBudget only when every arrow was refuted.
+    It then builds hat_E(W) and certifies hat_E(W) -> (V)^U_k with one
+    arrow search of at most `certify_cap` nodes.
     """
     fu, fv = len(u_star.carrier_chain()), len(v_star.carrier_chain())
-    w, _ = find_witness(omega(fu), omega(fv), k, 1, ChainContext(),
-                        (omega(n) for n in range(1, chain_witness_budget + 1)))
+    w = find_witness(omega(fu), omega(fv), k, 1, ChainContext(),
+                     (omega(n) for n in range(1, chain_witness_budget + 1)))
     if w is None:
         raise NoChainWitnessInBudget(chain_witness_budget)
     lift = hat_E(w, u_star.monoid, cap=lift_cap)

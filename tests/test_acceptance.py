@@ -9,9 +9,9 @@ import random
 import time
 from itertools import combinations, product
 
-from msetramsey.bigramsey import (big_ramsey_reduce, equivariance_of_pi,
-                                  pi_star, random_coloring,
-                                  unordered_degree_bound)
+from helpers import equivariance_of_pi
+from msetramsey.bigramsey import (big_ramsey_reduce, pi_star,
+                                  random_coloring, unordered_degree_bound)
 from msetramsey.chains import ChainEmbedding, omega
 from msetramsey.comonad import (Coalgebra, DistinctListFunctor, ListFunctor,
                                 MonoidActionFunctor, check_comonad_laws,

@@ -7,12 +7,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from helpers import equivariance_of_pi, truncated_powers
 from msetramsey import bigramsey
 from msetramsey.bigramsey import (DEFAULT_NODE_CAP, ReductionResult,
                                   _max_mono_subset, _pattern_keys, _rank,
                                   _reduction_key, _SearchCapReached,
-                                  big_ramsey_reduce, equivariance_of_pi,
-                                  lift_hom_size, pi_star, random_coloring,
+                                  big_ramsey_reduce, lift_hom_size,
+                                  pi_star, random_coloring,
                                   subchains_containing_min,
                                   unordered_degree_bound)
 from msetramsey.chains import Chain, ChainEmbedding, omega
@@ -23,7 +24,7 @@ from msetramsey.errors import (CapExceeded, IncompleteFiber, InputError,
 from msetramsey.expansion import fibers, forget_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
-                               truncated_powers, validate_monoid, z2)
+                               validate_monoid, z2)
 from msetramsey.mset import (MSet, MSetMorphism, enumerate_embeddings,
                              validate_mset, with_order)
 from msetramsey.ramsey import _all_actions

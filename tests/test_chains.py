@@ -6,10 +6,26 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from msetramsey.chains import (Chain, ChainEmbedding, EQUAL, GREATER, LESS,
-                               enumerate_chain_embeddings, lex_compare,
-                               lex_product, omega, ordinal_sum)
+from msetramsey.chains import (Chain, ChainEmbedding,
+                               enumerate_chain_embeddings, lex_product, omega,
+                               ordinal_sum)
 from msetramsey.errors import InputError
+
+LESS, EQUAL, GREATER = -1, 0, 1
+
+
+def lex_compare(f, g, s_chain, a_chain):
+    """Compare two functions S -> A at the <-least point of disagreement.
+
+    f and g map labels of s_chain to labels of a_chain.
+    """
+    for s in s_chain.labels:
+        if s not in f or s not in g:
+            raise InputError(f"function not total on the index chain at {s!r}")
+        fa, ga = a_chain.position(f[s]), a_chain.position(g[s])
+        if fa != ga:
+            return LESS if fa < ga else GREATER
+    return EQUAL
 
 
 def test_omega_basics():

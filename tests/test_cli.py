@@ -2,6 +2,7 @@
 
 import argparse
 import builtins
+import functools
 import hashlib
 import json
 import random
@@ -13,7 +14,7 @@ from operator import itemgetter
 import pytest
 
 from cli_files import FILE, FILE_OPTIONS, with_file, write_files
-from msetramsey import cli, io, mset
+from msetramsey import cli, io, mset, ramsey, transport
 from msetramsey.cli import main
 
 
@@ -465,6 +466,23 @@ def test_degree_probe_exits_2_when_an_arrow_reaches_the_cap(capsys, files):
     assert code == 2 and report is None
     assert err == ("cap exceeded: degree probe: the arrow at t=1, k=2, "
                    "|B|=2, |C|=4 exceeds the search cap 3\n")
+
+
+def test_transport_exits_2_when_a_chain_arrow_reaches_the_cap(
+        capsys, files, monkeypatch):
+    """An undecided arrow in the chain-witness search is a cap overflow,
+    not a budget too small to hold a witness."""
+    monkeypatch.setattr(transport, "find_witness",
+                        functools.partial(ramsey.find_witness, cap=5))
+    three = files["tmp"] / "three.json"
+    three.write_text(json.dumps({
+        "monoid": {"size": 1, "identity": 0, "table": [[0]]},
+        "carrier": [0, 1, 2], "action": [[0, 1, 2]], "order": [0, 1, 2]}))
+    code, report, err = run(capsys, [
+        "transport", "--U", files["pair"], "--V", str(three), "-k", "2"])
+    assert code == 2 and report is None
+    assert err == ("cap exceeded: the arrow at t=1, k=2, |B|=3, |C|=4 "
+                   "exceeds the search cap 5\n")
 
 
 def test_transport(capsys, files):

@@ -161,6 +161,20 @@ def test_validate_coalgebra_hom_rejects_non_hom():
     validate_coalgebra_hom(c1, c1, {"a": "a", "b": "b"})
 
 
+@pytest.mark.parametrize("f, message", [
+    ({"a": "a"}, "coalgebra hom is not defined at 'b'"),
+    ({"a": "a", "b": "z"}, "coalgebra hom sends 'b' to 'z', which is not in "
+                           "the target's carrier")],
+    ids=["missing-label", "outside-target"])
+def test_validate_coalgebra_hom_checks_the_map_first(f, message):
+    """A map that misses a label or leaves the target's carrier is named
+    as such, not read as a failed square at another label."""
+    c = mset_to_coalgebra(validate_mset(z2(), ("a", "b"), [[0, 1], [1, 0]]))
+    with pytest.raises(InputError) as exc:
+        validate_coalgebra_hom(c, c, f)
+    assert str(exc.value) == message
+
+
 def test_sharp_lift_is_the_unique_hom_bruteforce():
     """epsilon . g = f has exactly one coalgebra-hom solution: E(f) . alpha."""
     functor = MonoidActionFunctor(z2())

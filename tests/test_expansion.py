@@ -6,11 +6,26 @@ from math import factorial
 import pytest
 
 from msetramsey.errors import IncompleteFiber, InputError, NotAnEmbedding
-from msetramsey.expansion import (check_reasonable, degree_sum_bound, fibers,
-                                  forget_order, restrict_along)
+from msetramsey.expansion import (degree_sum_bound, fibers, forget_order,
+                                  restrict_along)
 from msetramsey.monoid import trivial_monoid, z2
 from msetramsey.mset import (check_equivariant, enumerate_embeddings,
                              order_violation, validate_mset, with_order)
+
+
+def check_reasonable(instances):
+    """For each (e, A*, B): is there a B* in the fiber of B admitting e?
+
+    `instances` is an iterable of (e_map, a_star, b) triples where b is
+    the unordered target. Returns (True, None) or (False, the first
+    failing triple). Such a B* exists exactly when e is injective: the
+    image ordered as e transports A*'s order, and the rest after it,
+    admits e, and no order admits a map that identifies two points.
+    """
+    for e_map, a_star, b in instances:
+        if len(set(e_map)) != len(e_map):
+            return False, (e_map, a_star, b)
+    return True, None
 
 
 def _trivial_set(n, order=None):

@@ -16,13 +16,14 @@ from itertools import product
 
 import pytest
 
+from helpers import truncated_powers
 from msetramsey.chains import ChainEmbedding, omega
 from msetramsey.comonad import (classify_coalgebra, coalgebra_to_mset,
                                 mset_to_coalgebra)
 from msetramsey.errors import CompositionFails, InputError, NotEMCoalgebra
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
-                               truncated_powers, validate_monoid, z2)
+                               validate_monoid, z2)
 from msetramsey.mset import MSet, check_equivariant, validate_mset
 from msetramsey.ramsey import _all_actions
 from msetramsey.transport import hat_E, mset_as_weak_coalgebra, phi

@@ -6,12 +6,12 @@ from itertools import permutations, product
 
 import pytest
 
+from helpers import truncated_powers
 from msetramsey.chains import omega
 from msetramsey.errors import (CompositionFails, IdentityAxiomFails,
                                InputError, MonoidMismatch, UnknownSymbol)
 from msetramsey.expansion import forget_order
-from msetramsey.monoid import (left_zero_monoid, trivial_monoid,
-                               truncated_powers, z2)
+from msetramsey.monoid import left_zero_monoid, trivial_monoid, z2
 from msetramsey.mset import (MSet, UnaryAlgebra,
                              check_equivariant, cofree_mset, embedding_maps,
                              enumerate_embeddings, evaluate_word,

@@ -10,12 +10,13 @@ from itertools import permutations, product
 
 import pytest
 
+from helpers import truncated_powers
 from msetramsey.chains import omega
 from msetramsey.errors import CapExceeded, InputError, _SearchCapReached
 from msetramsey.mset import MSet, validate_mset, with_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
-                               truncated_powers, validate_monoid, z2)
+                               validate_monoid, z2)
 from msetramsey.ramsey import (ChainContext, Coloring, ForestContext,
                                MSetContext, ProbeBudget, SMALL_BUDGET,
                                TINY_BUDGET,
@@ -462,12 +463,26 @@ def test_search_memory_does_not_grow_with_k():
 
 def test_find_witness_first_success():
     ctx = ChainContext()
-    c, verdict = find_witness(omega(1), omega(2), 2, 1, ctx,
-                              (omega(n) for n in range(1, 6)))
-    assert len(c) == 3 and verdict.status == "holds"
-    c, bound = find_witness(omega(1), omega(2), 5, 1, ctx,
-                            (omega(n) for n in range(1, 4)))
-    assert c is None and bound == 3
+    c = find_witness(omega(1), omega(2), 2, 1, ctx,
+                     (omega(n) for n in range(1, 6)))
+    assert len(c) == 3
+    assert holds_arrow(omega(1), omega(2), c, 2, 1, ctx).status == "holds"
+    assert find_witness(omega(1), omega(2), 5, 1, ctx,
+                        (omega(n) for n in range(1, 4))) is None
+
+
+def test_find_witness_raises_at_a_capped_arrow():
+    """omega_6 -> (3)^2_2 holds (R(3,3) = 6), but 5 nodes decide no arrow
+    past omega_3: the scan cannot tell that no C holds, so it fails
+    loudly at omega_4 instead of giving None."""
+    ctx = ChainContext()
+    with pytest.raises(CapExceeded) as exc:
+        find_witness(omega(2), omega(3), 2, 1, ctx,
+                     (omega(n) for n in range(1, 10)), cap=5)
+    assert str(exc.value) == ("the arrow at t=1, k=2, |B|=3, |C|=4 exceeds "
+                              "the search cap 5")
+    assert find_witness(omega(2), omega(3), 2, 1, ctx,
+                        (omega(n) for n in range(1, 10))).size == 6
 
 
 def test_mset_context_objects_counts():

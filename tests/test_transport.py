@@ -1,16 +1,19 @@
 """Lexicographic lifts, weak coalgebras and witness transport."""
 
+import functools
 from itertools import product
 
 import pytest
 
+from helpers import truncated_powers
+from msetramsey import ramsey, transport
 from msetramsey.chains import ChainEmbedding, omega
-from msetramsey.errors import (InputError, NoChainWitnessInBudget,
-                               SizeOverflow)
+from msetramsey.errors import (CapExceeded, InputError,
+                               NoChainWitnessInBudget, SizeOverflow)
 from msetramsey.expansion import fibers, forget_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
-                               truncated_powers, validate_monoid, z2)
+                               validate_monoid, z2)
 from msetramsey.mset import (check_equivariant, enumerate_embeddings,
                              validate_morphism, validate_mset)
 from msetramsey.ramsey import MSetContext
@@ -259,6 +262,21 @@ def test_transport_witness_must_contain_v():
                          order=tuple(range(4)))
     with pytest.raises(NoChainWitnessInBudget):
         transport_witness(pair, four, 2)
+
+
+def test_transport_witness_raises_at_a_capped_chain_arrow(monkeypatch):
+    """W = omega_6 has W -> (3)^2_2, but not within 5 nodes: a chain search
+    that meets an undecided arrow fails loudly, since it cannot say that
+    no witness lies within the budget."""
+    monkeypatch.setattr(transport, "find_witness",
+                        functools.partial(ramsey.find_witness, cap=5))
+    m = trivial_monoid()
+    pair = validate_mset(m, (0, 1), [(0, 1)], order=(0, 1))
+    three = validate_mset(m, (0, 1, 2), [(0, 1, 2)], order=(0, 1, 2))
+    with pytest.raises(CapExceeded) as exc:
+        transport_witness(pair, three, 2)
+    assert str(exc.value) == ("the arrow at t=1, k=2, |B|=3, |C|=4 exceeds "
+                              "the search cap 5")
 
 
 @pytest.mark.parametrize("make, lifts", [
