@@ -34,22 +34,29 @@ class RootedForest:
 
 
 def is_rooted_forest(carrier, parent):
-    """(True, None) if every element reaches a fixed point, else a cycle."""
-    n = len(carrier)
-    for start in range(n):
-        seen = {}
+    """(True, None) if every element reaches a fixed point, else the first
+    cycle met by walking up from each element in turn.
+
+    Each element on a walk that reaches a root is marked, and a later walk
+    stops at a marked element, so each element is walked once. A walk
+    that ends in a cycle meets no marked element, so it finds the cycle
+    that a walk all the way up would.
+    """
+    rooted = [False] * len(carrier)
+    for start in range(len(carrier)):
+        walk = {}                       # element -> its step on this walk
         a = start
-        while a not in seen:
-            seen[a] = len(seen)
-            if parent[a] == a:
+        while not rooted[a] and a not in walk:
+            walk[a] = len(walk)
+            up = parent[a]
+            if up == a:
                 break
-            a = parent[a]
+            a = up
         else:
-            # walked into a previously visited element without hitting a root
-            cycle_start = seen[a]
-            cycle = [x for x, rank in sorted(seen.items(), key=lambda kv: kv[1])
-                     if rank >= cycle_start]
-            return False, tuple(carrier[x] for x in cycle)
+            if not rooted[a]:           # walked back onto this walk
+                return False, tuple(carrier[x] for x in list(walk)[walk[a]:])
+        for x in walk:
+            rooted[x] = True
     return True, None
 
 

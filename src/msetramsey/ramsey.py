@@ -490,11 +490,12 @@ TINY_BUDGET = ProbeBudget(2, 3, 2)
 
 
 class _HomMemo:
-    """The hom-sets of a context, each listed once.
+    """The hom-sets of a context, each listed once per pair of tables.
 
-    Entries are keyed by the identities of the two objects, since hashing
-    an MSet would hash its whole table, and each entry holds both objects
-    so that neither identity can be reused while the memo lives.
+    Every object of a probe lives over A's monoid, so hom(a, c) depends
+    only on the (positional) action tables and orders of a and c, and
+    entries are keyed by these. Objects with equal tables share an
+    entry, and the memo holds no object.
     """
 
     def __init__(self, ctx):
@@ -502,25 +503,27 @@ class _HomMemo:
         self._homs = {}
 
     def hom(self, a, c):
-        entry = self._homs.get((id(a), id(c)))
-        if entry is None:
-            entry = self._homs[id(a), id(c)] = (a, c, self._hom(a, c))
-        return entry[2]
+        key = a.action, a.order, c.action, c.order
+        homs = self._homs.get(key)
+        if homs is None:
+            homs = self._homs[key] = self._hom(a, c)
+        return homs
 
 
 def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     """Bracket the small Ramsey degree of `a` inside a finite budget.
 
     lower: t is bumped past any value defeated within the budget, where
-    "defeated" means `find_witness` finds no candidate C for some (B, k);
-    an arrow that reaches `cap` first raises its CapExceeded, prefixed
-    "degree probe: ". upper: the context's theory bound.
-    The candidates are listed once, and only if upper and max_k leave
-    lower room to rise; B ranges over those of size <= max_b_size.
+    "defeated" means no candidate C witnesses the arrow for some (B, k)
+    (see `_first_defeat`); an arrow that reaches `cap` first raises its
+    CapExceeded, prefixed "degree probe: ". upper: the context's theory
+    bound. The candidates are listed once, and only if upper and max_k
+    leave lower room to rise; B ranges over those of size <= max_b_size.
     `ctx` provides `theory_degree_upper(a)` and, if that leaves room,
     `objects(a, max_size)`, both read off `a`: MSetContext provides both,
     ChainContext's bound is 1, and ForestContext provides neither. Each
-    hom-set is listed once per probe, through a memo dropped on return.
+    hom-set is listed once per probe and pair of tables, through a memo
+    dropped on return.
     """
     upper, upper_src = ctx.theory_degree_upper(a)
     evidence = {"upper_source": upper_src, "defeats": []}
@@ -529,12 +532,10 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
         return DegreeProbe(1, upper, evidence)
     candidates = ctx.objects(a, budget.max_c_size)
     ctx = _HomMemo(ctx)
-    bs = [(b, len(ctx.hom(a, b))) for b in candidates
-          if b.size <= budget.max_b_size]
     lower = 1
     while lower < top:
         try:
-            defeat = _first_defeat(a, lower, bs, candidates, ctx, budget, cap)
+            defeat = _first_defeat(a, lower, candidates, ctx, budget, cap)
         except CapExceeded as exc:
             raise CapExceeded(f"degree probe: {exc}") from None
         if defeat is None:
@@ -544,15 +545,29 @@ def probe_small_degree(a, ctx, budget=SMALL_BUDGET, cap=DEFAULT_SEARCH_CAP):
     return DegreeProbe(lower, upper, evidence)
 
 
-def _first_defeat(a, t, bs, candidates, ctx, budget, cap):
+def _first_defeat(a, t, candidates, ctx, budget, cap):
     """The first (B, k) with no witness among the candidates C that
-    contain B: `find_witness` finds none, and raises CapExceeded when an
-    arrow reaches the cap before one holds."""
-    for b, n_ab in bs:
-        if n_ab <= t:
+    contain B, or None; hom(A, B) is listed once the loop reaches B.
+
+    Each C' embeds in C' plus max_c_size - |C'| fixed points, a largest
+    candidate C that still contains B, and a bad coloring chi of
+    hom(A, C) restricts along an embedding e: C' -> C to the bad
+    coloring f -> chi(e . f) of hom(A, C'). So every C' is refuted once
+    every largest C is, and `find_witness` scans only the largest. If
+    that scan raises CapExceeded, the scan over every C' decides
+    instead, and raises in turn when an arrow reaches the cap before
+    one holds.
+    """
+    for b in candidates:
+        if b.size > budget.max_b_size or len(ctx.hom(a, b)) <= t:
             continue  # w-images can never exceed t colors
         cs = [c for c in candidates if ctx.hom(b, c)]   # B is one of them
+        largest = [c for c in cs if c.size == budget.max_c_size]
         for k in range(t + 1, budget.max_k + 1):
-            if find_witness(a, b, k, t, ctx, cs, cap) is None:
+            try:
+                witness = find_witness(a, b, k, t, ctx, largest, cap)
+            except CapExceeded:
+                witness = find_witness(a, b, k, t, ctx, cs, cap)
+            if witness is None:
                 return dict(t=t, k=k, B_size=b.size, candidates=len(cs))
     return None

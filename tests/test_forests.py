@@ -1,5 +1,7 @@
 """Rooted forests and their root-path coalgebras."""
 
+import random
+
 import pytest
 
 from msetramsey.comonad import (Coalgebra, DistinctListFunctor,
@@ -23,6 +25,61 @@ def test_is_rooted_forest_accepts_and_rejects():
     ok, cycle = is_rooted_forest(("x", "y", "z"), (1, 2, 0))
     assert not ok
     assert set(cycle) == {"x", "y", "z"}
+
+
+class _CountingParent(tuple):
+    """A parent map that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("up", [-1, 1], ids=["root-first", "root-last"])
+def test_is_rooted_forest_walks_each_vertex_once(up):
+    """A 20,000-vertex path, rooted at either end, takes at most two
+    parent lookups per vertex, where a walk from each vertex up to the
+    root would take about n^2 / 2."""
+    n = 20_000
+    root = 0 if up < 0 else n - 1
+    parent = _CountingParent(i if i == root else i + up for i in range(n))
+    assert is_rooted_forest(tuple(range(n)), parent) == (True, None)
+    assert 0 < parent.lookups <= 2 * n
+
+
+def _walk_every_start(carrier, parent):
+    """is_rooted_forest without marks: each start walks up to a root."""
+    for start in range(len(carrier)):
+        seen = {}
+        a = start
+        while a not in seen:
+            seen[a] = len(seen)
+            if parent[a] == a:
+                break
+            a = parent[a]
+        else:
+            cycle = [x for x, rank in seen.items() if rank >= seen[a]]
+            return False, tuple(carrier[x] for x in cycle)
+    return True, None
+
+
+def test_is_rooted_forest_matches_a_walk_from_every_start():
+    """The same (ok, cycle), first cycle included, on seeded random parent
+    maps with and without roots."""
+    rng = random.Random(35)
+    cycles = 0
+    for _ in range(20_000):
+        n = rng.randint(1, 9)
+        roots = rng.random()
+        parent = tuple(i if rng.random() < roots else rng.randrange(n)
+                       for i in range(n))
+        carrier = tuple(f"v{i}" for i in range(n))
+        expected = _walk_every_start(carrier, parent)
+        assert is_rooted_forest(carrier, parent) == expected
+        cycles += not expected[0]
+    assert 1000 < cycles < 19_000
 
 
 def test_make_forest_raises_with_cycle_witness():

@@ -17,10 +17,11 @@ from msetramsey.mset import MSet, validate_mset, with_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                validate_monoid, z2)
+from msetramsey import ramsey
 from msetramsey.ramsey import (ChainContext, Coloring, ForestContext,
                                MSetContext, ProbeBudget, SMALL_BUDGET,
-                               TINY_BUDGET,
-                               _all_actions, _search_bad_coloring,
+                               TINY_BUDGET, _all_actions, _HomMemo,
+                               _search_bad_coloring,
                                coloring_is_bad, composite_images,
                                find_witness, holds_arrow, probe_small_degree)
 
@@ -867,6 +868,145 @@ def test_probe_lists_each_hom_set_once_and_keeps_none(monkeypatch, make,
     assert len(pairs) == len(set(pairs)) > candidates
     calls.clear()
     assert refs and all(ref() is None for ref in refs)
+
+
+FIXED_PAIR_MONOIDS = [lambda: chain_semilattice(3),
+                      lambda: left_zero_monoid(2), lambda: cyclic_group(3),
+                      z2]
+FIXED_PAIR_IDS = ["semilattice3", "left-zero2", "cyclic3", "z2"]
+
+
+def _fixed_pair(monoid):
+    """The M-set of two fixed points over `monoid`."""
+    return validate_mset(monoid, (0, 1), [(0, 1)] * monoid.size)
+
+
+@pytest.mark.parametrize("make, homs, arrows", zip(
+    FIXED_PAIR_MONOIDS, [28, 17, 6, 8], [10, 9, 1, 2]), ids=FIXED_PAIR_IDS)
+def test_fixed_pair_probe_work_is_pinned(monkeypatch, make, homs, arrows):
+    """The hom-sets a fixed-pair probe lists and the arrows it searches:
+    one hom-set per pair of tables, and arrows only into the largest
+    candidates, where a scan of every candidate took 49, 33, 11 and 15
+    hom-sets and 14, 13, 3 and 4 arrows."""
+    calls = {"hom": 0, "arrow": 0}
+    hom = MSetContext.hom
+
+    def counting_hom(self, a, c):
+        calls["hom"] += 1
+        return hom(self, a, c)
+
+    def counting_arrow(*args, **kw):
+        calls["arrow"] += 1
+        return holds_arrow(*args, **kw)
+    monkeypatch.setattr(MSetContext, "hom", counting_hom)
+    monkeypatch.setattr(ramsey, "holds_arrow", counting_arrow)
+    probe = probe_small_degree(_fixed_pair(make()), MSetContext(),
+                               budget=SMALL_BUDGET)
+    assert (probe.lower, probe.upper) == (2, 2)
+    assert calls["hom"] <= homs and calls["arrow"] <= arrows
+
+
+def test_hom_memo_shares_an_entry_between_equal_tables():
+    """Two objects with equal tables and orders share one entry, whatever
+    their carrier labels; another order is another entry. The memo keeps
+    no object alive."""
+    calls = []
+
+    class Counting(MSetContext):
+        def hom(self, a, c):
+            calls.append((a.carrier, c.carrier))
+            return super().hom(a, c)
+    memo = _HomMemo(Counting())
+    m = z2()
+    a = validate_mset(m, ("x", "y"), [(0, 1)] * 2)
+    b = validate_mset(m, (0, 1), [(0, 1)] * 2)
+    c = validate_mset(m, (0, 1, 2, 3), [(0, 1, 2, 3), (0, 1, 3, 2)])
+    homs = memo.hom(a, c)
+    assert memo.hom(b, c) is homs and homs == [(0, 1), (1, 0)]
+    assert calls == [(("x", "y"), (0, 1, 2, 3))]
+    ordered = [with_order(x) for x in (a, b, c)]
+    assert memo.hom(ordered[0], ordered[2]) == [(0, 1)]
+    assert memo.hom(ordered[1], ordered[2]) == [(0, 1)]
+    assert memo.hom(with_order(a, (1, 0)), ordered[2]) == [(1, 0)]
+    assert len(calls) == 3
+    refs = list(map(weakref.ref, [a, b, c, *ordered]))
+    del a, b, c, ordered
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("make, pullbacks", zip(FIXED_PAIR_MONOIDS,
+                                                 [91, 87, 36, 38]),
+                         ids=FIXED_PAIR_IDS)
+def test_refuted_largest_candidate_refutes_what_embeds_in_it(make,
+                                                             pullbacks):
+    """The lemma behind the scan of the largest candidates. For a fixed
+    pair A = B, take the engine's bad coloring chi of hom(A, C) for each
+    largest candidate C that contains B. Along each embedding e: C' -> C
+    of a smaller candidate, f -> chi(e . f) is a bad coloring of
+    hom(A, C'); `pullbacks` counts those with B in C'."""
+    ctx = MSetContext()
+    pair = _fixed_pair(make())
+    candidates = ctx.objects(pair, SMALL_BUDGET.max_c_size)
+    largest = [c for c in candidates if c.size == SMALL_BUDGET.max_c_size
+               and ctx.hom(pair, c)]
+    pulled = 0
+    for c in largest:
+        verdict = holds_arrow(pair, pair, c, 2, 1, ctx)
+        assert verdict.status == "refuted"
+        chi = verdict.bad_coloring.colors
+        index = {f: i for i, f in enumerate(ctx.hom(pair, c))}
+        for smaller in candidates:
+            if smaller.size == c.size:
+                continue
+            hom_ac, _, _, images = composite_images(pair, pair, smaller, ctx)
+            for e in ctx.hom(smaller, c):
+                colors = [chi[index[compose_map(e, f)]] for f in hom_ac]
+                assert coloring_is_bad(colors, images, 1)
+                pulled += bool(images)
+    assert pulled == pullbacks
+
+
+def _scan_every_candidate(a, t, candidates, ctx, budget, cap):
+    """The reference `_first_defeat`: `find_witness` scans every candidate
+    C that contains B, and the hom(A, B) are listed up front."""
+    bs = [(b, len(ctx.hom(a, b))) for b in candidates
+          if b.size <= budget.max_b_size]
+    for b, n_ab in bs:
+        if n_ab <= t:
+            continue
+        cs = [c for c in candidates if ctx.hom(b, c)]
+        for k in range(t + 1, budget.max_k + 1):
+            if find_witness(a, b, k, t, ctx, cs, cap) is None:
+                return dict(t=t, k=k, B_size=b.size, candidates=len(cs))
+    return None
+
+
+def _probe_outcome(a, budget, cap):
+    try:
+        probe = probe_small_degree(a, MSetContext(), budget=budget, cap=cap)
+    except CapExceeded as exc:
+        return str(exc)
+    return probe.lower, probe.upper, probe.evidence
+
+
+def test_probe_matches_the_scan_of_every_candidate(monkeypatch):
+    """Every A of at most 3 elements, one per class, under three budgets
+    and seven caps: the scan of the largest candidates gives the lower,
+    upper and evidence of the scan of every candidate, or the same
+    CapExceeded text."""
+    grid = [(a, budget, cap)
+            for make in CLASS_MONOIDS + [lambda: chain_semilattice(2)]
+            for a in MSetContext().objects(_point(make()), 3)
+            for budget in (TINY_BUDGET, SMALL_BUDGET, ProbeBudget(3, 5, 3))
+            for cap in (None, 1, 2, 3, 5, 10, 30)]
+    largest = [_probe_outcome(*case) for case in grid]
+    monkeypatch.setattr(ramsey, "_first_defeat", _scan_every_candidate)
+    assert largest == [_probe_outcome(*case) for case in grid]
+    assert len(grid) == 756
+    assert sum(isinstance(out, str) for out in largest) > 100
+    assert sum(isinstance(out, tuple) and bool(out[2]["defeats"])
+               for out in largest) > 100
 
 
 def test_probe_raises_when_an_arrow_reaches_the_cap():
