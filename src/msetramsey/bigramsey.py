@@ -24,15 +24,15 @@ monochromatic; each run certifies its own instance and fails loudly
 import functools
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record, _set
 from .chains import Chain, ChainEmbedding, omega
 from .errors import (CapExceeded, ColoringError, InputError, NoLeastElement,
                      NotAnEmbedding, SizeOverflow, TruncationTooSmall,
                      _SearchCapReached)
 from .expansion import degree_sum_bound
-from .mset import MSetMorphism, enumerate_embeddings
+from .mset import enumerate_embeddings
 from .transport import hat_E
 
 DEFAULT_R_CAP = 10 ** 5
@@ -57,8 +57,7 @@ def subchains_containing_min(chain):
     return out
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
+class ReductionRecord(Record, frozen=True):
     """The reduction f -> f* of one embedding into a lex lift.
 
     rho_blocks partitions the ranks 0..s-1 of the source order by equal
@@ -67,11 +66,14 @@ class ReductionRecord:
     containing the least element; f_star embeds it into the base chain.
     """
 
-    f: MSetMorphism
-    rho_blocks: tuple
-    ell: int
-    subchain: Chain
-    f_star: ChainEmbedding
+    __slots__ = ("f", "rho_blocks", "ell", "subchain", "f_star")
+
+    def __init__(self, f, rho_blocks, ell, subchain, f_star):
+        _set(self, "f", f)
+        _set(self, "rho_blocks", rho_blocks)
+        _set(self, "ell", ell)
+        _set(self, "subchain", subchain)
+        _set(self, "f_star", f_star)
 
 
 def _reduction_key(f_map, order, functions, e):
@@ -503,14 +505,19 @@ def _max_mono_hyperedges(n, arity, colors, cap):
     return best
 
 
-@dataclass
-class ReductionResult:
-    u: ChainEmbedding
-    colors_used: int
-    bound: int
-    tower: tuple           # N, then the truncation after each step
-    step_colors: tuple     # one color per realized pattern, increasing ell
-    r_size: int
+class ReductionResult(Record):
+    __slots__ = ("u", "colors_used", "bound",
+                 "tower",        # N, then the truncation after each step
+                 "step_colors",  # one color per realized pattern, by ell
+                 "r_size")
+
+    def __init__(self, u, colors_used, bound, tower, step_colors, r_size):
+        self.u = u
+        self.colors_used = colors_used
+        self.bound = bound
+        self.tower = tower
+        self.step_colors = step_colors
+        self.r_size = r_size
 
     def to_json(self):
         return {"u": list(self.u.map), "colors_used": self.colors_used,
@@ -638,11 +645,15 @@ def _top_bits(bits):
     return bytes(t >> 8 - bits for t in range(256))
 
 
-@dataclass
-class AggregateBound:
-    aggregate: int
-    formula: int          # n! * 2^(n-1)
-    within_formula: bool
+class AggregateBound(Record):
+    __slots__ = ("aggregate",
+                 "formula",         # n! * 2^(n-1)
+                 "within_formula")
+
+    def __init__(self, aggregate, formula, within_formula):
+        self.aggregate = aggregate
+        self.formula = formula
+        self.within_formula = within_formula
 
     def to_json(self):
         return {"aggregate": self.aggregate, "formula": self.formula,

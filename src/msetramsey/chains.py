@@ -5,20 +5,20 @@ strict order. All operations below work with positions (0..n-1) where
 possible and keep labels as a presentation layer only.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
+from ._record import Record, _set
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Chain:
-    labels: tuple
+class Chain(Record, frozen=True):
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise InputError(f"chain labels are not distinct: {self.labels}")
+    def __init__(self, labels):
+        labels = tuple(labels)
+        _set(self, "labels", labels)
+        if len(set(labels)) != len(labels):
+            raise InputError(f"chain labels are not distinct: {labels}")
 
     def __len__(self):
         return len(self.labels)
@@ -40,24 +40,25 @@ def omega(n):
     return Chain(tuple(range(n)))
 
 
-@dataclass(frozen=True)
-class ChainEmbedding:
+class ChainEmbedding(Record, frozen=True):
     """A strictly increasing map between chains, stored positionally."""
 
-    source: Chain
-    target: Chain
-    map: tuple  # map[i] = target position of the i-th source element
+    __slots__ = ("source", "target",
+                 "map")  # map[i] = target position of the i-th source element
 
-    def __post_init__(self):
-        object.__setattr__(self, "map", tuple(self.map))
-        if len(self.map) != len(self.source):
+    def __init__(self, source, target, map):
+        map = tuple(map)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "map", map)
+        if len(map) != len(source):
             raise InputError("embedding map is not total on the source chain")
-        for i in range(len(self.map) - 1):
-            if not self.map[i] < self.map[i + 1]:
+        for i in range(len(map) - 1):
+            if not map[i] < map[i + 1]:
                 raise InputError(
                     f"embedding is not strictly increasing at positions {i},{i+1}"
                 )
-        if self.map and not (0 <= self.map[0] and self.map[-1] < len(self.target)):
+        if map and not (0 <= map[0] and map[-1] < len(target)):
             raise InputError("embedding map leaves the target chain")
 
     def __call__(self, pos):

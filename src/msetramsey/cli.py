@@ -91,12 +91,19 @@ def _load_arrow_objects(args, load, names):
             raise InputError(
                 f"--ctx {args.ctx} but {name} ({path}) is "
                 f"{'unordered' if ordered else 'ordered'}")
-        if objects and obj.monoid != objects[0].monoid:
-            raise InputError(
-                f"{name} ({path}) lives over another monoid than "
-                f"{names[0]} ({getattr(args, names[0])})")
+        if objects:
+            _require_same_monoid(args, (names[0], objects[0]), (name, obj))
         objects.append(obj)
     return MSetContext(), objects
+
+
+def _require_same_monoid(args, first, other):
+    """InputError, naming both files, unless the (option name, M-set)
+    pair `other` lives over the monoid of `first`."""
+    if other[1].monoid != first[1].monoid:
+        raise InputError(
+            f"{other[0]} ({getattr(args, other[0])}) lives over another "
+            f"monoid than {first[0]} ({getattr(args, first[0])})")
 
 
 def _load_ordered(args, load, name, loader, path=None):
@@ -128,6 +135,7 @@ def cmd_degree_probe(args, load):
 def cmd_transport(args, load):
     u_star = _load_ordered(args, load, "U", io.load_mset)
     v_star = _load_ordered(args, load, "V", io.load_mset)
+    _require_same_monoid(args, ("U", u_star), ("V", v_star))
     result = transport_witness(u_star, v_star, args.k,
                                chain_witness_budget=args.budget,
                                certify_cap=args.certify_cap,

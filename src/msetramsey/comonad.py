@@ -12,9 +12,9 @@ monoids; both agree on commutative ones.
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import permutations, product
 
+from ._record import Record, _set
 from .errors import (EmptySequence, InputError, NotEMCoalgebra, SizeOverflow)
 from .mset import MSet
 
@@ -107,9 +107,11 @@ class ListFunctor(_TupleFunctor):
     epsilon = DistinctListFunctor.epsilon
 
 
-@dataclass
-class LawReport:
-    laws: list = field(default_factory=list)  # (name, ok, counterexample)
+class LawReport(Record):
+    __slots__ = ("laws",)   # (name, ok, counterexample)
+
+    def __init__(self, laws=None):
+        self.laws = [] if laws is None else laws
 
     def record(self, name, counterexample=None):
         self.laws.append((name, counterexample is None, counterexample))
@@ -179,11 +181,15 @@ def check_comonad_laws(functor, elements, delta=None, epsilon=None):
     return report
 
 
-@dataclass(frozen=True)
-class Coalgebra:
-    functor: object
-    carrier: tuple      # element labels; structure values are over these
-    structure: tuple    # structure[i] = E-value for carrier[i]
+class Coalgebra(Record, frozen=True):
+    __slots__ = ("functor",
+                 "carrier",     # element labels; structure values use them
+                 "structure")   # structure[i] = E-value for carrier[i]
+
+    def __init__(self, functor, carrier, structure):
+        _set(self, "functor", functor)
+        _set(self, "carrier", carrier)
+        _set(self, "structure", structure)
 
     def structure_of(self, label):
         return self.structure[self.carrier.index(label)]
@@ -198,11 +204,14 @@ class Coalgebra:
                 "structure": [list(v) for v in self.structure]}
 
 
-@dataclass(frozen=True)
-class CoalgebraHom:
-    source: Coalgebra
-    target: Coalgebra
-    map: dict  # source label -> target label
+class CoalgebraHom(Record, frozen=True):
+    __slots__ = ("source", "target",
+                 "map")  # source label -> target label
+
+    def __init__(self, source, target, map):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "map", map)
 
 
 def validate_coalgebra_hom(source, target, f):

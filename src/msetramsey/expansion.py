@@ -5,15 +5,14 @@ main results is of this form. Fibers are raw (isomorphic orderings are
 not merged), matching the sum the degree bounds are stated over.
 """
 
-from dataclasses import replace
 from itertools import permutations
 
 from .errors import IncompleteFiber, InputError, NotAnEmbedding
-from .mset import validate_morphism, with_order
+from .mset import MSet, validate_morphism, with_order
 
 
 def forget_order(a_star):
-    return replace(a_star, order=None)
+    return MSet(a_star.monoid, a_star.carrier, a_star.action)
 
 
 def fibers(a):

@@ -7,18 +7,22 @@ preceding its extensions (the unique choice making the suffix list
 order-coherent).
 """
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record, _set
 from .comonad import Coalgebra, DistinctListFunctor
 from .errors import InputError, NotAForest, NotPathShaped
 
 
-@dataclass(frozen=True)
-class RootedForest:
-    carrier: tuple
-    parent: tuple       # parent[i] = position of the parent; roots are fixed
-    order: tuple = None  # positions in increasing order (ordered variant)
+class RootedForest(Record, frozen=True):
+    __slots__ = ("carrier",
+                 "parent",  # parent[i] = position of the parent; roots fixed
+                 "order")   # positions in increasing order (ordered variant)
+
+    def __init__(self, carrier, parent, order=None):
+        _set(self, "carrier", carrier)
+        _set(self, "parent", parent)
+        _set(self, "order", order)
 
     @property
     def size(self):

@@ -203,6 +203,7 @@ def _mset(data):
 def _unary_algebra(data):
     alphabet = tuple(_require(data, "alphabet", array=True))
     _require_labels(alphabet, "alphabet")
+    _require_distinct(alphabet, "field 'alphabet'")
     if "order" in data:
         raise InputError("field 'order' is not part of the unary algebra "
                          "format")

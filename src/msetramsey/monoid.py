@@ -4,17 +4,21 @@ The well-order attached to a monoid always lists the identity first; the
 lexicographic lift machinery depends on that and nothing else.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record, _set
 from .errors import BadIdentity, InputError, NotAssociative
 
 
-@dataclass(frozen=True)
-class FiniteMonoid:
-    table: tuple       # table[i][j] = i * j
-    identity: int
-    well_order: tuple  # permutation of 0..size-1, identity first
+class FiniteMonoid(Record, frozen=True):
+    __slots__ = ("table",       # table[i][j] = i * j
+                 "identity",
+                 "well_order")  # permutation of 0..size-1, identity first
+
+    def __init__(self, table, identity, well_order):
+        _set(self, "table", table)
+        _set(self, "identity", identity)
+        _set(self, "well_order", well_order)
 
     @property
     def size(self):

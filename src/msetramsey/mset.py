@@ -7,30 +7,31 @@ order. Forgetting the order clears the field; the unordered code path
 is the same engine with the order checks disabled.
 """
 
-from dataclasses import dataclass, field, replace
 from itertools import accumulate, product
 from operator import itemgetter, or_
 
+from ._record import Record, _set
 from .chains import Chain
 from .errors import (CompositionFails, IdentityAxiomFails, InputError,
                      MonoidMismatch, UnknownSymbol)
-from .monoid import FiniteMonoid
 
 
-@dataclass(frozen=True)
-class MSet:
-    monoid: FiniteMonoid
-    carrier: tuple   # labels
-    action: tuple    # action[m][a] = alpha(m, a), positional
-    order: tuple = None  # carrier indices in increasing order (ordered M-set)
-    # positions[a] = rank of carrier element a in the order
-    positions: tuple = field(init=False, repr=False, compare=False)
+class MSet(Record, frozen=True, hidden=("positions",)):
+    __slots__ = ("monoid",     # a FiniteMonoid
+                 "carrier",    # labels
+                 "action",     # action[m][a] = alpha(m, a), positional
+                 "order",      # carrier indices in increasing order, or None
+                 "positions")  # positions[a] = rank of carrier element a
 
-    def __post_init__(self):
-        if self.order is not None and \
-                sorted(self.order) != list(range(self.size)):
+    def __init__(self, monoid, carrier, action, order=None):
+        if order is not None and \
+                sorted(order) != list(range(len(carrier))):
             raise InputError("order is not a permutation of the carrier")
-        object.__setattr__(self, "positions", _ranks(self.order))
+        _set(self, "monoid", monoid)
+        _set(self, "carrier", carrier)
+        _set(self, "action", action)
+        _set(self, "order", order)
+        _set(self, "positions", _ranks(order))
 
     @property
     def size(self):
@@ -112,19 +113,22 @@ def with_order(ms, order_indices=None):
     """The M-set under a total order (default: carrier index order)."""
     if order_indices is None:
         order_indices = range(ms.size)
-    return replace(ms, order=tuple(order_indices))
+    return MSet(ms.monoid, ms.carrier, ms.action, tuple(order_indices))
 
 
-@dataclass(frozen=True)
-class MSetMorphism:
+class MSetMorphism(Record, frozen=True):
     """A map of carriers. Its kind is read off the map and the objects:
     between ordered M-sets only an increasing injective map is an
     (order-)embedding, and a map between an ordered and an unordered
     M-set is only a morphism."""
 
-    source: MSet
-    target: MSet
-    map: tuple       # target index per source index
+    __slots__ = ("source", "target",
+                 "map")  # target index per source index
+
+    def __init__(self, source, target, map):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "map", map)
 
     @property
     def kind(self):
@@ -321,34 +325,35 @@ def _embeddings_along(rows, spos, tpos, b_order):
     return results
 
 
-@dataclass(frozen=True)
-class UnaryAlgebra:
+class UnaryAlgebra(Record, frozen=True):
     """A unary algebra stored by its generator self-maps.
 
     Word actions are computed by composition on demand; no free monoid
     is ever materialized.
     """
 
-    alphabet: tuple
-    carrier: tuple
-    actions: dict    # symbol -> tuple (self-map on carrier positions)
+    __slots__ = ("alphabet", "carrier",
+                 "actions")  # symbol -> tuple (self-map on carrier positions)
+
+    def __init__(self, alphabet, carrier, actions):
+        for s in alphabet:
+            if s not in actions:
+                raise InputError(f"no generator action for symbol {s!r}")
+            row = actions[s]
+            if len(row) != len(carrier) or \
+                    any(not (0 <= x < len(carrier)) for x in row):
+                raise InputError(f"generator action for {s!r} is malformed")
+        for s in actions:
+            if s not in alphabet:
+                raise InputError(f"generator action for symbol {s!r}, which "
+                                 "is not in the alphabet")
+        _set(self, "alphabet", alphabet)
+        _set(self, "carrier", carrier)
+        _set(self, "actions", actions)
 
     @property
     def size(self):
         return len(self.carrier)
-
-    def __post_init__(self):
-        for s in self.alphabet:
-            if s not in self.actions:
-                raise InputError(f"no generator action for symbol {s!r}")
-            row = self.actions[s]
-            if len(row) != len(self.carrier) or \
-                    any(not (0 <= x < len(self.carrier)) for x in row):
-                raise InputError(f"generator action for {s!r} is malformed")
-        for s in self.actions:
-            if s not in self.alphabet:
-                raise InputError(f"generator action for symbol {s!r}, which "
-                                 "is not in the alphabet")
 
 
 def evaluate_word(algebra, word, a):

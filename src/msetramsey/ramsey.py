@@ -19,9 +19,9 @@ that runs out is "inconclusive".
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, count, permutations
 
+from ._record import Record
 from .errors import CapExceeded, _SearchCapReached
 from .mset import MSet, _embeddings_along, _getter, _ranks, embedding_maps
 
@@ -260,22 +260,27 @@ class ForestContext:
                                          _ranks(c.order), c.order)
 
 
-@dataclass
-class Coloring:
-    colors: tuple
-    k: int
+class Coloring(Record):
+    __slots__ = ("colors", "k")
 
-    def __post_init__(self):
-        if any(not (0 <= c < self.k) for c in self.colors):
+    def __init__(self, colors, k):
+        self.colors = colors
+        self.k = k
+        if any(not (0 <= c < k) for c in colors):
             raise ValueError("color out of range")
 
 
-@dataclass
-class ArrowVerdict:
-    status: str                      # "holds" | "refuted" | "inconclusive"
-    bad_coloring: Coloring = None
-    reason: str = ""
-    witness_stats: dict = field(default_factory=dict)
+class ArrowVerdict(Record):
+    __slots__ = ("status",          # "holds" | "refuted" | "inconclusive"
+                 "bad_coloring",    # a Coloring, or None
+                 "reason", "witness_stats")
+
+    def __init__(self, status, bad_coloring=None, reason="",
+                 witness_stats=None):
+        self.status = status
+        self.bad_coloring = bad_coloring
+        self.reason = reason
+        self.witness_stats = {} if witness_stats is None else witness_stats
 
     def to_json(self):
         d = {"status": self.status, "reason": self.reason,
@@ -471,18 +476,24 @@ def find_witness(a, b, k, t, ctx, candidates, cap=DEFAULT_SEARCH_CAP):
     return None
 
 
-@dataclass
-class DegreeProbe:
-    lower: int
-    upper: int      # the context's theory bound
-    evidence: dict = field(default_factory=dict)
+class DegreeProbe(Record):
+    __slots__ = ("lower",
+                 "upper",       # the context's theory bound
+                 "evidence")
+
+    def __init__(self, lower, upper, evidence=None):
+        self.lower = lower
+        self.upper = upper
+        self.evidence = {} if evidence is None else evidence
 
 
-@dataclass
-class ProbeBudget:
-    max_b_size: int = 3
-    max_c_size: int = 4
-    max_k: int = 3
+class ProbeBudget(Record):
+    __slots__ = ("max_b_size", "max_c_size", "max_k")
+
+    def __init__(self, max_b_size=3, max_c_size=4, max_k=3):
+        self.max_b_size = max_b_size
+        self.max_c_size = max_c_size
+        self.max_k = max_k
 
 
 SMALL_BUDGET = ProbeBudget()

@@ -10,23 +10,27 @@ delta(h)(m1)(m2) = h(m1 * m2) = gamma(m1, h)(m2): one check carries the
 weak-EM square of `mset_as_weak_coalgebra` and the hom square of `phi`.
 """
 
-from dataclasses import dataclass, field
-
-from .chains import Chain, ChainEmbedding, omega
+from ._record import Record, _set
+from .chains import ChainEmbedding, omega
 from .errors import InputError, NoChainWitnessInBudget, SizeOverflow
-from .mset import MSet, MSetMorphism, cofree_tables, validate_morphism
+from .mset import cofree_tables, validate_morphism
 from .ramsey import (ChainContext, DEFAULT_SEARCH_CAP, MSetContext,
                      find_witness, holds_arrow)
 
 DEFAULT_LIFT_CAP = 10 ** 5
 
 
-@dataclass(frozen=True)
-class LexLift:
-    base: Chain
-    lifted: MSet
-    functions: tuple   # functions[i] = h as a tuple of base positions
-    index: dict = field(repr=False, compare=False)   # h -> i
+class LexLift(Record, frozen=True, hidden=("index",)):
+    __slots__ = ("base",        # a Chain
+                 "lifted",      # an MSet
+                 "functions",   # functions[i] = h as a tuple of base positions
+                 "index")       # h -> i
+
+    def __init__(self, base, lifted, functions, index):
+        _set(self, "base", base)
+        _set(self, "lifted", lifted)
+        _set(self, "functions", functions)
+        _set(self, "index", index)
 
 
 def hat_E(base, m, cap=DEFAULT_LIFT_CAP):
@@ -57,12 +61,15 @@ def hat_delta(lift):
     return coalg.embedding, coalg.lift
 
 
-@dataclass(frozen=True)
-class WeakCoalgebra:
+class WeakCoalgebra(Record, frozen=True):
     """An ordered M-set together with its structure map into hat_E."""
 
-    lift: LexLift               # hat_E of the carrier chain
-    embedding: MSetMorphism     # the structure map, from the M-set
+    __slots__ = ("lift",        # the LexLift of the carrier chain
+                 "embedding")   # the structure map, an MSetMorphism
+
+    def __init__(self, lift, embedding):
+        _set(self, "lift", lift)
+        _set(self, "embedding", embedding)
 
     @property
     def carrier_chain(self):
@@ -126,10 +133,13 @@ def check_PA(u, f_map, a_coalg, b_coalg):
     return True, f_map
 
 
-@dataclass(frozen=True)
-class TransportedWitness:
-    lift: LexLift         # hat_E of the chain witness
-    verdict: object       # the certifying arrow verdict on the lift
+class TransportedWitness(Record, frozen=True):
+    __slots__ = ("lift",      # hat_E of the chain witness
+                 "verdict")   # the certifying arrow verdict on the lift
+
+    def __init__(self, lift, verdict):
+        _set(self, "lift", lift)
+        _set(self, "verdict", verdict)
 
     @property
     def chain_witness(self):

@@ -514,6 +514,29 @@ def test_transport_witness_contains_v(capsys, files):
         "hom_AB": 1, "hom_AC": 15, "hom_BC": 35}
 
 
+@pytest.mark.parametrize("budget", [[], ["--budget", "2"]],
+                         ids=["default-budget", "budget-2"])
+def test_transport_over_different_monoids_exits_1_naming_both(
+        capsys, files, budget):
+    """U over the trivial monoid and V over Z2 are refused before any
+    search, so a budget too small for a chain witness is not reported."""
+    point = files["tmp"] / "point.json"
+    point.write_text(json.dumps({
+        "monoid": {"size": 1, "identity": 0, "table": [[0]]},
+        "carrier": ["p"], "action": [[0]], "order": ["p"]}))
+    swap_fixed = files["tmp"] / "swap_fixed.json"
+    swap_fixed.write_text(json.dumps({
+        "monoid": {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+        "carrier": ["a1", "a2", "f"], "action": [[0, 1, 2], [1, 0, 2]],
+        "order": ["a1", "a2", "f"]}))
+    code, report, err = run(capsys, [
+        "transport", "--U", str(point), "--V", str(swap_fixed), "-k", "2",
+        *budget])
+    assert code == 1 and report is None
+    assert err == (f"input error: V ({swap_fixed}) lives over another "
+                   f"monoid than U ({point})\n")
+
+
 def test_transport_inconclusive_reason_names_certify_cap(capsys, files):
     code, report, _ = run(capsys, [
         "transport", "--U", files["fixed1"], "--V", files["fixed2"],
@@ -1120,6 +1143,11 @@ def test_unwritable_out_exits_1_naming_it_and_writes_nothing(
                  '"carrier": [], "action": [[]]}',
                  "{}: the empty M-set has no least element",
                  id="degree-bound-big-empty-A"),
+    pytest.param(["validate", "--unary", FILE],
+                 '{"alphabet": ["f", "f"], "carrier": ["x", "y"], '
+                 '"generator_actions": {"f": [1, 1]}}',
+                 "{}: field 'alphabet' holds 'f' and 'f', which are equal "
+                 "labels", id="unary-repeated-symbol"),
 ])
 def test_input_errors_exit_1_naming_the_file(capsys, files, argv, text,
                                              message):

@@ -9,7 +9,7 @@ import random
 import tempfile
 from itertools import permutations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cli_files import FILE_OPTIONS, with_file, write_files
 from msetramsey.bigramsey import lift_hom_size
@@ -294,13 +294,15 @@ def unary_argv(draw):
     """(files to write, argv, whether the file must be rejected) for one
     validate --unary run: up to 3 generators acting on up to 3 elements,
     now and then with a label swapped for another value, a row for a
-    symbol that may lie outside the alphabet, an "order" field, or a
-    field deleted or swapped for any JSON value. A file with a
-    non-scalar alphabet symbol, a row for a symbol outside the alphabet,
-    an "order" field or no alphabet or generator actions must be
-    rejected."""
+    symbol that may lie outside the alphabet, a repeated symbol, an
+    "order" field, or a field deleted or swapped for any JSON value. A
+    file with a non-scalar or repeated alphabet symbol, a row for a
+    symbol outside the alphabet, an "order" field or no alphabet or
+    generator actions must be rejected."""
     n = draw(st.integers(0, 3))
     alphabet = _labels(draw, draw(st.integers(0, 3)))
+    if alphabet and draw(st.integers(0, 4)) == 0:
+        alphabet.append(draw(st.sampled_from(alphabet)))
     rows = {str(x): [draw(st.integers(-1, n)) for _ in range(n)]
             for x in alphabet if _is_scalar(x)}
     if draw(st.integers(0, 4)) == 0:
@@ -316,8 +318,10 @@ def unary_argv(draw):
                                  "carrier"])
     alphabet, rows = obj.get("alphabet"), obj.get("generator_actions")
     listed = isinstance(alphabet, list)
+    scalars = listed and all(map(_is_scalar, alphabet))
     bad = bool(deleted and deleted != ["carrier"]) or "order" in obj or (
-        listed and not all(map(_is_scalar, alphabet))) or (
+        listed and not scalars) or (
+        scalars and len(set(alphabet)) < len(alphabet)) or (
         listed and isinstance(rows, dict)
         and any(s not in alphabet for s in rows))
     return {"input.json": obj}, ["validate", "--unary", "input.json"], bad
@@ -544,6 +548,9 @@ def test_forest_exits_0_1_or_2_and_rejects_non_labels(case):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(unary_argv())
+@example(({"input.json": {"alphabet": ["f", "f"], "carrier": ["x", "y"],
+                          "generator_actions": {"f": [1, 1]}}},
+          ["validate", "--unary", "input.json"], True))
 def test_validate_unary_exits_0_1_or_2_and_rejects_bad_fields(case):
     files, argv, bad = case
     code = _run_twice(files, argv, named=True)

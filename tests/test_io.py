@@ -1,5 +1,6 @@
 """The report writer lays a report out byte for byte as
-json.dumps(report, indent=2, sort_keys=True) does."""
+json.dumps(report, indent=2, sort_keys=True) does, and the loaders
+refuse what their formats rule out."""
 
 import contextlib
 import io
@@ -9,7 +10,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msetramsey.io import dump_report
+from msetramsey.errors import InputError
+from msetramsey.io import dump_report, load_unary_algebra
 
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(),
@@ -59,3 +61,15 @@ def test_dump_report_rejects_what_json_dumps_rejects(report):
     with pytest.raises(TypeError) as got:
         _dump(report)
     assert str(got.value) == str(want.value)
+
+
+def test_unary_loader_rejects_a_repeated_alphabet_symbol(tmp_path):
+    path = tmp_path / "unary.json"
+    unary = {"alphabet": ["f", "g"], "carrier": ["x", "y"],
+             "generator_actions": {"f": [1, 1], "g": [0, 0]}}
+    path.write_text(json.dumps(unary))
+    assert load_unary_algebra(str(path)).alphabet == ("f", "g")
+    path.write_text(json.dumps(dict(unary, alphabet=["f", "g", "f"])))
+    with pytest.raises(InputError, match="field 'alphabet' holds 'f' and "
+                                         "'f', which are equal labels"):
+        load_unary_algebra(str(path))
