@@ -8,8 +8,8 @@ by g = epsilon . f, so these embeddings are listed directly: the tie
 patterns of g that A realizes, each times the chain embeddings of its
 blocks. Each embedding is held as an integer key, its map table read as
 one base-N^|M| number, so one sort of ints gives the canonical order;
-each pattern's colors are read in combinations order of the images, by
-combinatorial rank. Composing with hat_E of a chain embedding u found by
+each pattern's colors are read by key, linear in the image, on any
+point set. Composing with hat_E of a chain embedding u found by
 iterated chain-Ramsey searches, one per realized pattern, then bounds
 the number of colors any coloring of hom(A, hat_E(omega_N)) takes on the
 image hat_E(u) . R by the number of patterns A realizes, one color per
@@ -145,12 +145,12 @@ def lift_hom_size(a_star, big_n, r_cap=DEFAULT_R_CAP):
 def _pattern_keys(a_star, n, msize):
     """The embeddings of A into the lex lift of omega_n, as integer keys.
 
-    Returns (ell, keys) for each realizable pattern ell, the keys listed
-    in combinations(range(n), blocks(ell)) order of the images. The map
-    of an image is f(a) = sum_j image[blk[j.a]] * n^(msize-1-j), linear
-    in the image, and its key reads the map table as one base-q integer,
-    q = n^msize, with f(a_0) the leading digit; so keys compare as the
-    map tables do lexicographically, and key = sum_b W_b * image[b].
+    Returns (ell, W, keys) for each realizable pattern ell, the keys
+    listed in combinations(range(n), blocks(ell)) order of the images.
+    The map of an image is f(a) = sum_j image[blk[j.a]] * n^(msize-1-j),
+    linear in the image, and its key reads the map table as one base-q
+    integer, q = n^msize, with f(a_0) the leading digit; so keys compare
+    as the map tables do lexicographically, and key = sum_b W_b * image[b].
     """
     q = n ** msize
     s = a_star.size
@@ -162,23 +162,24 @@ def _pattern_keys(a_star, n, msize):
             for j in range(msize):
                 weights[blk[act[j][a]]] += (n ** (msize - 1 - j)
                                             * q ** (s - 1 - a))
-        out.append((ell, _combination_sums(weights, n)))
+        out.append((ell, weights, _combination_sums(weights, range(n))))
     return out
 
 
-def _combination_sums(weights, n):
-    """sum_b weights[b] * c[b] for c in combinations(range(n), len(weights)).
+def _combination_sums(weights, points):
+    """sum_b weights[b] * c[b] for c in combinations(points, len(weights)).
 
-    Built one block at a time from the last: the combinations of size r
-    whose least element exceeds x are the last C(n-1-x, r) of them.
+    Built one block at a time from the last, for n increasing `points`:
+    the combinations of size r above points[i] are the last C(n-1-i, r).
     """
-    sums = [weights[-1] * y for y in range(n)]
+    n = len(points)
+    sums = [weights[-1] * y for y in points]
     for r, w in enumerate(reversed(weights[:-1]), 1):
         longer = []
-        for x in range(n - r):
-            head = w * x
+        for i in range(n - r):
+            head = w * points[i]
             longer += [head + t for t in sums[len(sums)
-                                              - math.comb(n - 1 - x, r):]]
+                                              - math.comb(n - 1 - i, r):]]
         sums = longer
     return sums
 
@@ -189,13 +190,6 @@ def _base_number(digits, base):
     for d in digits:
         value = value * base + d
     return value
-
-
-def _rank(sub, n):
-    """The index of an increasing tuple in combinations(range(n), len(sub))."""
-    b = len(sub)
-    return math.comb(n, b) - 1 - sum(
-        math.comb(n - 1 - x, b - i) for i, x in enumerate(sub))
 
 
 def pi_star(f, lift):
@@ -245,9 +239,9 @@ def _max_mono_subset(points, arity, colors, cap=None):
     y of masks[P] is set when P + (y,) has color c, for each
     (arity-1)-subset P of point positions and y > P[-1]; those colors
     are one contiguous run of `colors`, so masks is a flat list of the
-    runs in combinations order of P. A mask is addressed by the lex
-    index of P (as in _rank), a sum of one term per position and
-    element: the index of S + (x,) is that of S's terms plus one of x.
+    runs in combinations order of P. A mask is addressed by P's index
+    in combinations order, a sum of one term per position and element:
+    the index of S + (x,) is that of S's terms plus one of x.
     The search takes the candidates in increasing order, each as the
     next point of the set, and descends only into a set that can still
     beat the incumbent, so the first set of the largest size it meets is
@@ -538,7 +532,7 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP,
     first, and no lift of omega_N is built. One sort of the keys puts
     chi in place. One pigeonhole step runs per realized pattern ell, in
     decreasing ell (TruncationTooSmall names step ell + 1), reading its
-    colors in combinations order of the images by combinatorial rank, so
+    colors by key (sum_b W_b * image[b]) over the current points, so
     at most one color per realized pattern survives. Each step's search
     for a monochromatic subset may take `cap` nodes; one that would need
     more raises CapExceeded naming the step, its arity and the nodes.
@@ -555,7 +549,7 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP,
         raise NoLeastElement("the empty chain has no least element")
     patterns = _pattern_keys(a_star, big_n, m.size)
     keys = []
-    for _, pk in patterns:
+    for _, _, pk in patterns:
         keys += pk
     keys.sort()
     colors = tuple(chi)
@@ -575,13 +569,11 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP,
     outer = range(big_n)   # composite w_n . ... . w_{i+1} into omega_N
     tower = [big_n]
     step_colors = []
-    for ell, pk in reversed(patterns):
-        arity = ell.bit_count() + 1   # the blocks of pattern ell
-        if len(outer) == big_n:
-            colors_i = list(map(color_by_key.__getitem__, pk))
-        else:
-            colors_i = [color_by_key[pk[_rank(sub, big_n)]]
-                        for sub in combinations(outer, arity)]
+    for ell, weights, pk in reversed(patterns):
+        arity = len(weights)   # the blocks of pattern ell
+        if len(outer) < big_n:
+            pk = _combination_sums(weights, outer)
+        colors_i = list(map(color_by_key.__getitem__, pk))
         try:
             mono = _max_mono_subset(range(len(outer)), arity, colors_i, cap)
         except _SearchCapReached:
@@ -591,7 +583,8 @@ def big_ramsey_reduce(a_star, chi, k, big_n, r_cap=DEFAULT_R_CAP,
         if len(mono) < s:
             raise TruncationTooSmall(
                 ell + 1, f"monochromatic subset has size {len(mono)} < {s}")
-        step_colors.append(colors_i[_rank(mono[:arity], len(outer))])
+        step_colors.append(color_by_key[sum(
+            w * outer[x] for w, x in zip(weights, mono))])
         outer = [outer[x] for x in mono]
         tower.append(len(mono))
 

@@ -40,14 +40,15 @@ def restrict_along(b_star, e_map, a):
 def degree_sum_bound(a, ordered_degrees):
     """Sum the fiber degrees; the keys must be exactly the fiber.
 
-    `ordered_degrees` maps A*.order -> degree of that ordering.
+    `ordered_degrees` maps A*.order -> degree of that ordering, read in
+    fibers' order without building the fiber.
     """
     for key in ordered_degrees:
         if sorted(key) != list(range(a.size)):
             raise IncompleteFiber(f"degree for {key}, not an ordering of A")
     total = 0
-    for a_star in fibers(a):
-        if ordered_degrees.get(a_star.order) is None:
-            raise IncompleteFiber(f"no degree for ordering {a_star.order}")
-        total += ordered_degrees[a_star.order]
+    for order in permutations(range(a.size)):
+        if ordered_degrees.get(order) is None:
+            raise IncompleteFiber(f"no degree for ordering {order}")
+        total += ordered_degrees[order]
     return total

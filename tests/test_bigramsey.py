@@ -10,8 +10,9 @@ import pytest
 from helpers import equivariance_of_pi, truncated_powers
 from msetramsey import bigramsey
 from msetramsey.bigramsey import (DEFAULT_NODE_CAP, ReductionResult,
-                                  _max_mono_subset, _pattern_keys, _rank,
-                                  _reduction_key, _SearchCapReached,
+                                  _combination_sums, _max_mono_subset,
+                                  _pattern_keys, _reduction_key,
+                                  _SearchCapReached,
                                   big_ramsey_reduce, lift_hom_size,
                                   pi_star, random_coloring,
                                   subchains_containing_min,
@@ -174,9 +175,9 @@ def test_pattern_keys_match_generic_engine():
                         key = key * q + x
                     maps[key] = f.map
                 patterns = _pattern_keys(a, n, m.size)
-                assert sorted(k for _, pk in patterns for k in pk) == \
+                assert sorted(k for _, _, pk in patterns for k in pk) == \
                     list(maps)
-                for ell, pk in patterns:
+                for ell, _, pk in patterns:
                     images = combinations(range(n), ell.bit_count() + 1)
                     for key, image in zip(pk, images, strict=True):
                         assert _reduction_key(maps[key], a.order,
@@ -740,11 +741,20 @@ def test_one_step_per_realized_pattern():
     assert runs > 1000 and step_counts == {1, 2, 3}
 
 
-def test_rank_matches_combinations_order():
-    for n in range(13):
-        for b in range(n + 1):
-            for i, sub in enumerate(combinations(range(n), b)):
-                assert _rank(sub, n) == i
+def test_combination_sums_match_brute_force():
+    """Random increasing point lists, from none to as many blocks as
+    points, and the full range(n) that lists R's keys."""
+    rng = random.Random(38)
+    cases = [([], 1), ([], 3), ([4], 1), ([2, 5], 2), ([0, 3, 7], 3)]
+    for _ in range(200):
+        points = sorted(rng.sample(range(40), rng.randrange(1, 10)))
+        cases.append((points, rng.randrange(1, len(points) + 2)))
+    cases += [(range(n), b) for n in range(8) for b in range(1, n + 2)]
+    for points, b in cases:
+        weights = [rng.randrange(-50, 10 ** 6) for _ in range(b)]
+        assert _combination_sums(weights, points) == [
+            sum(w * x for w, x in zip(weights, c))
+            for c in combinations(points, b)]
 
 
 def test_bigramsey_colors_beyond_a_byte(capsys, tmp_path):
@@ -885,3 +895,34 @@ def test_bigramsey_golden_reports(capsys, tmp_path, name):
         got.append([[t["u"], t["tower"], t["step_colors"], t["colors_used"],
                      t["R_size"]] for t in trials])
     assert got == GOLDEN_TRIALS[name]
+
+
+# Z2 swapping a and b and fixing c, with a < b < c: it realizes patterns
+# 1 and 3, so each run takes a second tower step, whose colors are read
+# over the points the first step kept. Recorded before those colors were
+# read by key: per seed, [u, tower, step_colors, colors_used, R_size].
+TWO_PATTERN_TRIALS = [
+    [[4, 5, 6], [9, 5, 3], [0, 0], 1, 120],
+    [[0, 5, 6], [9, 4, 3], [1, 0], 2, 120],
+    [[1, 5, 7], [9, 5, 3], [0, 1], 2, 120],
+    [[2, 3, 7], [9, 4, 3], [1, 0], 2, 120],
+    [[0, 1, 6], [9, 4, 3], [0, 0], 1, 120],
+    [[0, 3, 6], [9, 4, 3], [0, 0], 1, 120],
+]
+
+
+def test_bigramsey_two_pattern_golden_reports(capsys, tmp_path):
+    a = validate_mset(z2(), ("a", "b", "c"), [[0, 1, 2], [1, 0, 2]],
+                      order=("a", "b", "c"))
+    assert _realized_patterns(a) == {1, 3}
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({
+        "monoid": {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+        "carrier": ["a", "b", "c"], "action": [[0, 1, 2], [1, 0, 2]],
+        "order": ["a", "b", "c"]}))
+    for seed, expected in enumerate(TWO_PATTERN_TRIALS):
+        assert main(["bigramsey", "--A", str(path), "--N", "9", "--k", "2",
+                     "--seed", str(seed)]) == 0
+        (t,) = json.loads(capsys.readouterr().out)["verdicts"]["trials"]
+        assert [t["u"], t["tower"], t["step_colors"], t["colors_used"],
+                t["R_size"]] == expected

@@ -8,7 +8,7 @@ import json
 import random
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import itemgetter
 
 import pytest
@@ -948,6 +948,31 @@ def test_degree_bound(capsys, files):
         "degree-bound", "--A", files["pair_unordered"],
         "--ordered-degrees", files["degrees"], "--big"])
     assert code == 0 and report["verdicts"]["within_formula"] is True
+
+
+def test_degree_bound_names_the_first_missing_ordering(capsys, files):
+    """A 9-element A with one ordering: the report names the fiber's
+    second ordering; a full fiber of a 3-element A has fiber_size 3!."""
+    def write(name, carrier, orders):
+        a = files["tmp"] / f"{name}.json"
+        a.write_text(json.dumps({"monoid": {"size": 1, "identity": 0,
+                                            "table": [[0]]},
+                                 "carrier": carrier, "action": [carrier]}))
+        degrees = files["tmp"] / f"{name}_degrees.json"
+        degrees.write_text(json.dumps([{"order": list(o), "degree": 1}
+                                       for o in orders]))
+        return ["degree-bound", "--A", str(a), "--ordered-degrees",
+                str(degrees)], degrees
+
+    argv, degrees = write("nine", list(range(9)), [range(9)])
+    code, report, err = run(capsys, argv)
+    assert code == 1 and report is None
+    assert err == (f"input error: {degrees}: no degree for ordering "
+                   "(0, 1, 2, 3, 4, 5, 6, 8, 7)\n")
+    argv, _ = write("three", [0, 1, 2], permutations(range(3)))
+    code, report, _ = run(capsys, argv)
+    assert code == 0
+    assert report["verdicts"] == {"bound": 6, "fiber_size": 6}
 
 
 def test_degree_bound_big_rejects_empty_carrier(capsys, files):

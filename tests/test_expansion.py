@@ -1,5 +1,6 @@
 """Order expansions: fibers, restrictions, reasonableness, degree sums."""
 
+import tracemalloc
 from itertools import product
 from math import factorial
 
@@ -176,3 +177,19 @@ def test_degree_sum_bound():
     assert degree_sum_bound(a, degrees) == 4  # monotone in each entry
     with pytest.raises(IncompleteFiber):
         degree_sum_bound(a, {(0, 1): 1})
+
+
+def test_degree_sum_bound_names_the_first_missing_ordering_lazily():
+    """A one-ordering degrees file on a 9-element A fails at the fiber's
+    second ordering without building the 362,880 orderings first."""
+    a = _trivial_set(9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IncompleteFiber) as exc:
+            degree_sum_bound(a, {tuple(range(9)): 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == \
+        "no degree for ordering (0, 1, 2, 3, 4, 5, 6, 8, 7)"
+    assert peak < 10 ** 6
