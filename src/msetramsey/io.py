@@ -94,7 +94,7 @@ def load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -12,8 +12,8 @@ from operator import itemgetter, or_
 
 from ._record import Record, _set
 from .chains import Chain
-from .errors import (CompositionFails, IdentityAxiomFails, InputError,
-                     MonoidMismatch, UnknownSymbol)
+from .errors import (CapExceeded, CompositionFails, IdentityAxiomFails,
+                     InputError, MonoidMismatch, UnknownSymbol)
 
 
 class MSet(Record, frozen=True, hidden=("positions",)):
@@ -224,15 +224,15 @@ def _embeddings_along(rows, spos, tpos, b_order):
 
     When ordered, the targets tried for x come from bitset candidate
     domains (McCreesh, Prosser & Trimble 2020). A row pair (r, s) whose
-    r(x) is unplaced keeps the y whose s(y) lies strictly between the
-    images of r(x)'s nearest placed neighbours in source order, read off
-    the row's table below[t] (the y whose s(y) sits below position t),
-    built on the row's first use in the call; these domains intersect.
-    A row whose r(x) is placed fixes s(y) to r(x)'s image, so it is
-    checked on each surviving y with no table. Every image a tried y
-    forces is then ordered against those placed before, so placing it
-    checks order only among the images it places itself. The unordered
-    search tries every target.
+    r(x) is unplaced keeps the y whose s(y) leaves room for the unplaced
+    elements on each side: if r(x) has source rank q and its nearest
+    placed neighbours p < q < p' (else -1 and n, with image ranks -1 and
+    |target|), s(y) ranks from p's image + (q - p) to below p''s image -
+    (p' - q - 1), read off the row's table below[t] (the y whose s(y)
+    sits below rank t), built on the row's first use; these domains
+    intersect. `place` alone checks a row whose r(x) is placed, and
+    orders a y's images only among themselves. The unordered search
+    tries every target. Recursion past Python's limit is CapExceeded.
     """
     ordered = spos is not None
     if ordered != (tpos is not None):
@@ -265,24 +265,24 @@ def _embeddings_along(rows, spos, tpos, b_order):
         below = [None] * len(rows)
 
         def domain(x):
-            """The targets y of x, ascending, that put every forced image
-            s(y) in its gap, or on the image r(x) already has."""
+            """The targets y of x, ascending, that leave every forced image
+            s(y) of an unplaced r(x) room in its gap."""
             dom = (1 << bsize) - 1
-            fixed = []
             for k, (r, s) in enumerate(rows):
                 xm = r[x]
                 if assign[xm] != -1:
-                    fixed.append((s, assign[xm]))
                     continue
                 q = spos[xm]
                 p = q - 1
                 while p >= 0 and assign[a_order[p]] == -1:
                     p -= 1
-                lo = tpos[assign[a_order[p]]] + 1 if p >= 0 else 0
+                lo = q - p + (tpos[assign[a_order[p]]] if p >= 0 else -1)
                 p = q + 1
                 while p < n and assign[a_order[p]] == -1:
                     p += 1
-                hi = tpos[assign[a_order[p]]] if p < n else bsize
+                hi = q + 1 - p + (tpos[assign[a_order[p]]] if p < n else bsize)
+                if hi <= lo:
+                    return ()
                 table = below[k]
                 if table is None:
                     pre = [0] * bsize
@@ -296,13 +296,8 @@ def _embeddings_along(rows, spos, tpos, b_order):
             targets = []
             while dom:
                 low = dom & -dom
-                y = low.bit_length() - 1
+                targets.append(low.bit_length() - 1)
                 dom ^= low
-                for s, v in fixed:
-                    if s[y] != v:
-                        break
-                else:
-                    targets.append(y)
             return targets
 
     def extend(x):
@@ -320,8 +315,13 @@ def _embeddings_along(rows, spos, tpos, b_order):
                 used[assign[z]] = False
                 assign[z] = -1
 
-    extend(0)
-    del extend   # the closure refers to itself through its cell
+    try:
+        extend(0)
+    except RecursionError:
+        raise CapExceeded(f"an embedding search from {n} source elements "
+                          "exceeds Python's recursion limit") from None
+    finally:
+        del extend   # the closure refers to itself through its cell
     return results
 
 

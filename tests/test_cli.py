@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import random
+import sys
 import time
 from collections import Counter
 from itertools import combinations, permutations
@@ -579,6 +580,23 @@ def test_arrow_check_beyond_recursion_depth(capsys, files, tmp_path):
     assert code == 0
     assert report["verdicts"]["status"] == "holds"
     assert report["verdicts"]["witness_stats"]["hom_AC"] == 1081
+
+
+def test_ordered_hom_set_deeper_than_the_recursion_limit_exits_2(
+        capsys, tmp_path):
+    n = sys.getrecursionlimit() + 100
+    points = [f"p{i}" for i in range(n)]
+    path = tmp_path / "fixed-points.json"
+    path.write_text(json.dumps({
+        "monoid": {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+        "carrier": points, "action": [list(range(n))] * 2,
+        "order": points}))
+    code, report, err = run(capsys, [
+        "arrow-check", "--ctx", "ordered-msets", "-k", "2",
+        "--A", str(path), "--B", str(path), "--C", str(path)])
+    assert code == 2 and report is None
+    assert err == (f"cap exceeded: an embedding search from {n} source "
+                   "elements exceeds Python's recursion limit\n")
 
 
 def test_forest_label_collision_exits_1(capsys, tmp_path):
@@ -1173,6 +1191,15 @@ def test_unwritable_out_exits_1_naming_it_and_writes_nothing(
                  '"generator_actions": {"f": [1, 1]}}',
                  "{}: field 'alphabet' holds 'f' and 'f', which are equal "
                  "labels", id="unary-repeated-symbol"),
+    # nested deeper than the JSON decoder's recursion limit
+    pytest.param(["validate", "--chain", FILE],
+                 "[" * 100_000 + "]" * 100_000,
+                 "{}: not valid JSON: maximum recursion depth exceeded",
+                 id="chain-nested-too-deep"),
+    pytest.param(["bigramsey", "--A", FILE, "--N", "3", "--k", "2"],
+                 "[" * 100_000 + "]" * 100_000,
+                 "{}: not valid JSON: maximum recursion depth exceeded",
+                 id="bigramsey-A-nested-too-deep"),
 ])
 def test_input_errors_exit_1_naming_the_file(capsys, files, argv, text,
                                              message):

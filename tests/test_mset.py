@@ -2,21 +2,26 @@
 
 import gc
 import random
-from itertools import permutations, product
+import sys
+from itertools import combinations, permutations, product
 
 import pytest
 
 from helpers import truncated_powers
+from msetramsey import mset
 from msetramsey.chains import omega
-from msetramsey.errors import (CompositionFails, IdentityAxiomFails,
-                               InputError, MonoidMismatch, UnknownSymbol)
+from msetramsey.errors import (CapExceeded, CompositionFails,
+                               IdentityAxiomFails, InputError,
+                               MonoidMismatch, UnknownSymbol)
 from msetramsey.expansion import forget_order
+from msetramsey.forests import RootedForest
 from msetramsey.monoid import left_zero_monoid, trivial_monoid, z2
 from msetramsey.mset import (MSet, UnaryAlgebra,
                              check_equivariant, cofree_mset, embedding_maps,
                              enumerate_embeddings, evaluate_word,
                              generated_sub_mset, order_positions,
                              validate_morphism, validate_mset, with_order)
+from msetramsey.ramsey import ForestContext
 from msetramsey.transport import hat_E
 
 
@@ -392,6 +397,110 @@ def test_ordered_call_with_row_tables_leaves_no_reference_cycle(
     pairs narrow their second orbit by the per-row tables."""
     _assert_no_reference_cycle(enumerate_maps, interleaved_pairs(),
                                hat_E(omega(4), z2()).lifted)
+
+
+def _fixed_points(n):
+    """n ordered fixed points of Z2, in index order."""
+    return MSet(z2(), tuple(range(n)), (tuple(range(n)),) * 2,
+                tuple(range(n)))
+
+
+def _roots(n):
+    """The ordered forest of n roots, in index order."""
+    return RootedForest(tuple(range(n)), tuple(range(n)), tuple(range(n)))
+
+
+def _place_calls(listing):
+    """listing()'s result and the number of rows it placed, counted as
+    calls of the backtracker's `place`."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "place" and \
+                code.co_filename == mset.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = listing()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_fixed_points_into_two_more_are_the_combinations(k):
+    """A chain's gaps count the room the unplaced elements need, so after
+    the first branch every target tried completes to a map: the search
+    places at most |C| rows at the first branch and one per map below."""
+    for listing in (lambda: embedding_maps(_fixed_points(k),
+                                           _fixed_points(k + 2)),
+                    lambda: ForestContext().hom(_roots(k), _roots(k + 2))):
+        maps, calls = _place_calls(listing)
+        assert maps == list(combinations(range(k + 2), k))
+        assert calls <= k + 2 + max(k - 1, 0) * len(maps)
+
+
+def _plus_fixed_points(ms, extra, rng):
+    """`ms` with `extra` more fixed points, put at random places in its
+    order."""
+    n = ms.size
+    action = [list(row) + list(range(n, n + extra)) for row in ms.action]
+    order = list(ms.order)
+    for x in range(n, n + extra):
+        order.insert(rng.randrange(len(order) + 1), x)
+    return validate_mset(ms.monoid, range(n + extra), action, order)
+
+
+def _random_ordered_mset(monoid, rng, pieces):
+    """A disjoint union of random M-sets of at most two elements over
+    `monoid`, in a random order that interleaves them."""
+    action, n = [[] for _ in range(monoid.size)], 0
+    for piece in rng.choices(_all_small_msets(monoid, 2, False), k=pieces):
+        for row, part in zip(action, piece.action):
+            row.extend(n + v for v in part)
+        n += piece.size
+    return validate_mset(monoid, range(n), action,
+                         rng.sample(range(n), n))
+
+
+@pytest.mark.parametrize("monoid", [trivial_monoid(), z2(),
+                                    left_zero_monoid(2), truncated_powers(2)])
+def test_tight_ordered_hom_sets_match_bruteforce(monoid):
+    """Targets with little or no room beside the source's image: the
+    source itself under another index order, and the source with one or
+    two more fixed points. Roots into roots + 2 are in the test above."""
+    rng = random.Random(39)
+    found = 0
+    for _ in range(10):
+        a = _random_ordered_mset(monoid, rng, rng.randint(1, 3))
+        for b in (_shuffled(a, rng.random()),
+                  _plus_fixed_points(a, 1, rng),
+                  _plus_fixed_points(a, 2, rng)):
+            got = embedding_maps(a, b)
+            assert got == _bruteforce_embeddings(a, b)
+            found += len(got)
+    assert found > 0
+
+
+@pytest.mark.parametrize("listing, calls", [
+    (lambda: embedding_maps(_fixed_points(16), _fixed_points(18)), 983),
+    (lambda: ForestContext().hom(_roots(14), _roots(14)), 27),
+], ids=["16-into-18-fixed-points", "14-roots-into-14-roots"])
+def test_tight_ordered_hom_sets_place_few_rows(listing, calls):
+    """Counting gaps keep these near |A| calls per map; a gap that left
+    no room for the unplaced elements would walk 2^|A| dead branches."""
+    assert _place_calls(listing)[1] == calls
+
+
+def test_ordered_listing_deeper_than_the_recursion_limit_is_a_cap():
+    n = sys.getrecursionlimit() + 100
+    a = _fixed_points(n)
+    with pytest.raises(CapExceeded, match=f"^an embedding search from {n} "
+                       "source elements exceeds Python's recursion limit$"):
+        embedding_maps(a, a)
 
 
 def test_enumerate_embeddings_rejects_mixed_kinds():
