@@ -25,7 +25,7 @@ class _TupleFunctor:
     """E-values are tuples, and E(f) applies f to each entry."""
 
     def lift(self, f, h):
-        return tuple(f(x) for x in h)
+        return tuple(map(f, h))
 
 
 class MonoidActionFunctor(_TupleFunctor):
@@ -72,7 +72,7 @@ class DistinctListFunctor(_TupleFunctor):
         return out
 
     def delta(self, seq):
-        return tuple(tuple(seq[i:]) for i in range(len(seq)))
+        return tuple(seq[i:] for i in range(len(seq)))
 
     def epsilon(self, seq):
         if not seq:

@@ -12,17 +12,22 @@ from itertools import product
 from ._record import Record, _set
 from .comonad import Coalgebra, DistinctListFunctor
 from .errors import InputError, NotAForest, NotPathShaped
+from .mset import _ranks
 
 
-class RootedForest(Record, frozen=True):
+class RootedForest(Record, frozen=True, hidden=("positions",)):
+    """A rooted forest; like MSet, it checks its order and keeps its ranks."""
+
     __slots__ = ("carrier",
                  "parent",  # parent[i] = position of the parent; roots fixed
-                 "order")   # positions in increasing order (ordered variant)
+                 "order",   # positions in increasing order (ordered variant)
+                 "positions")  # positions[i] = rank of i in the order
 
     def __init__(self, carrier, parent, order=None):
         _set(self, "carrier", carrier)
         _set(self, "parent", parent)
         _set(self, "order", order)
+        _set(self, "positions", _ranks(order, len(carrier)))
 
     @property
     def size(self):
@@ -68,10 +73,7 @@ def make_forest(carrier, parent, order=None):
     ok, cycle = is_rooted_forest(carrier, parent)
     if not ok:
         raise NotAForest(cycle)
-    if order is not None:
-        order = tuple(order)
-        if sorted(order) != list(range(len(carrier))):
-            raise InputError("order is not a permutation of the carrier")
+    order = None if order is None else tuple(order)
     return RootedForest(tuple(carrier), tuple(parent), order)
 
 
@@ -90,16 +92,13 @@ def encode_forest(forest):
     """
     if forest.order is None:
         raise InputError("encoding requires an ordered forest")
-    labels = forest.carrier
-    structure = tuple(
-        tuple(labels[j] for j in root_path(forest, i))
-        for i in range(forest.size))
+    labels, order = forest.carrier, forest.order
+    paths = [root_path(forest, i) for i in range(forest.size)]
+    structure = tuple(tuple(map(labels.__getitem__, p)) for p in paths)
     coalg = Coalgebra(DistinctListFunctor(), labels, structure)
 
-    pos = {labels[i]: rank for rank, i in enumerate(forest.order)}
-    keyed = [tuple(pos[x] for x in structure[i]) for i in range(forest.size)]
-    ranked = sorted(range(forest.size), key=lambda i: pos[labels[i]])
-    for i, j in zip(ranked, ranked[1:]):
+    keyed = [tuple(map(forest.positions.__getitem__, p)) for p in paths]
+    for i, j in zip(order, order[1:]):
         if not keyed[i] < keyed[j]:
             raise InputError(
                 f"root-path map is not an order-embedding at {labels[i]!r}")

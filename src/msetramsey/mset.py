@@ -24,14 +24,11 @@ class MSet(Record, frozen=True, hidden=("positions",)):
                  "positions")  # positions[a] = rank of carrier element a
 
     def __init__(self, monoid, carrier, action, order=None):
-        if order is not None and \
-                sorted(order) != list(range(len(carrier))):
-            raise InputError("order is not a permutation of the carrier")
         _set(self, "monoid", monoid)
         _set(self, "carrier", carrier)
         _set(self, "action", action)
         _set(self, "order", order)
-        _set(self, "positions", _ranks(order))
+        _set(self, "positions", _ranks(order, len(carrier)))
 
     @property
     def size(self):
@@ -42,6 +39,8 @@ class MSet(Record, frozen=True, hidden=("positions",)):
 
     def carrier_chain(self):
         """The carrier as a chain, listed in increasing order."""
+        if self.order is None:
+            raise InputError("the M-set has no order, so no carrier chain")
         return Chain(tuple(self.carrier[a] for a in self.order))
 
     def to_json(self):
@@ -53,10 +52,13 @@ class MSet(Record, frozen=True, hidden=("positions",)):
         return d
 
 
-def _ranks(order):
-    """ranks[x] = the place of x in `order`; None without an order."""
+def _ranks(order, size):
+    """ranks[x] = the place of x in `order`, or None without an order;
+    the one check, for M-sets and forests, that it permutes range(size)."""
+    if order is not None and sorted(order) != list(range(size)):
+        raise InputError("order is not a permutation of the carrier")
     return None if order is None else \
-        tuple(sorted(range(len(order)), key=order.__getitem__))
+        tuple(sorted(range(size), key=order.__getitem__))
 
 
 def validate_mset(monoid, carrier, action, order=None):
@@ -207,14 +209,14 @@ def embedding_maps(a, b):
     action rows, which hold the identity and are closed under composition."""
     if a.monoid != b.monoid:
         raise MonoidMismatch("source and target live over different monoids")
-    return _embeddings_along(tuple(zip(a.action, b.action)), a.positions,
-                             b.positions, b.order)
+    return _embeddings_along(tuple(zip(a.action, b.action)), a, b)
 
 
-def _embeddings_along(rows, spos, tpos, b_order):
-    """The injective maps f with f(r(x)) = s(f(x)) for every row pair
-    (r, s); when the `_ranks` `spos` and `tpos` of both sides are given,
-    the increasing ones (`b_order` lists the target in increasing order).
+def _embeddings_along(rows, a, b):
+    """The injective maps f from a's carrier to b's with f(r(x)) = s(f(x))
+    for every row pair (r, s), where a and b are M-sets or forests; when
+    both are ordered, the increasing ones, read off each side's `order`
+    and `positions` (its `_ranks`).
 
     Each side's rows must hold its identity and be closed under
     composition: then sending x to y forces exactly r(x) -> s(y) for
@@ -234,6 +236,7 @@ def _embeddings_along(rows, spos, tpos, b_order):
     orders a y's images only among themselves. The unordered search
     tries every target. Recursion past Python's limit is CapExceeded.
     """
+    spos, tpos, a_order = a.positions, b.positions, a.order
     ordered = spos is not None
     if ordered != (tpos is not None):
         raise MonoidMismatch("cannot mix ordered and unordered M-sets")
@@ -261,7 +264,6 @@ def _embeddings_along(rows, spos, tpos, b_order):
         return True
 
     if ordered:
-        a_order = sorted(range(n), key=spos.__getitem__)
         below = [None] * len(rows)
 
         def domain(x):
@@ -289,7 +291,7 @@ def _embeddings_along(rows, spos, tpos, b_order):
                     for y, v in enumerate(s):
                         pre[v] |= 1 << y
                     table = below[k] = list(accumulate(
-                        map(pre.__getitem__, b_order), or_, initial=0))
+                        map(pre.__getitem__, b.order), or_, initial=0))
                 dom &= table[hi] ^ table[lo]
                 if not dom:
                     return ()

@@ -23,7 +23,7 @@ from itertools import combinations, count, permutations
 
 from ._record import Record
 from .errors import CapExceeded, _SearchCapReached
-from .mset import MSet, _embeddings_along, _getter, _ranks, embedding_maps
+from .mset import MSet, _embeddings_along, _getter, embedding_maps
 
 DEFAULT_SEARCH_CAP = 10 ** 6
 
@@ -256,8 +256,7 @@ class ForestContext:
             rows.append((tuple(map(a.parent.__getitem__, r)),
                          tuple(map(c.parent.__getitem__, s))))
             if rows[-1][0] == r:
-                return _embeddings_along(rows, _ranks(a.order),
-                                         _ranks(c.order), c.order)
+                return _embeddings_along(rows, a, c)
 
 
 class Coloring(Record):
@@ -291,12 +290,13 @@ class ArrowVerdict(Record):
 
 
 def composite_images(a, b, c, ctx):
-    """For each w in hom(B,C): indices of {w . f : f in hom(A,B)} in hom(A,C).
+    """For each w in hom(B,C): the hom(A,C) indices of w . f, f in hom(A,B).
 
     w . f is _getter(f)(w). The composites are built column by column:
     one column per f holds the indices of w . f for every w, mapped at C
-    level, and w's image is its row of the columns, sorted: w is
-    injective, so distinct f give distinct w . f.
+    level, and w's image is its row of the columns, in hom(A,B) order: w
+    is injective, so distinct f give distinct w . f, and the search and
+    `coloring_is_bad` read an image only as a set.
     """
     hom_ac = ctx.hom(a, c)
     index = dict(zip(hom_ac, range(len(hom_ac)))).__getitem__
@@ -305,8 +305,7 @@ def composite_images(a, b, c, ctx):
     if not hom_ab:   # zip() over no columns would give no rows at all
         return hom_ac, hom_ab, hom_bc, [()] * len(hom_bc)
     columns = [map(index, map(_getter(f), hom_bc)) for f in hom_ab]
-    images = list(map(tuple, map(sorted, zip(*columns))))
-    return hom_ac, hom_ab, hom_bc, images
+    return hom_ac, hom_ab, hom_bc, list(zip(*columns))
 
 
 def coloring_is_bad(colors, images, t):
@@ -334,7 +333,7 @@ def _search_bad_coloring(n, k, t, images, cap=None):
     subtrees without a bad coloring, so the first coloring found is the
     lex-least canonical bad coloring. None is returned straight away
     when some w has fewer than t + 1 composites; each image lists
-    distinct positions, as `composite_images` gives.
+    distinct positions, in any order (propagation reaches one closure).
 
     A node is one call of `assign`, a color tried at a branch point;
     with a `cap`, _SearchCapReached is raised in place of node cap + 1.

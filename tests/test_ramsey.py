@@ -12,7 +12,7 @@ import pytest
 from helpers import truncated_powers
 from msetramsey.chains import omega
 from msetramsey.errors import CapExceeded, InputError, _SearchCapReached
-from msetramsey.mset import MSet, validate_mset, with_order
+from msetramsey.mset import MSet, cofree_mset, validate_mset, with_order
 from msetramsey.monoid import (chain_semilattice, cyclic_group,
                                left_zero_monoid, trivial_monoid,
                                validate_monoid, z2)
@@ -87,9 +87,10 @@ def test_compose_map_is_pointwise():
 @pytest.mark.parametrize("ctx_name", ["chains", "msets", "ordered-msets",
                                       "forests", "ordered-forests"])
 def test_composite_images_match_compose_map_reference(ctx_name):
-    """Random triples with |A| in {0, 1, 2, 3}: the images equal the
-    index sets of compose_map(w, f) over hom(A, B). Every other triple
-    has A in B in C, so that most images are not empty."""
+    """Random triples with |A| in {0, 1, 2, 3}: each image lists the
+    indices of compose_map(w, f) over hom(A, B), in hom(A, B) order.
+    Every other triple has A in B in C, so that most images are not
+    empty."""
     ctx, families = _small_objects(ctx_name)
     rng = random.Random(ctx_name)
     nonempty = dict.fromkeys(range(4), 0)
@@ -102,10 +103,10 @@ def test_composite_images_match_compose_map_reference(ctx_name):
         hom_ac, hom_ab, hom_bc, images = composite_images(a, b, c, ctx)
         index = {f: i for i, f in enumerate(hom_ac)}
         assert images == [
-            tuple(sorted({index[compose_map(w, f)] for f in hom_ab}))
+            tuple(index[compose_map(w, f)] for f in hom_ab)
             for w in hom_bc]
         # every w is injective, so no two f share a composite
-        assert all(len(image) == len(hom_ab) for image in images)
+        assert all(len(set(image)) == len(hom_ab) for image in images)
         nonempty[size] += any(images)
     assert all(nonempty.values()), nonempty
 
@@ -283,6 +284,56 @@ def _search_with_branch_count(n, k, t, images):
     finally:
         sys.setprofile(previous)
     return found, calls
+
+
+@pytest.mark.parametrize("ctx_name", ["chains", "msets", "ordered-msets"])
+def test_search_is_blind_to_the_order_within_images(ctx_name):
+    """Random arrows with A in B in C, |C| > 2 and t + 1 <= |hom(A, B)|,
+    up to 9-element chains and M-sets: on each image listed sorted, in
+    hom(A, B) order and shuffled, the search finds the same coloring
+    with the same node count, which is the least cap that does not
+    raise."""
+    ctx, families = _small_objects(ctx_name)
+    if ctx_name == "chains":
+        families = [[omega(n) for n in range(9)]]
+    else:   # the cofree M-set on three generators has 9 elements
+        gens = omega(3) if ctx_name == "ordered-msets" else range(3)
+        for family in families:
+            family.append(cofree_mset(gens, family[0].monoid))
+    rng = random.Random(ctx_name)
+    outcomes = []
+    while len(outcomes) < 40:
+        objs = rng.choice(families)
+        a = rng.choice([x for x in objs if 0 < x.size < 3])
+        b = rng.choice([x for x in objs
+                        if x.size > a.size and ctx.hom(a, x)])
+        c = rng.choice([x for x in objs if x.size > 2 and ctx.hom(b, x)])
+        hom_ac, hom_ab = ctx.hom(a, c), ctx.hom(a, b)
+        k = rng.randint(2, 3)
+        t = rng.randrange(1, k)
+        if len(hom_ab) <= t:
+            continue
+        index = {f: i for i, f in enumerate(hom_ac)}
+        in_hom_order = [tuple(index[compose_map(w, f)] for f in hom_ab)
+                        for w in ctx.hom(b, c)]
+        runs = set()
+        for images in (in_hom_order,
+                       [tuple(sorted(image)) for image in in_hom_order],
+                       [tuple(rng.sample(image, len(image)))
+                        for image in in_hom_order]):
+            found, nodes = _search_with_branch_count(len(hom_ac), k, t,
+                                                     images)
+            runs.add((found, nodes))
+            assert _search_bad_coloring(len(hom_ac), k, t, images,
+                                        cap=nodes) == found
+            with pytest.raises(_SearchCapReached):
+                _search_bad_coloring(len(hom_ac), k, t, images,
+                                     cap=nodes - 1)
+        assert len(runs) == 1, (a, b, c, k, t)
+        outcomes.append(runs.pop())
+    # some arrows are refuted, and some searches branch more than once
+    assert any(found for found, _ in outcomes)
+    assert max(nodes for _, nodes in outcomes) > 5
 
 
 def test_search_propagates_forced_colors_in_turn():

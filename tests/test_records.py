@@ -91,7 +91,8 @@ CASES = FROZEN + MUTABLE
 IDS = [case[0].__name__ for case in CASES]
 UNHASHABLE = (UnaryAlgebra,)    # its actions are a dict
 # types whose constructor checks its arguments
-CHECKED = (Chain, ChainEmbedding, MSet, UnaryAlgebra, Coloring)
+CHECKED = (Chain, ChainEmbedding, RootedForest, MSet, UnaryAlgebra,
+           Coloring)
 
 
 def test_every_value_type_is_covered():
@@ -177,6 +178,14 @@ def test_hidden_fields_are_neither_compared_nor_shown():
     assert MSet("M", ("x",), ((0,),)).positions is None
     assert ms == MSet("M", ("x", "y", "z"), ((0, 1, 2),), (2, 0, 1))
     assert hash(ms) == hash(("M", ("x", "y", "z"), ((0, 1, 2),), (2, 0, 1)))
+    forest = RootedForest(("x", "y", "z"), (0, 0, 0), (2, 0, 1))
+    assert forest.positions == (1, 2, 0) and "positions" not in repr(forest)
+    for twin in (copy.copy(forest), copy.deepcopy(forest),
+                 pickle.loads(pickle.dumps(forest))):
+        assert twin.positions == (1, 2, 0)
+    assert RootedForest(("x",), (0,)).positions is None
+    assert forest == RootedForest(("x", "y", "z"), (0, 0, 0), (2, 0, 1))
+    assert hash(forest) == hash((("x", "y", "z"), (0, 0, 0), (2, 0, 1)))
 
 
 def test_defaults_and_fresh_containers():
@@ -211,6 +220,10 @@ def test_constructors_normalise_sequences():
      "not a permutation"),
     (lambda: MSet("M", ("x", "y"), ((0, 1),), (0,)), InputError,
      "not a permutation"),
+    (lambda: RootedForest(("x", "y"), (0, 0), (0, 0)), InputError,
+     "not a permutation"),
+    (lambda: RootedForest(("x", "y"), (0, 0), (0,)), InputError,
+     "not a permutation"),
     (lambda: UnaryAlgebra(("f",), ("x",), {}), InputError,
      "no generator action for symbol 'f'"),
     (lambda: UnaryAlgebra(("f",), ("x",), {"f": (1,)}), InputError,
@@ -225,7 +238,8 @@ def test_constructors_normalise_sequences():
      InputError, "not strictly increasing"),
     (lambda: ChainEmbedding(Chain((1,)), Chain((1, 2)), (2,)),
      InputError, "leaves the target"),
-], ids=["mset-order-repeat", "mset-order-short", "unary-missing",
+], ids=["mset-order-repeat", "mset-order-short", "forest-order-repeat",
+        "forest-order-short", "unary-missing",
         "unary-malformed", "unary-extra", "coloring", "chain",
         "embedding-total", "embedding-increasing", "embedding-range"])
 def test_construction_checks_still_raise(build, error, match):

@@ -246,6 +246,17 @@ def test_transport_witness_fixed_points():
     assert result.certified == "holds"
 
 
+def test_unordered_msets_have_no_carrier_chain():
+    """An unordered M-set has no carrier chain, so neither a weak
+    coalgebra nor a transported witness: each says so with InputError."""
+    u = forget_order(_fixed_point(("u",)))
+    v = _fixed_point(("v0", "v1"))
+    for call in (u.carrier_chain, lambda: mset_as_weak_coalgebra(u),
+                 lambda: transport_witness(u, v, 2)):
+        with pytest.raises(InputError, match="has no order"):
+            call()
+
+
 def test_transport_witness_budget_exhausted():
     u_star = _fixed_point(("u",))
     v_star = _fixed_point(("v0", "v1"))
